@@ -16,7 +16,8 @@ import sys
 
 from . import counting, spectral
 from .algebra import u_poly, x_pow_minus_one, poly_gcd_field
-from .errors import AstuteError, BudgetExceeded, NotInvertible
+from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
+                     PreconditionViolated)
 from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import GraphParams, factor_to_doc, to_dot, value_word, word_str
 from .rules import enumerate_factor, parse_rule_spec, pcr, icr, xor_rule
@@ -41,10 +42,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except BudgetExceeded as e:
+    except (BudgetExceeded, Inconclusive) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, NotInvertible) as e:
+    except (ValueError, NotInvertible, PreconditionViolated) as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return EXIT_USAGE
     except AstuteError as e:
@@ -75,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--budget-nodes", type=int, default=None)
     p_ext.add_argument("--max-vertices", type=int, default=32)
     p_ext.add_argument("--time-cap", type=float, default=None)
-    p_ext.add_argument("--workers", type=int, default=1)
     p_ext.add_argument("--emit-dot", metavar="PATH")
     p_ext.add_argument("--emit-json", metavar="PATH")
     p_ext.set_defaults(func=cmd_extremal)
@@ -192,7 +192,7 @@ def _fmt_witness(v) -> str:
 def cmd_extremal(args) -> int:
     p = _params(args)
     budget = _search_budget(args)
-    result = search_extremal(p, budget, workers=args.workers)
+    result = search_extremal(p, budget)
     doc = factor_to_doc(result.certificate, optimal=result.optimal,
                         extra={"nodes": result.nodes_explored})
     print(json.dumps(doc, indent=2))
@@ -219,7 +219,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.csv and not (args.b and args.n and args.k):
+    given = [x is not None for x in (args.b, args.n, args.k)]
+    if any(given) and not all(given):
+        raise ValueError("--b, --n and --k must be given together")
+    if args.csv and not all(given):
         raise ValueError("--csv needs an explicit --b/--n/--k instance")
     checks: list[dict] = []
     if args.suite in ("lemmas", "all"):
@@ -337,7 +340,7 @@ def _suite_theorem1(args) -> list[dict]:
     checks = []
     instances = THEOREM1_INSTANCES
     # explicit flags narrow the sweep; with --csv they describe the dump instead
-    if args.b and args.n and args.k and not args.csv:
+    if args.b is not None and not args.csv:
         instances = [(args.b, args.n, args.k)]
     budget = _search_budget(args)
     for (b, n, k) in instances:
@@ -352,7 +355,10 @@ def _suite_counterexample(args) -> list[dict]:
     p = GraphParams(2, 3, 2)
     pcr_count = len(enumerate_factor(pcr(3, 2), 2).cycles)
     result = search_extremal(p, _search_budget(args))
-    ok = (pcr_count == 4 and result.optimal and result.best_count == 6)
+    if not result.optimal:
+        raise Inconclusive(
+            f"search hit its budget after {result.nodes_explored} nodes")
+    ok = pcr_count == 4 and result.best_count == 6
     return [_check("counterexample-g32", ok,
                    f"rotation-rule={pcr_count} extremal={result.best_count}")]
 

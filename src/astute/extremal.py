@@ -15,7 +15,6 @@ rotation-rule factor, which is optimal whenever k | n or n | k.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -50,28 +49,14 @@ class SearchResult:
     nodes_explored: int
 
 
-class _Shared:
-    """Monotone incumbent shared between search workers."""
-
-    def __init__(self, best: int, succ: list[int]):
-        self.lock = threading.Lock()
-        self.best = best
-        self.succ = succ
-
-    def improve(self, count: int, succ: list[int]) -> None:
-        with self.lock:
-            if count > self.best:
-                self.best = count
-                self.succ = list(succ)
-
-
 class _Searcher:
-    def __init__(self, p: GraphParams, shared: _Shared, budget: SearchBudget):
-        self.p = p
+    def __init__(self, p: GraphParams, budget: SearchBudget,
+                 best: int, best_succ: list[int]):
         self.n_vertices = p.num_vertices
         self.k = p.k
-        self.shared = shared
         self.budget = budget
+        self.best = best
+        self.best_succ = best_succ
         self.succ_choices = [successor_codes(c, p) for c in range(self.n_vertices)]
         self.nodes = 0
         self.stopped = False
@@ -86,23 +71,23 @@ class _Searcher:
         self.completed = 0
         self.closed = 0
 
-    def run(self, first_choices: Optional[list[int]] = None) -> None:
-        """Explore assignments; restrict vertex 0 to first_choices if given."""
-        self._descend(0, first_choices)
+    def run(self) -> None:
+        self._descend(0)
 
-    def _descend(self, u: int, first_choices: Optional[list[int]] = None) -> None:
+    def _descend(self, u: int) -> None:
         if self.stopped:
             return
         n, k = self.n_vertices, self.k
         if u == n:
-            self.shared.improve(self.completed, self.succ)
+            if self.completed > self.best:
+                self.best = self.completed
+                self.best_succ = list(self.succ)
             return
         remaining = min(n - u, (n - self.closed) // k)
-        if self.completed + remaining <= self.shared.best:
+        if self.completed + remaining <= self.best:
             return
-        choices = first_choices if first_choices is not None else self.succ_choices[u]
         pred_used = self.pred_used
-        for v in choices:
+        for v in self.succ_choices[u]:
             if pred_used[v]:
                 continue
             self.nodes += 1
@@ -142,14 +127,13 @@ class _Searcher:
                 return
 
 
-def search_extremal(p: GraphParams, budget: SearchBudget | None = None,
-                    workers: int = 1) -> SearchResult:
+def search_extremal(p: GraphParams,
+                    budget: SearchBudget | None = None) -> SearchResult:
     """Find a factor of G(n, k) with the maximum number of cycles.
 
     Exhaustive within the budget; returns optimal=False with the best
-    incumbent when the node or time cap is hit.  Single-worker runs are
-    deterministic; with workers > 1 the top-level branch set is split
-    across threads sharing only the incumbent bound.
+    incumbent when the node or time cap is hit.  Deterministic: the same
+    instance and budget give the same certificate and node count.
     """
     budget = budget or SearchBudget()
     n = p.num_vertices
@@ -160,30 +144,11 @@ def search_extremal(p: GraphParams, budget: SearchBudget | None = None,
     # strictly better still certificates with a valid factor
     pcr_succ = successor_array(pcr(p.n, p.b), p.k)
     pcr_count = len(factor_from_successor(pcr_succ, p).cycles)
-    shared = _Shared(pcr_count, pcr_succ)
-
-    if workers <= 1:
-        searcher = _Searcher(p, shared, budget)
-        searcher.run()
-        nodes = searcher.nodes
-        optimal = not searcher.stopped
-    else:
-        first = successor_codes(0, p)
-        parts: list[list[int]] = [[] for _ in range(min(workers, len(first)))]
-        for i, v in enumerate(first):
-            parts[i % len(parts)].append(v)
-        searchers = [_Searcher(p, shared, budget) for _ in parts]
-        threads = [threading.Thread(target=s.run, args=(part,))
-                   for s, part in zip(searchers, parts)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        nodes = sum(s.nodes for s in searchers)
-        optimal = not any(s.stopped for s in searchers)
-
-    certificate = factor_from_successor(shared.succ, p)
-    return SearchResult(shared.best, certificate, optimal, nodes)
+    searcher = _Searcher(p, budget, pcr_count, pcr_succ)
+    searcher.run()
+    certificate = factor_from_successor(searcher.best_succ, p)
+    return SearchResult(searcher.best, certificate, not searcher.stopped,
+                        searcher.nodes)
 
 
 @dataclass(frozen=True)
@@ -198,8 +163,8 @@ class ExtremalityReport:
         return self.ok
 
 
-def verify_theorem1(p: GraphParams, budget: SearchBudget | None = None,
-                    workers: int = 1) -> ExtremalityReport:
+def verify_theorem1(p: GraphParams,
+                    budget: SearchBudget | None = None) -> ExtremalityReport:
     """Check that the rotation-rule factor is extremal on G(n, k).
 
     Only defined when k | n or n | k.  Compares the exhaustive search
@@ -208,7 +173,7 @@ def verify_theorem1(p: GraphParams, budget: SearchBudget | None = None,
     """
     if p.n % p.k and p.k % p.n:
         raise PreconditionViolated(f"need k | n or n | k, got n={p.n}, k={p.k}")
-    result = search_extremal(p, budget, workers=workers)
+    result = search_extremal(p, budget)
     if not result.optimal:
         raise Inconclusive(
             f"search hit its budget after {result.nodes_explored} nodes")

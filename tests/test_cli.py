@@ -116,6 +116,16 @@ def test_extremal_env_budget(capsys, monkeypatch):
     assert json.loads(out)["optimal"] is False
 
 
+def test_extremal_time_cap(capsys):
+    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "5",
+                       "--time-cap", "1e-6")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["optimal"] is False
+    assert validate_factor(factor_from_doc(doc)).ok
+    assert doc["nodes"] < 737198  # a full run explores 737,198 nodes
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counterexample")
     assert code == 0
@@ -131,6 +141,34 @@ def test_verify_theorem1_single_instance(capsys):
     doc = json.loads(out)
     assert len(doc["checks"]) == 1
     assert doc["checks"][0]["name"] == "pcr-extremal b=2 n=3 k=3"
+
+
+def test_verify_theorem1_budget_exit(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
+                         "--n", "4", "--k", "2", "--budget-nodes", "10")
+    assert code == 3
+    assert out == "" and "budget" in err
+
+
+def test_verify_counterexample_budget_exit(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "counterexample",
+                         "--budget-nodes", "5")
+    assert code == 3
+    assert out == "" and "budget" in err
+
+
+def test_verify_precondition_exit(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
+                       "--n", "3", "--k", "2")
+    assert code == 2
+    assert "k | n or n | k" in err
+
+
+def test_verify_partial_instance_refused(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
+                         "--n", "3")
+    assert code == 2
+    assert out == "" and "--k" in err
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -166,4 +204,7 @@ def test_usage_error_exit_code(capsys):
     import pytest
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--rule", "pcr"])  # missing required flags
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["extremal", "--b", "2", "--n", "3", "--k", "2", "--workers", "2"])
     assert exc.value.code == 2

@@ -107,10 +107,3 @@ def test_random_factor_valid_and_seeded():
     assert a == b
     assert a != c
 
-
-def test_workers_share_incumbent():
-    single = search_extremal(GraphParams(2, 3, 2))
-    multi = search_extremal(GraphParams(2, 3, 2), workers=2)
-    assert multi.best_count == single.best_count
-    assert multi.optimal
-    assert validate_factor(multi.certificate).ok
