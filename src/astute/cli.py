@@ -73,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("extremal", help="search for a maximum-cycle factor")
     _add_instance_flags(p_ext, rule=False)
-    p_ext.add_argument("--budget-nodes", type=int, default=None)
-    p_ext.add_argument("--max-vertices", type=int, default=32)
+    _add_search_flags(p_ext)
     p_ext.add_argument("--time-cap", type=float, default=None)
     p_ext.add_argument("--emit-dot", metavar="PATH")
     p_ext.add_argument("--emit-json", metavar="PATH")
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--budget-nodes", type=int, default=None)
+    _add_search_flags(p_verify)
     p_verify.add_argument("--csv", metavar="PATH",
                           help="dump the per-orbit transform table for the "
                                "--b/--n/--k instance")
@@ -111,6 +110,11 @@ def _add_instance_flags(p: argparse.ArgumentParser, rule: bool):
                        help="pcr | icr | xor | affine:c;l0,l1,...,ln")
 
 
+def _add_search_flags(p: argparse.ArgumentParser):
+    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--max-vertices", type=int, default=32)
+
+
 def _params(args) -> GraphParams:
     return GraphParams(args.b, args.n, args.k)
 
@@ -119,7 +123,7 @@ def _search_budget(args) -> SearchBudget:
     nodes = args.budget_nodes
     if nodes is None:
         nodes = int(os.environ.get("ASTUTE_MAX_NODES", 10 ** 8))
-    return SearchBudget(max_vertices=getattr(args, "max_vertices", 32),
+    return SearchBudget(max_vertices=args.max_vertices,
                         max_nodes=nodes,
                         time_cap=getattr(args, "time_cap", None))
 
@@ -224,6 +228,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--b, --n and --k must be given together")
     if args.csv and not all(given):
         raise ValueError("--csv needs an explicit --b/--n/--k instance")
+    if all(given) and not args.csv and args.suite in ("lemmas", "counterexample"):
+        raise ValueError(f"--suite {args.suite} takes no --b/--n/--k instance")
     checks: list[dict] = []
     if args.suite in ("lemmas", "all"):
         checks += _suite_lemmas()

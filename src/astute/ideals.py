@@ -1,9 +1,18 @@
 """Ideal computations in Z/bZ[X] / (X^d - 1) for arbitrary b >= 2.
 
-The modulus may be composite, so polynomial GCDs are unavailable; sizes
-and memberships are decided through integer-lattice Smith normal forms
-instead.  The ideal (L, X^d - 1) corresponds to the subgroup of (Z/b)^d
-spanned by the d cyclic shifts of L reduced mod X^d - 1.
+For a polynomial lam with a unit leading coefficient, Z/b[X] / (lam) is
+free over Z/b with basis 1, X, ..., X^(n-1), n = deg(lam), and
+multiplication by X acts on it as the n x n companion matrix C of lam
+made monic.  The ideal (lam, X^d - 1) then maps onto the column span of
+C^d - I, so
+
+    |Z/bZ[X] / (lam, X^d - 1)| = |coker over Z/b of (C^d - I)|,
+
+and an element lies in the ideal exactly when its coordinate vector lies
+in that span.  The modulus may be composite, so polynomial GCDs are
+unavailable; sizes and memberships are decided through Smith normal
+forms of these n x n matrices (Elspas 1959; Lidl & Niederreiter, Finite
+Fields, ch. 8).  Matrices are lists of columns.
 """
 
 from __future__ import annotations
@@ -12,22 +21,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra import ModPoly, is_unit, poly_rem
-from .errors import BudgetExceeded, NotInvertible
+from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
 from .snf import smith_normal_form
-
-
-def _cyclic_rows(lam: ModPoly, d: int) -> list[list[int]]:
-    """Coefficient vectors of X^i * lam mod (X^d - 1), i = 0..d-1."""
-    b = lam.modulus
-    base = [0] * d
-    for j, c in enumerate(lam.coeffs):
-        base[j % d] = (base[j % d] + c) % b
-    rows = []
-    row = base
-    for _ in range(d):
-        rows.append(row)
-        row = [row[-1]] + row[:-1]
-    return rows
 
 
 def _span_quotient_size(rows: list[list[int]], width: int, b: int) -> int:
@@ -42,32 +37,99 @@ def _span_quotient_size(rows: list[list[int]], width: int, b: int) -> int:
     return size
 
 
-@lru_cache(maxsize=4096)
-def ideal_quotient_size(lam: ModPoly, d: int) -> int:
-    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus."""
+def _companion(lam: ModPoly) -> list[list[int]]:
+    """Columns of the companion matrix of lam made monic: column j is
+    X^(j+1) mod lam in the basis 1, X, ..., X^(n-1)."""
     if lam.is_zero:
         raise ValueError("lam must be nonzero")
+    b = lam.modulus
+    if not is_unit(lam.leading, b):
+        raise LeadingNotInvertible(
+            f"leading coefficient {lam.leading} not invertible mod {b}")
+    n = lam.degree
+    if n == 0:
+        return []
+    cols = [[int(i == j + 1) for i in range(n)] for j in range(n - 1)]
+    cols.append([-c % b for c in lam.monic().coeffs[:n]])
+    return cols
+
+
+def _apply(cols: list[list[int]], v: list[int], b: int) -> list[int]:
+    """The matrix with columns `cols` times the vector v, mod b."""
+    out = [0] * len(v)
+    for x, col in zip(v, cols):
+        if x:
+            for i, y in enumerate(col):
+                out[i] += x * y
+    return [y % b for y in out]
+
+
+def _compose(p, u, q, w, b):
+    """(C^i, U_i(C) e_0) and (C^j, U_j(C) e_0) give those of i + j."""
+    total = [(x + y) % b for x, y in zip(u, _apply(p, w, b))]
+    return [_apply(p, col, b) for col in q], total
+
+
+def _power_and_sum(comp: list[list[int]], s: int, b: int):
+    """C^s and (I + C + ... + C^(s-1)) e_0 by repeated squaring, where
+    the vector is the coordinates of U_s = 1 + X + ... + X^(s-1)."""
+    n = len(comp)
+    power = [[int(i == j) for i in range(n)] for j in range(n)]
+    total = [0] * n
+    base, base_sum = comp, [int(i == 0) for i in range(n)]
+    while s:
+        if s & 1:
+            power, total = _compose(power, total, base, base_sum, b)
+        s >>= 1
+        if s:
+            base, base_sum = _compose(base, base_sum, base, base_sum, b)
+    return power, total
+
+
+def _image_rows(power: list[list[int]], b: int) -> list[list[int]]:
+    """Columns of C^s - I, the generators of (lam, X^s - 1) mod lam."""
+    return [[(x - (i == j)) % b for i, x in enumerate(col)]
+            for j, col in enumerate(power)]
+
+
+def _in_image(power: list[list[int]], target: list[int], b: int) -> bool:
+    """Is target in the column span of C^s - I?  Adjoining it leaves the
+    quotient size unchanged exactly when it already lies in the span."""
+    n = len(target)
+    if n == 0:  # deg(lam) = 0: lam is a unit and the ideal is everything
+        return True
+    rows = _image_rows(power, b)
+    return _span_quotient_size(rows + [target], n, b) == _span_quotient_size(rows, n, b)
+
+
+@lru_cache(maxsize=4096)
+def ideal_quotient_size(lam: ModPoly, d: int) -> int:
+    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus.
+
+    lam's leading coefficient must be a unit mod b.
+    """
+    comp = _companion(lam)
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _span_quotient_size(_cyclic_rows(lam, d), d, lam.modulus)
+    b = lam.modulus
+    return _span_quotient_size(_image_rows(_power_and_sum(comp, d, b)[0], b),
+                               len(comp), b)
 
 
 def membership_cUs(lam: ModPoly, c: int, s: int) -> bool:
     """Decide c*(1 + X + ... + X^(s-1)) in (lam, X^s - 1).
 
-    Adjoining the target vector to the generating lattice leaves the
-    quotient size unchanged exactly when the target already lies in it.
+    lam's leading coefficient must be a unit mod b.
     """
+    comp = _companion(lam)
+    if s < 1:
+        raise ValueError("s must be >= 1")
     b = lam.modulus
     c %= b
     if c == 0:
         return True
-    if lam.is_zero:
-        raise ValueError("lam must be nonzero")
-    rows = _cyclic_rows(lam, s)
-    base = _span_quotient_size(rows, s, b)
-    target = [c] * s
-    return _span_quotient_size(rows + [target], s, b) == base
+    power, total = _power_and_sum(comp, s, b)
+    return _in_image(power, [c * x % b for x in total], b)
 
 
 def _require_affine_valid(lam: ModPoly):
@@ -108,18 +170,23 @@ def smallest_cycle_length(lam: ModPoly, c: int, k: int) -> int:
     """Least multiple s of k with c*U_s in (lam, X^s - 1).
 
     The search is capped at lcm(k, b * order_of_x(lam)), which is always
-    a member; overrunning it signals a bug.
+    a member; overrunning it signals a bug.  C^s and U_s(C) e_0 advance
+    by those of k at each step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_affine_valid(lam)
     b = lam.modulus
-    if c % b == 0:
+    c %= b
+    if c == 0:
         return k
     bound = lcm(k, b * order_of_x(lam))
+    step, step_sum = _power_and_sum(_companion(lam), k, b)
+    power, total = step, step_sum
     s = k
     while s <= bound:
-        if membership_cUs(lam, c, s):
+        if _in_image(power, [c * x % b for x in total], b):
             return s
+        power, total = _compose(power, total, step, step_sum, b)
         s += k
     raise BudgetExceeded("no cycle length within lcm(k, b*order) bound; internal error")

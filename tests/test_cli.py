@@ -1,4 +1,5 @@
 import json
+import signal
 
 from astute.cli import main
 from astute.graph import factor_from_doc, validate_factor
@@ -79,6 +80,25 @@ def test_count_single_methods(capsys):
     code, out, _ = run(capsys, "count", "--rule", "xor", "--b", "2", "--n", "3",
                        "--method", "closed")
     assert code == 0 and out.split()[1] == "4"
+
+
+def test_count_pinned_affine_rule_finishes(capsys):
+    # omega = 124 for this rule, so a route that builds d x d lattices
+    # stalls here; the alarm turns a stall into a failure, not a hang
+    def stop(signum, frame):
+        raise TimeoutError("count did not finish within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, _ = run(capsys, "count", "--rule", "affine:4;4,3,1,3", "--b", "5",
+                           "--n", "3", "--method", "all")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["enumeration", "2"], ["burnside_direct", "2"], ["theorem2", "2"]]
 
 
 def test_count_closed_unavailable_for_custom(capsys):
@@ -169,6 +189,27 @@ def test_verify_partial_instance_refused(capsys):
                          "--n", "3")
     assert code == 2
     assert out == "" and "--k" in err
+
+
+def test_verify_instance_refused_by_fixed_suites(capsys):
+    for suite in ("lemmas", "counterexample"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--b", "2",
+                             "--n", "4", "--k", "1")
+        assert code == 2
+        assert out == "" and "takes no --b/--n/--k" in err
+
+
+def test_verify_max_vertices(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
+                       "--n", "4", "--k", "2", "--max-vertices", "32")
+    assert code == 0 and json.loads(out)["pass"] is True
+    # 64 vertices pass the vertex budget and reach the node budget
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
+                         "--n", "6", "--k", "1", "--max-vertices", "64",
+                         "--budget-nodes", "10")
+    assert code == 3
+    assert out == "" and "search hit its budget" in err
+    assert "exceeds search budget" not in err
 
 
 def test_verify_csv(capsys, tmp_path):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from astute.algebra import ModPoly, u_poly, x_pow_minus_one
-from astute.errors import NotInvertible
+from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
+from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (ideal_quotient_size, membership_cUs, order_of_x,
                            smallest_cycle_length)
 
@@ -29,13 +29,21 @@ def _random_poly(rng, b, max_deg):
 
 
 def test_quotient_size_against_closure_oracle():
+    # draws whose leading coefficient is not a unit are refused
     rng = random.Random(5)
+    compared = 0
     for _ in range(200):
         b = rng.choice([2, 3, 4, 6])
         d = rng.randrange(1, 7)
         lam = _random_poly(rng, b, 5)
+        if not is_unit(lam.leading, b):
+            with pytest.raises(LeadingNotInvertible):
+                ideal_quotient_size(lam, d)
+            continue
         assert ideal_quotient_size(lam, d) == ideal_quotient_size_oracle(lam, d), \
             (lam, d)
+        compared += 1
+    assert compared == 153
 
 
 def test_membership_examples():
@@ -46,13 +54,42 @@ def test_membership_examples():
 
 
 def test_membership_against_closure_oracle():
+    # draws whose leading coefficient is not a unit are refused, c = 0 too
     rng = random.Random(6)
+    compared = 0
     for _ in range(200):
         b = rng.choice([2, 3, 4, 6])
         s = rng.randrange(1, 7)
         c = rng.randrange(b)
         lam = _random_poly(rng, b, 5)
+        if not is_unit(lam.leading, b):
+            with pytest.raises(LeadingNotInvertible):
+                membership_cUs(lam, c, s)
+            continue
         assert membership_cUs(lam, c, s) == membership_oracle(lam, c, s), (lam, c, s)
+        compared += 1
+    assert compared == 154
+
+
+def test_companion_route_against_closure_oracle_composite():
+    # unit-leading lam of degree <= 4 over composite and prime-power b,
+    # leading coefficient not always 1, so the companion matrix needs
+    # the monic rescaling
+    rng = random.Random(11)
+    compared = 0
+    while compared < 250:
+        b = rng.choice([4, 5, 6, 8, 9, 12])
+        d = rng.randrange(1, 6)
+        if b ** d > 5000:
+            continue
+        units = [u for u in range(1, b) if is_unit(u, b)]
+        lam = ModPoly.from_coeffs(
+            [rng.randrange(b) for _ in range(rng.randrange(5))] + [rng.choice(units)], b)
+        c = rng.randrange(b)
+        assert ideal_quotient_size(lam, d) == ideal_quotient_size_oracle(lam, d), \
+            (lam, d)
+        assert membership_cUs(lam, c, d) == membership_oracle(lam, c, d), (lam, c, d)
+        compared += 1
 
 
 def test_order_of_x():
