@@ -14,8 +14,9 @@ from .counting import (CountReport, base_divisor, closed_form_icr,
                        closed_form_pcr, closed_form_xor, count_burnside_direct,
                        count_enumeration, count_theorem2, count_theorem2_rule)
 from .errors import (AstuteError, BudgetExceeded, CompositeModulus,
-                     Inconclusive, LeadingNotInvertible, NonIntegerResult,
-                     NotInvertible, NotPcrOrbit, PreconditionViolated)
+                     Inconclusive, InvalidFactor, LeadingNotInvertible,
+                     NonIntegerResult, NotInvertible, NotPcrOrbit,
+                     PreconditionViolated)
 from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
                        exhaustive_factors, random_factor, search_extremal,
                        verify_theorem1)

@@ -322,8 +322,8 @@ def _suite_lemmas() -> list[dict]:
             rules = [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else [])
             for rule in rules:
                 lam = rule.char_poly()
-                ell = smallest_cycle_length(lam, rule.c, 1)
                 omega = order_of_x(lam)
+                ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
                 for i in range(1, 25):
                     want = (ideal_quotient_size(lam, gcd(i, omega))
                             if i % ell == 0 else 0)

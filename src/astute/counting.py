@@ -12,15 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq
 from typing import Optional
 
 from .algebra import ModPoly, euler_phi
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from .rules import (AffineRule, DEFAULT_MAX_VERTICES, enumerate_factor,
-                    word_permutation)
+from .graph import GraphParams, count_cycles
+from .rules import (AffineRule, DEFAULT_MAX_VERTICES, check_vertex_budget,
+                    successor_array, word_permutation)
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
+
+# Burnside steps a permutation of b^n words M/k times.  Above this many
+# word steps (about 5 s on a 2-vCPU VM) it refuses instead of running
+# for minutes; b = 2, n = 20 pcr (M = 20) still fits.
+BURNSIDE_MAX_STEPS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,22 @@ def _divisors(m: int) -> list[int]:
 
 def count_enumeration(rule: AffineRule, k: int,
                       max_vertices: int = DEFAULT_MAX_VERTICES) -> CountReport:
-    """Count orbits by enumerating the factor."""
-    f = enumerate_factor(rule, k, max_vertices=max_vertices)
-    return CountReport(len(f.cycles), "enumeration", rule.spec(), rule.b, rule.n, k)
+    """Count orbits by walking the rule's successor permutation on G(n, k)."""
+    check_vertex_budget(GraphParams(rule.b, rule.n, k), max_vertices)
+    return CountReport(count_cycles(successor_array(rule, k)), "enumeration",
+                       rule.spec(), rule.b, rule.n, k)
+
+
+def _perm_power(perm: list[int], e: int) -> list[int]:
+    """perm composed with itself e times, by repeated squaring."""
+    result = list(range(len(perm)))
+    while e:
+        if e & 1:
+            result = [perm[v] for v in result]
+        e >>= 1
+        if e:
+            perm = [perm[v] for v in perm]
+    return result
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
@@ -58,24 +78,30 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
     The average runs over one period M = lcm(k, l, w) of
     i -> [k | i] * |Fix(rule^i)|, with l the rule's smallest word-cycle
-    length and w the order of X modulo its polynomial.
+    length and w the order of X modulo its polynomial.  Only the M/k
+    powers rule^0, rule^k, rule^2k, ... count, so the walk steps by
+    rule^k: about (M/k) * b^n steps, refused above BURNSIDE_MAX_STEPS.
     """
-    lam = rule.char_poly()
-    ell = smallest_cycle_length(lam, rule.c, 1)
-    omega = order_of_x(lam)
-    m = lcm(k, ell, omega)
     n_words = rule.b ** rule.n
     if n_words > max_vertices:
         raise BudgetExceeded(f"{n_words} words exceeds budget {max_vertices}")
-    # fixed points of every power in one sweep; each count matches
-    # fix_count_bruteforce(rule, i)
-    perm = word_permutation(rule)
+    lam = rule.char_poly()
+    omega = order_of_x(lam)
+    ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
+    m = lcm(k, ell, omega)
+    # the power loop, plus at most 2 log2(k) compositions to form rule^k
+    steps = (m // k + 2 * k.bit_length()) * n_words
+    if steps > BURNSIDE_MAX_STEPS:
+        raise BudgetExceeded(
+            f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
+            f"over budget {BURNSIDE_MAX_STEPS}")
+    # each fixed-point count matches fix_count_bruteforce(rule, i)
+    step = _perm_power(word_permutation(rule), k)
     power = list(range(n_words))
     total = n_words  # i = 0
-    for i in range(1, m):
-        power = [perm[v] for v in power]
-        if i % k == 0:
-            total += sum(1 for v, w in enumerate(power) if v == w)
+    for _ in range(m // k - 1):
+        power = [step[v] for v in power]
+        total += sum(map(eq, power, range(n_words)))
     value = Fraction(k * total, m)
     if value.denominator != 1:
         raise NonIntegerResult(f"Burnside average {value} is not an integer")
@@ -99,7 +125,7 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
         omega = base_order
     elif omega % base_order:
         raise ValueError(f"omega={omega} is not a multiple of the order {base_order}")
-    s = smallest_cycle_length(lam, c, k)
+    s = smallest_cycle_length(lam, c, k, order=base_order)
     g = gcd(s, omega)
     terms = []
     total = Fraction(0)

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .counting import closed_form_pcr
-from .errors import BudgetExceeded, Inconclusive, PreconditionViolated
-from .graph import (Factor, GraphParams, factor_from_successor,
+from .errors import (BudgetExceeded, Inconclusive, InvalidFactor,
+                     PreconditionViolated)
+from .graph import (Factor, GraphParams, count_cycles, factor_from_successor,
                     successor_codes, validate_factor)
 from .rules import pcr, successor_array
 
@@ -143,8 +144,7 @@ def search_extremal(p: GraphParams,
     # incumbent: the rotation-rule factor, so a run that finds nothing
     # strictly better still certificates with a valid factor
     pcr_succ = successor_array(pcr(p.n, p.b), p.k)
-    pcr_count = len(factor_from_successor(pcr_succ, p).cycles)
-    searcher = _Searcher(p, budget, pcr_count, pcr_succ)
+    searcher = _Searcher(p, budget, count_cycles(pcr_succ), pcr_succ)
     searcher.run()
     certificate = factor_from_successor(searcher.best_succ, p)
     return SearchResult(searcher.best, certificate, not searcher.stopped,
@@ -231,5 +231,7 @@ def random_factor(p: GraphParams, rng: random.Random) -> Factor:
                 dst = (w * b + perm[y]) * k + (ph + 1) % k
                 succ[src] = dst
     f = factor_from_successor(succ, p)
-    assert validate_factor(f), "random factor construction broke adjacency"
+    check = validate_factor(f)
+    if not check:
+        raise InvalidFactor(f"random factor construction broke: {check.diagnostic}")
     return f

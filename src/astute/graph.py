@@ -14,6 +14,7 @@ the shift is plain arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, NamedTuple
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -150,6 +151,11 @@ def validate_factor(f: Factor) -> ValidationResult:
     return ValidationResult(True)
 
 
+def all_words(p: GraphParams) -> list[tuple[int, ...]]:
+    """Every word, indexed by its packed value."""
+    return list(product(range(p.b), repeat=p.n))
+
+
 def factor_from_successor(succ_of, p: GraphParams) -> Factor:
     """Assemble a Factor from a packed successor permutation.
 
@@ -157,6 +163,8 @@ def factor_from_successor(succ_of, p: GraphParams) -> Factor:
     and each starts at that vertex.
     """
     n = p.num_vertices
+    k = p.k
+    words = all_words(p)
     visited = bytearray(n)
     cycles = []
     for start in range(n):
@@ -166,10 +174,25 @@ def factor_from_successor(succ_of, p: GraphParams) -> Factor:
         c = start
         while not visited[c]:
             visited[c] = 1
-            cyc.append(unpack(c, p))
+            cyc.append(Vertex(words[c // k], c % k))
             c = succ_of[c]
         cycles.append(Cycle(tuple(cyc)))
     return Factor(tuple(cycles), p)
+
+
+def count_cycles(succ_of) -> int:
+    """Number of cycles of a packed successor permutation."""
+    visited = bytearray(len(succ_of))
+    count = 0
+    for start in range(len(succ_of)):
+        if visited[start]:
+            continue
+        count += 1
+        c = start
+        while not visited[c]:
+            visited[c] = 1
+            c = succ_of[c]
+    return count
 
 
 def iter_vertices(p: GraphParams) -> Iterator[Vertex]:
@@ -179,9 +202,9 @@ def iter_vertices(p: GraphParams) -> Iterator[Vertex]:
 
 def word_str(word: tuple[int, ...]) -> str:
     """Render a word as base-b digits (supports b <= 36)."""
-    if any(a >= len(_DIGITS) for a in word):
+    if max(word, default=0) >= len(_DIGITS):
         raise ValueError("word rendering supports symbols < 36 only")
-    return "".join(_DIGITS[a] for a in word)
+    return "".join([_DIGITS[a] for a in word])
 
 
 def parse_word(s: str, b: int) -> tuple[int, ...]:
@@ -219,23 +242,20 @@ def factor_from_doc(doc: dict) -> Factor:
 
 def to_dot(p: GraphParams, factor: Factor | None = None, color: str = "magenta") -> str:
     """DOT rendering of G(n, k); factor arcs get a color attribute."""
+    k = p.k
+    words = all_words(p)
+    labels = [f'"{name}@{ph}"' for name in map(word_str, words) for ph in range(k)]
     marked: set[tuple[int, int]] = set()
     if factor is not None:
+        value_of = {w: i for i, w in enumerate(words)}
         for cyc in factor.cycles:
-            vs = cyc.vertices
-            for i, v in enumerate(vs):
-                w = vs[(i + 1) % len(vs)]
-                marked.add((pack(v, p), pack(w, p)))
+            codes = [value_of[v.word] * k + v.phase for v in cyc.vertices]
+            marked.update(zip(codes, codes[1:] + codes[:1]))
     lines = ["digraph astute {"]
-    for code in range(p.num_vertices):
-        v = unpack(code, p)
-        lines.append(f'  "{word_str(v.word)}@{v.phase}";')
-    for code in range(p.num_vertices):
-        v = unpack(code, p)
+    lines += [f"  {label};" for label in labels]
+    for code, label in enumerate(labels):
         for tcode in successor_codes(code, p):
-            t = unpack(tcode, p)
             attr = f" [color={color}]" if (code, tcode) in marked else ""
-            lines.append(
-                f'  "{word_str(v.word)}@{v.phase}" -> "{word_str(t.word)}@{t.phase}"{attr};')
+            lines.append(f"  {label} -> {labels[tcode]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

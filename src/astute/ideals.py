@@ -166,12 +166,14 @@ def order_of_x(lam: ModPoly) -> int:
     return w
 
 
-def smallest_cycle_length(lam: ModPoly, c: int, k: int) -> int:
+def smallest_cycle_length(lam: ModPoly, c: int, k: int,
+                          order: int | None = None) -> int:
     """Least multiple s of k with c*U_s in (lam, X^s - 1).
 
     The search is capped at lcm(k, b * order_of_x(lam)), which is always
-    a member; overrunning it signals a bug.  C^s and U_s(C) e_0 advance
-    by those of k at each step.
+    a member; overrunning it signals a bug.  A caller that already knows
+    order_of_x(lam) passes it as `order`.  C^s and U_s(C) e_0 advance by
+    those of k at each step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -180,7 +182,9 @@ def smallest_cycle_length(lam: ModPoly, c: int, k: int) -> int:
     c %= b
     if c == 0:
         return k
-    bound = lcm(k, b * order_of_x(lam))
+    if order is None:
+        order = order_of_x(lam)
+    bound = lcm(k, b * order)
     step, step_sum = _power_and_sum(_companion(lam), k, b)
     power, total = step, step_sum
     s = k

@@ -126,31 +126,35 @@ def act(rule: AffineRule, k: int, v: Vertex) -> Vertex:
 
 
 def word_permutation(rule: AffineRule) -> list[int]:
-    """The rule as a permutation of packed word values."""
+    """The rule as a permutation of packed word values.
+
+    Built digit by digit: the partial sums of lambda_i * a_i over the
+    first i symbols, listed in packed order, extend by one symbol per
+    pass, and the appended symbol is read from a table over the full sums.
+    """
     b, n = rule.b, rule.n
-    total = b ** n
     inv = mod_inverse(rule.lambdas[-1], b)
-    head = b ** (n - 1)
-    perm = [0] * total
-    for value in range(total):
-        word = value
-        acc = 0
-        for i in range(n - 1, -1, -1):
-            word, a = divmod(word, b)
-            acc += rule.lambdas[i] * a
-        a_n = (inv * (rule.c - acc)) % b
-        perm[value] = (value % head) * b + a_n
-    return perm
+    sums = [0]
+    for lam in rule.lambdas[:-1]:
+        terms = [lam * a for a in range(b)]
+        sums = [s + t for s in sums for t in terms]
+    appended = [inv * (rule.c - s) % b
+                for s in range(sum(rule.lambdas[:-1]) * (b - 1) + 1)]
+    # shifting value left drops its leading symbol: (value % b^(n-1)) * b
+    shifted = list(range(0, b ** n, b)) * b
+    return [t + appended[s] for t, s in zip(shifted, sums)]
 
 
 def successor_array(rule: AffineRule, k: int) -> list[int]:
     """The rule's action on G(n, k) as a permutation of packed vertices."""
-    perm = word_permutation(rule)
-    succ_of = [0] * (len(perm) * k)
-    for value in range(len(perm)):
-        for ph in range(k):
-            succ_of[value * k + ph] = perm[value] * k + (ph + 1) % k
-    return succ_of
+    next_phase = [(ph + 1) % k for ph in range(k)]
+    return [w * k + ph for w in word_permutation(rule) for ph in next_phase]
+
+
+def check_vertex_budget(p: GraphParams, max_vertices: int):
+    """Refuse a G(n, k) with more than max_vertices vertices."""
+    if p.num_vertices > max_vertices:
+        raise BudgetExceeded(f"{p.num_vertices} vertices exceeds budget {max_vertices}")
 
 
 def enumerate_factor(rule: AffineRule, k: int,
@@ -160,9 +164,7 @@ def enumerate_factor(rule: AffineRule, k: int,
     Cycles come out in ascending order of their minimal packed vertex.
     """
     p = GraphParams(rule.b, rule.n, k)
-    total = p.num_vertices
-    if total > max_vertices:
-        raise BudgetExceeded(f"{total} vertices exceeds budget {max_vertices}")
+    check_vertex_budget(p, max_vertices)
     return factor_from_successor(successor_array(rule, k), p)
 
 

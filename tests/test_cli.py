@@ -101,6 +101,25 @@ def test_count_pinned_affine_rule_finishes(capsys):
         ["enumeration", "2"], ["burnside_direct", "2"], ["theorem2", "2"]]
 
 
+def test_count_burnside_budget_refusal(capsys):
+    # M = 16383 powers of 65536 words: Burnside must refuse before its
+    # power loop instead of running for minutes
+    def stop(signum, frame):
+        raise TimeoutError("count did not refuse within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, err = run(capsys, "count", "--rule",
+                             "affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1",
+                             "--b", "2", "--n", "16", "--method", "all")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and out == ""
+    assert "Burnside needs about" in err and "M=16383" in err
+
+
 def test_count_closed_unavailable_for_custom(capsys):
     code, _, err = run(capsys, "count", "--rule", "affine:0;1,1,1", "--b", "2",
                        "--n", "2", "--method", "closed")

@@ -1,12 +1,17 @@
 import pytest
 
+import astute.counting
+import astute.ideals
 from astute.algebra import u_poly, x_pow_minus_one
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
                              count_theorem2, count_theorem2_rule)
+from astute.errors import BudgetExceeded
+from astute.graph import count_cycles
 from astute.ideals import order_of_x
-from astute.rules import icr, pcr, xor_rule
+from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
+                          icr, pcr, successor_array, xor_rule)
 
 from oracles import lattice_rules, necklace_count
 
@@ -14,6 +19,12 @@ from oracles import lattice_rules, necklace_count
 ROTATION_COUNTS = [2, 3, 4, 6, 8, 14, 20, 36]
 INCREMENT_COUNTS = [1, 1, 2, 2, 4, 6, 10, 16]
 SUM_RULE_COUNTS = [2, 2, 4, 4, 8, 10, 20, 30]
+
+# (rule, k): the instances of the golden CLI tests, composite b included
+PACKED_INSTANCES = [(pcr(3, 2), 2), (icr(2, 3), 2), (xor_rule(4), 3),
+                    (AffineRule((1, 2, 5), 1, 6), 2),
+                    (AffineRule((1, 0, 2, 3), 3, 4), 2),
+                    (AffineRule((2, 3, 4), 2, 9), 3)]
 
 
 def test_burnside_examples():
@@ -130,3 +141,45 @@ def test_lattice_rules_shape():
     assert len(rules) == 2 * 4 * 2 + 4 * 5 * 2 + 4 + 1
     specs = [r.spec() for r in rules]
     assert specs.count("pcr") == 8 and specs.count("xor") == 5
+
+
+def test_count_cycles_matches_enumerated_factor():
+    for rule, k in PACKED_INSTANCES:
+        assert count_cycles(successor_array(rule, k)) == \
+            len(enumerate_factor(rule, k).cycles), (rule.spec(), rule.b, k)
+
+
+def test_burnside_steps_by_rule_power():
+    # the walk by rule^k visits rule^0, rule^k, ..., rule^(M-k); its sum
+    # must equal the i-fold brute-force fixed counts over those powers
+    for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6)]:
+        rep = count_burnside_direct(rule, k)
+        m = rep.witnesses["M"]
+        assert m % k == 0
+        brute = sum(fix_count_bruteforce(rule, i) for i in range(0, m, k))
+        assert brute * k == rep.value * m, (rule.spec(), rule.b, k)
+
+
+def test_burnside_step_budget(monkeypatch):
+    rule = pcr(3, 2)  # M = 3, 8 words: (3 + 2) * 8 = 40 steps at k = 1
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 40)
+    assert count_burnside_direct(rule, 1).value == 4
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 39)
+    with pytest.raises(BudgetExceeded, match="about 40 steps"):
+        count_burnside_direct(rule, 1)
+
+
+def test_order_of_x_once_per_route(monkeypatch):
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return order_of_x(lam)
+
+    monkeypatch.setattr(astute.counting, "order_of_x", counted)
+    monkeypatch.setattr(astute.ideals, "order_of_x", counted)
+    rule = icr(4, 2)  # c != 0, so smallest_cycle_length needs the order
+    for route in (count_theorem2_rule, count_burnside_direct):
+        calls.clear()
+        route(rule, 2)
+        assert len(calls) == 1, route.__name__

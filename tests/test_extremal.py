@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,22 @@ def test_random_factor_valid_and_seeded():
     assert a == b
     assert a != c
 
+
+
+def test_random_factor_check_survives_optimize():
+    # the construction check must not be an assert: run under python -O
+    # with validation forced to fail, and expect InvalidFactor
+    code = (
+        "import random, astute.extremal as ex\n"
+        "from astute.errors import InvalidFactor\n"
+        "from astute.graph import GraphParams, ValidationResult\n"
+        "ex.validate_factor = lambda f: ValidationResult(False, 'forced')\n"
+        "try:\n"
+        "    ex.random_factor(GraphParams(2, 2, 1), random.Random(0))\n"
+        "except InvalidFactor as e:\n"
+        "    print('raised', e)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("raised") and "forced" in out

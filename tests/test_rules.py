@@ -129,7 +129,13 @@ def test_fix_count_matches_ideal_prediction_sample():
 
 def test_word_permutation_agrees_with_apply():
     from astute.graph import word_value
-    for rule in (pcr(3, 2), icr(2, 5), xor_rule(4), AffineRule((1, 2, 2), 1, 3)):
+    rules = [pcr(3, 2), icr(2, 5), xor_rule(4), AffineRule((1, 2, 2), 1, 3),
+             AffineRule((1, 0, 2, 3), 3, 4), AffineRule((1, 2, 5), 1, 6),
+             AffineRule((2, 3, 4), 2, 9), AffineRule((5, 3, 0, 4, 1), 5, 6)]
+    # n = 1: the appended symbol depends on a_0 alone
+    rules += [pcr(1, 2), icr(1, 4), AffineRule((3, 1), 2, 4),
+              AffineRule((5, 5), 3, 6), AffineRule((7, 2), 4, 9)]
+    for rule in rules:
         perm = word_permutation(rule)
         for w in all_words(rule.n, rule.b):
             assert perm[word_value(w, rule.b)] == word_value(rule.apply(w), rule.b)
