@@ -73,7 +73,8 @@ def _perm_power(perm: list[int], e: int) -> list[int]:
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
-                          max_vertices: int = DEFAULT_MAX_VERTICES) -> CountReport:
+                          max_vertices: int = DEFAULT_MAX_VERTICES,
+                          order: int | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
 
     The average runs over one period M = lcm(k, l, w) of
@@ -81,12 +82,13 @@ def count_burnside_direct(rule: AffineRule, k: int,
     length and w the order of X modulo its polynomial.  Only the M/k
     powers rule^0, rule^k, rule^2k, ... count, so the walk steps by
     rule^k: about (M/k) * b^n steps, refused above BURNSIDE_MAX_STEPS.
+    A caller that already knows w passes it as `order`.
     """
     n_words = rule.b ** rule.n
     if n_words > max_vertices:
         raise BudgetExceeded(f"{n_words} words exceeds budget {max_vertices}")
     lam = rule.char_poly()
-    omega = order_of_x(lam)
+    omega = order_of_x(lam) if order is None else order
     ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
     m = lcm(k, ell, omega)
     # the power loop, plus at most 2 log2(k) compositions to form rule^k
@@ -111,16 +113,18 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
 def count_theorem2(lam: ModPoly, c: int, k: int,
                    omega: int | None = None,
-                   rule_spec: str = "") -> CountReport:
+                   rule_spec: str = "",
+                   order: int | None = None) -> CountReport:
     """The general affine-rule count:
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
 
     with w any multiple of the order of X mod lam, s the least multiple
     of k with c*U_s in (lam, X^s - 1), g = gcd(s, w), and Q(d) the size
-    of Z/bZ[X] / (lam, X^d - 1).
+    of Z/bZ[X] / (lam, X^d - 1).  A caller that already knows the order
+    of X mod lam passes it as `order`.
     """
-    base_order = order_of_x(lam)
+    base_order = order_of_x(lam) if order is None else order
     if omega is None:
         omega = base_order
     elif omega % base_order:
@@ -145,9 +149,10 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
                        witnesses={"omega": omega, "s": s, "terms": terms})
 
 
-def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None) -> CountReport:
+def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None,
+                        order: int | None = None) -> CountReport:
     return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
-                          rule_spec=rule.spec())
+                          rule_spec=rule.spec(), order=order)
 
 
 def closed_form_pcr(n: int, k: int, b: int) -> CountReport:

@@ -5,18 +5,25 @@ out-arc in ascending packed order, each choice ascending by appended
 symbol; an in-degree flag keeps the assignment a bijection, and path
 endpoints are tracked so cycle closures are counted incrementally.
 
-The admissible bound uses the phase invariant (every cycle length is a
-positive multiple of k): cycles still to be closed can be at most
-min(#open paths, open_vertices // k), where open vertices are those not
-yet locked into a completed cycle.  The incumbent starts at the
-rotation-rule factor, which is optimal whenever k | n or n | k.
+The admissible bound takes the least of three limits on the cycles still
+to be closed: the open paths; open_vertices // k, by the phase invariant
+(every cycle length is a positive multiple of k), where open vertices
+are those not yet locked into a completed cycle; and the short-cycle
+capacity (`cycle_capacity`) less the cycles already closed.  The
+capacity holds because a cycle of length L <= n consists of the windows
+of an L-periodic sequence, so its words have minimal period <= L, and
+few words are that periodic.  The incumbent starts at the rotation-rule
+factor, which is optimal whenever k | n or n | k; when the capacity
+equals its count the search ends at the root.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, Optional
 
 from .counting import closed_form_pcr
@@ -50,11 +57,53 @@ class SearchResult:
     nodes_explored: int
 
 
+def _min_period(word: tuple[int, ...]) -> int:
+    n = len(word)
+    return next(q for q in range(1, n + 1) if word[q:] == word[:n - q])
+
+
+def cycle_capacity(p: GraphParams) -> int:
+    """An upper bound on the number of cycles of any factor of G(n, k).
+
+    Cycle lengths are multiples of k.  A cycle of length L <= n with
+    words w_0 .. w_{L-1} in order has w_j[t] = w_{j+t}[0] (indices mod
+    L), because each arc shifts the word left by one; so w_j[t + L] =
+    w_j[t], and every word on the cycle has minimal period <= L.  Hence
+    the cycles of length <= L cover at most cap(L) = k * #{words of
+    minimal period <= L} vertices; cap never falls as L grows, and from
+    L = n on it is every vertex.
+
+    The bound fills the lengths k, 2k, ... in turn, each with as many
+    cycles as cap(length) still has room for, up to the first multiple
+    of k that is >= n.  Admissibility: count a factor's cycles longer
+    than that last length as cycles of it, which only frees room; its
+    lengths then meet every capacity.  Where they first differ from the
+    greedy fill, at length L, the factor has fewer cycles of length L
+    (the fill took all that fit).  Replacing one of its next longer
+    cycles by one of length L keeps every capacity met and the count
+    unchanged (with no longer cycle left, it already has fewer cycles
+    than the fill), so repeating this reaches the fill.  The bound
+    reads nothing but b, n and k: no transform, no closed form.
+    """
+    b, n, k = p.b, p.n, p.k
+    periods = Counter(_min_period(w) for w in product(range(b), repeat=n))
+    cycles = used = 0
+    length = k
+    while length < n:
+        room = k * sum(c for q, c in periods.items() if q <= length)
+        fit = (room - used) // length
+        cycles += fit
+        used += fit * length
+        length += k
+    return cycles + (p.num_vertices - used) // length
+
+
 class _Searcher:
     def __init__(self, p: GraphParams, budget: SearchBudget,
                  best: int, best_succ: list[int]):
         self.n_vertices = p.num_vertices
         self.k = p.k
+        self.cap = cycle_capacity(p)
         self.budget = budget
         self.best = best
         self.best_succ = best_succ
@@ -84,7 +133,8 @@ class _Searcher:
                 self.best = self.completed
                 self.best_succ = list(self.succ)
             return
-        remaining = min(n - u, (n - self.closed) // k)
+        remaining = min(n - u, (n - self.closed) // k,
+                        self.cap - self.completed)
         if self.completed + remaining <= self.best:
             return
         pred_used = self.pred_used

@@ -78,6 +78,24 @@ def root_of_unity(n: int, j: int = 1) -> complex:
     return cmath.exp(2j * cmath.pi * j / n)
 
 
+@lru_cache(maxsize=None)
+def _roots(n: int) -> tuple[complex, ...]:
+    """root_of_unity(n, i) for i < n, so a transform costs no exp per term."""
+    return tuple(root_of_unity(n, i) for i in range(n))
+
+
+def _approx(coeffs: tuple[int, ...], n: int) -> complex:
+    """sum a_i mu^i over the root table, in fixed left-to-right order (the
+    terms and their order are those of a per-term exp, so every float is
+    bit-identical to one)."""
+    if len(coeffs) != n:
+        raise ValueError(f"word length {len(coeffs)} != n = {n}")
+    total = 0j
+    for a, r in zip(coeffs, _roots(n)):
+        total += a * r
+    return total
+
+
 @dataclass(frozen=True)
 class Transform:
     """C(word) in two forms: float approximation and the integer
@@ -90,15 +108,10 @@ class Transform:
 
 def transform(word, n: int | None = None) -> Transform:
     """Finite Fourier transform of a word (or any integer vector)."""
-    coeffs = tuple(int(a) for a in word)
+    coeffs = tuple(map(int, word))
     if n is None:
         n = len(coeffs)
-    if len(coeffs) != n:
-        raise ValueError(f"word length {len(coeffs)} != n = {n}")
-    total = 0j
-    for i, a in enumerate(coeffs):  # fixed left-to-right order
-        total += a * root_of_unity(n, i)
-    return Transform(total, coeffs, n)
+    return Transform(_approx(coeffs, n), coeffs, n)
 
 
 def is_real_exact(word, n: int | None = None) -> bool:
@@ -129,11 +142,11 @@ def rotate_right(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def rotation_identity_check(word, n: int | None = None, tol: float = REAL_TOL) -> bool:
     """Check C(rotate_left(word)) = mu^(-1) * C(word) numerically."""
-    word = tuple(int(a) for a in word)
+    word = tuple(map(int, word))
     if n is None:
         n = len(word)
-    lhs = transform(rotate_left(word), n).approx
-    rhs = root_of_unity(n, -1) * transform(word, n).approx
+    lhs = _approx(rotate_left(word), n)
+    rhs = root_of_unity(n, -1) * _approx(word, n)
     return abs(lhs - rhs) < tol
 
 
@@ -142,7 +155,7 @@ def cycle_sum_check(cycle: Cycle, tol_per_vertex: float = 1e-6) -> bool:
     total = 0j
     n = len(cycle.vertices[0].word)
     for v in cycle.vertices:
-        total += transform(v.word, n).approx
+        total += _approx(v.word, n)
     return abs(total) < tol_per_vertex * len(cycle.vertices)
 
 
@@ -173,7 +186,7 @@ def distinguished_vertex(cycle: Cycle, p: GraphParams) -> Vertex:
     if all(reals):
         return min(vs, key=lambda v: pack(v, p))
     # exact screening first; floats only for the sign of nonzero parts
-    ims = [0.0 if reals[i] else transform(v.word, n).approx.imag
+    ims = [0.0 if reals[i] else _approx(v.word, n).imag
            for i, v in enumerate(vs)]
     descents = [i for i in range(len(vs))
                 if (not reals[i] and ims[i] < 0)
@@ -212,13 +225,13 @@ def orbit_transform_table(p: GraphParams) -> list[dict]:
     for idx, cyc in enumerate(factor.cycles):
         d = distinguished_vertex(cyc, p)
         for v in cyc.vertices:
-            t = transform(v.word, p.n)
+            t = _approx(v.word, p.n)
             rows.append({
                 "orbit": idx,
                 "word": v.word,
                 "phase": v.phase,
-                "re": t.approx.real,
-                "im": t.approx.imag,
+                "re": t.real,
+                "im": t.imag,
                 "distinguished": v == d,
             })
     return rows

@@ -1,5 +1,8 @@
 import json
 import signal
+from contextlib import contextmanager
+
+import pytest
 
 from astute.cli import main
 from astute.graph import factor_from_doc, validate_factor
@@ -101,23 +104,59 @@ def test_count_pinned_affine_rule_finishes(capsys):
         ["enumeration", "2"], ["burnside_direct", "2"], ["theorem2", "2"]]
 
 
-def test_count_burnside_budget_refusal(capsys):
-    # M = 16383 powers of 65536 words: Burnside must refuse before its
-    # power loop instead of running for minutes
+@contextmanager
+def within(seconds):
+    """Fail the test instead of hanging the suite if the block overruns."""
     def stop(signum, frame):
-        raise TimeoutError("count did not refuse within 10 s")
+        raise TimeoutError(f"command did not finish within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 10)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        code, out, err = run(capsys, "count", "--rule",
-                             "affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1",
-                             "--b", "2", "--n", "16", "--method", "all")
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_count_burnside_budget_refusal(capsys):
+    # M = 16383 powers of 65536 words: Burnside must refuse before its
+    # power loop instead of running for minutes
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule",
+                             "affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1",
+                             "--b", "2", "--n", "16", "--method", "burnside")
     assert code == 3 and out == ""
     assert "Burnside needs about" in err and "M=16383" in err
+
+
+def test_count_burnside_word_budget_before_order(capsys):
+    # x^31 + x^3 + 1 is primitive, so the order of x is 2^31 - 1: the word
+    # budget must refuse before anything scans for that order
+    lams = [0] * 32
+    lams[0] = lams[28] = lams[31] = 1
+    rule = "affine:1;" + ",".join(map(str, lams))
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
+                             "--n", "31", "--method", "burnside")
+    assert code == 3 and out == ""
+    assert "2147483648 words exceeds budget" in err
+
+
+@pytest.mark.parametrize("rule, n, m, value", [
+    ("affine:0;1,0,0,0,0,1,0,0,0,0,0,0,0,0,1", 14, 5461, "4"),
+    ("affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1", 16, 16383, "6"),
+])
+def test_count_all_skips_burnside_over_budget(capsys, rule, n, m, value):
+    # Burnside refuses, enumeration and Theorem 2 still agree
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
+                             "--n", str(n), "--method", "all")
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["enumeration", value], ["theorem2", value]]
+    assert err.startswith("skipped burnside_direct: Burnside needs about")
+    assert f"M={m}," in err and err.count("\n") == 1
 
 
 def test_count_closed_unavailable_for_custom(capsys):
@@ -150,7 +189,7 @@ def test_extremal_budget_exit(capsys):
 
 def test_extremal_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("ASTUTE_MAX_NODES", "25")
-    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "4", "--k", "2")
+    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "5", "--k", "1")
     assert code == 3
     assert json.loads(out)["optimal"] is False
 
@@ -184,7 +223,7 @@ def test_verify_theorem1_single_instance(capsys):
 
 def test_verify_theorem1_budget_exit(capsys):
     code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
-                         "--n", "4", "--k", "2", "--budget-nodes", "10")
+                         "--n", "5", "--k", "1", "--budget-nodes", "10")
     assert code == 3
     assert out == "" and "budget" in err
 

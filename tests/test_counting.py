@@ -1,8 +1,10 @@
 import pytest
 
+import astute.cli
 import astute.counting
 import astute.ideals
 from astute.algebra import u_poly, x_pow_minus_one
+from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
@@ -178,8 +180,17 @@ def test_order_of_x_once_per_route(monkeypatch):
 
     monkeypatch.setattr(astute.counting, "order_of_x", counted)
     monkeypatch.setattr(astute.ideals, "order_of_x", counted)
+    monkeypatch.setattr(astute.cli, "order_of_x", counted)
     rule = icr(4, 2)  # c != 0, so smallest_cycle_length needs the order
     for route in (count_theorem2_rule, count_burnside_direct):
         calls.clear()
         route(rule, 2)
         assert len(calls) == 1, route.__name__
+    # a known order is taken as given, by both routes and by the CLI
+    calls.clear()
+    for route in (count_theorem2_rule, count_burnside_direct):
+        route(rule, 2, order=order_of_x(rule.char_poly()))
+    assert calls == []
+    assert main(["count", "--rule", "icr", "--b", "2", "--n", "4", "--k", "2",
+                 "--method", "all"]) == 0
+    assert len(calls) == 1

@@ -1,13 +1,16 @@
+import functools
 import os
 import random
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
 from astute.counting import closed_form_pcr
 from astute.errors import BudgetExceeded, Inconclusive, PreconditionViolated
-from astute.extremal import (SearchBudget, exhaustive_factors, random_factor,
+from astute.extremal import (EXHAUSTIVE_MAX_VERTICES, SearchBudget,
+                             cycle_capacity, exhaustive_factors, random_factor,
                              search_extremal, verify_theorem1)
 from astute.graph import GraphParams, validate_factor
 from astute.rules import enumerate_factor, pcr
@@ -16,6 +19,8 @@ DIVISIBLE_INSTANCES = (
     [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3),
                               (1, 2), (1, 3), (2, 4), (4, 2)]]
     + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (2, 2)]])
+
+ENUMERABLE_FACTORS = 50_000
 
 
 def test_counterexample_instance():
@@ -35,12 +40,46 @@ def test_search_is_deterministic():
     assert a.nodes_explored == b.nodes_explored
 
 
+@functools.lru_cache(maxsize=None)
+def enumerable_maxima() -> tuple[tuple[GraphParams, int], ...]:
+    """(instance, most cycles over all its factors) for every instance
+    with at most ENUMERABLE_FACTORS factors, (b!)^(b^(n-1) k) of them."""
+    out = []
+    for b in range(2, 9):
+        for n in range(1, 5):
+            for k in range(1, 11):
+                p = GraphParams(b, n, k)
+                if (p.num_vertices <= EXHAUSTIVE_MAX_VERTICES and
+                        factorial(b) ** (b ** (n - 1) * k) <= ENUMERABLE_FACTORS):
+                    out.append((p, max(len(f.cycles) for f in exhaustive_factors(p))))
+    return tuple(out)
+
+
 def test_search_matches_exhaustive_maximum():
-    for b, n, k in [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 1, 3),
-                    (2, 3, 2), (3, 1, 2)]:
-        p = GraphParams(b, n, k)
-        best = max(len(f.cycles) for f in exhaustive_factors(p))
-        assert search_extremal(p).best_count == best
+    assert len(enumerable_maxima()) == 34
+    for p, best in enumerable_maxima():
+        assert search_extremal(p).best_count == best, p
+
+
+def test_cycle_capacity_bounds_exhaustive_maximum():
+    for p, best in enumerable_maxima():
+        assert cycle_capacity(p) >= best, p
+
+
+def test_cycle_capacity_values():
+    # G(5,1), G(6,1) and b=3 G(3,1) exceed their optima 8, 14 and 11
+    for (b, n, k), cap in [((2, 3, 2), 6), ((2, 4, 2), 10), ((2, 4, 4), 16),
+                           ((2, 5, 1), 9), ((2, 6, 1), 15), ((3, 3, 1), 12)]:
+        assert cycle_capacity(GraphParams(b, n, k)) == cap
+
+
+def test_capacity_decides_at_root():
+    # the rotation-rule factor meets the capacity: no node is explored
+    for n, k in [(4, 2), (4, 4)]:
+        res = search_extremal(GraphParams(2, n, k), SearchBudget(max_vertices=64))
+        assert res.optimal and res.nodes_explored == 0
+        assert res.best_count == closed_form_pcr(n, k, 2).value
+        assert validate_factor(res.certificate).ok
 
 
 def test_certificate_at_least_rotation_count():
@@ -76,11 +115,11 @@ def test_search_budget_vertices():
 
 
 def test_search_node_cap_returns_incumbent():
-    res = search_extremal(GraphParams(2, 4, 2), SearchBudget(max_nodes=40))
+    res = search_extremal(GraphParams(2, 5, 1), SearchBudget(max_nodes=40))
     assert not res.optimal
     assert res.nodes_explored <= 40
     assert validate_factor(res.certificate).ok
-    assert res.best_count >= closed_form_pcr(4, 2, 2).value
+    assert res.best_count >= closed_form_pcr(5, 1, 2).value
 
 
 def test_verify_extremality_instances():
@@ -98,7 +137,7 @@ def test_verify_precondition():
 
 def test_verify_inconclusive_on_cap():
     with pytest.raises(Inconclusive):
-        verify_theorem1(GraphParams(2, 4, 2), SearchBudget(max_nodes=10))
+        verify_theorem1(GraphParams(2, 5, 1), SearchBudget(max_nodes=10))
 
 
 def test_random_factor_valid_and_seeded():

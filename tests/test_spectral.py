@@ -1,3 +1,6 @@
+import cmath
+import struct
+
 import pytest
 
 from astute.errors import NotPcrOrbit, PreconditionViolated
@@ -24,6 +27,20 @@ def test_transform_matches_reference():
     for n in range(1, 7):
         for w in all_words(n, 3):
             assert abs(transform(w).approx - transform_reference(w)) < 1e-9
+
+
+def test_transform_bit_identical_to_exp_sum():
+    # the root table must reproduce, bit for bit, one exp per term summed
+    # left to right, so the CSV floats and every verdict stay the same
+    for b in (2, 3):
+        for n in range(1, 7):
+            for w in all_words(n, b):
+                direct = 0j
+                for i, a in enumerate(w):
+                    direct += a * cmath.exp(2j * cmath.pi * i / n)
+                got = transform(w).approx
+                assert (struct.pack("dd", got.real, got.imag)
+                        == struct.pack("dd", direct.real, direct.imag)), w
 
 
 def test_cyclotomic_polynomials():
