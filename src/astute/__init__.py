@@ -21,14 +21,13 @@ from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
                        exhaustive_factors, random_factor, search_extremal,
                        verify_theorem1)
 from .graph import (Cycle, Factor, GraphParams, Vertex, factor_from_doc,
-                    factor_to_doc, is_arc, successors, to_dot, validate_factor)
+                    factor_to_doc, successor_codes, to_dot, validate_factor)
 from .ideals import (ideal_quotient_size, membership_cUs, order_of_x,
                      smallest_cycle_length)
-from .rules import (AffineRule, act, enumerate_factor, fix_count_bruteforce,
-                    icr, parse_rule_spec, pcr, xor_rule)
+from .rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
+                    parse_rule_spec, pcr, successor_array, xor_rule)
 from .snf import smith_normal_form
-from .spectral import (Transform, covering_check, cycle_sum_check,
-                       distinguished_vertex, is_real_exact,
-                       rotation_identity_check, transform)
+from .spectral import (covering_check, cycle_sum_check, distinguished_vertex,
+                       is_real_exact, rotation_identity_check, transform)
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -130,12 +131,16 @@ def _search_budget(args) -> SearchBudget:
                         time_cap=getattr(args, "time_cap", None))
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out: str | None, newline: str | None = None):
+    """Write text to the file out, else to stdout; refuse an unwritable out."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", newline=newline) as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {out}: {e.strerror}") from None
 
 
 def cmd_factor(args) -> int:
@@ -214,13 +219,11 @@ def cmd_extremal(args) -> int:
     result = search_extremal(p, budget)
     doc = factor_to_doc(result.certificate, optimal=result.optimal,
                         extra={"nodes": result.nodes_explored})
-    print(json.dumps(doc, indent=2))
     if args.emit_json:
-        with open(args.emit_json, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _emit(json.dumps(doc, indent=2), args.emit_json)
     if args.emit_dot:
-        with open(args.emit_dot, "w") as fh:
-            fh.write(to_dot(p, result.certificate, color="blue"))
+        _emit(to_dot(p, result.certificate, color="blue"), args.emit_dot)
+    print(json.dumps(doc, indent=2))
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 
@@ -384,13 +387,14 @@ def _suite_counterexample(args) -> list[dict]:
 
 def _write_transform_csv(path: str, p: GraphParams):
     rows = spectral.orbit_transform_table(p)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["orbit", "word", "phase", "re", "im", "distinguished"])
-        for r in rows:
-            w.writerow([r["orbit"], word_str(r["word"]), r["phase"],
-                        f"{r['re']:.12g}", f"{r['im']:.12g}",
-                        int(r["distinguished"])])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["orbit", "word", "phase", "re", "im", "distinguished"])
+    for r in rows:
+        w.writerow([r["orbit"], word_str(r["word"]), r["phase"],
+                    f"{r['re']:.12g}", f"{r['im']:.12g}",
+                    int(r["distinguished"])])
+    _emit(buf.getvalue(), path, newline="")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ from typing import Iterator, Optional
 from .counting import closed_form_pcr
 from .errors import (BudgetExceeded, Inconclusive, InvalidFactor,
                      PreconditionViolated)
-from .graph import (Factor, GraphParams, count_cycles, factor_from_successor,
-                    successor_codes, validate_factor)
+from .graph import (Factor, GraphParams, count_cycles, successor_codes,
+                    validate_factor)
 from .rules import pcr, successor_array
 
 EXHAUSTIVE_MAX_VERTICES = 20
@@ -196,9 +196,8 @@ def search_extremal(p: GraphParams,
     pcr_succ = successor_array(pcr(p.n, p.b), p.k)
     searcher = _Searcher(p, budget, count_cycles(pcr_succ), pcr_succ)
     searcher.run()
-    certificate = factor_from_successor(searcher.best_succ, p)
-    return SearchResult(searcher.best, certificate, not searcher.stopped,
-                        searcher.nodes)
+    return SearchResult(searcher.best, Factor(p, searcher.best_succ),
+                        not searcher.stopped, searcher.nodes)
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ def exhaustive_factors(p: GraphParams) -> Iterator[Factor]:
 
     def descend(u: int) -> Iterator[Factor]:
         if u == n:
-            yield factor_from_successor(succ, p)
+            yield Factor(p, succ)
             return
         for v in succ_choices[u]:
             if pred_used[v]:
@@ -280,7 +279,7 @@ def random_factor(p: GraphParams, rng: random.Random) -> Factor:
                 src = (y * head + w) * k + ph
                 dst = (w * b + perm[y]) * k + (ph + 1) % k
                 succ[src] = dst
-    f = factor_from_successor(succ, p)
+    f = Factor(p, succ)
     check = validate_factor(f)
     if not check:
         raise InvalidFactor(f"random factor construction broke: {check.diagnostic}")

@@ -8,14 +8,17 @@ demand; the arc set is never materialized.
 
 Each vertex has a canonical packed code word_value * k + phase, where
 the word value places symbol 0 in the most significant base-b digit so
-the shift is plain arithmetic.
+the shift is plain arithmetic.  A factor is stored as one thing only:
+its packed successor permutation.  Cycles are walked from it on demand
+and decode to Vertex objects only for output and the spectral checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -65,27 +68,6 @@ def unpack(code: int, p: GraphParams) -> Vertex:
     return Vertex(value_word(value, p.n, p.b), phase)
 
 
-def check_vertex(v: Vertex, p: GraphParams):
-    if len(v.word) != p.n or any(not 0 <= a < p.b for a in v.word):
-        raise ValueError(f"word {v.word} invalid for b={p.b}, n={p.n}")
-    if not 0 <= v.phase < p.k:
-        raise ValueError(f"phase {v.phase} out of range for k={p.k}")
-
-
-def successors(v: Vertex, p: GraphParams) -> list[Vertex]:
-    """The b out-neighbours of v, ordered by appended symbol."""
-    check_vertex(v, p)
-    tail = v.word[1:]
-    ph = (v.phase + 1) % p.k
-    return [Vertex(tail + (x,), ph) for x in range(p.b)]
-
-
-def is_arc(u: Vertex, v: Vertex, p: GraphParams) -> bool:
-    check_vertex(u, p)
-    check_vertex(v, p)
-    return u.word[1:] == v.word[:-1] and v.phase == (u.phase + 1) % p.k
-
-
 def successor_codes(code: int, p: GraphParams) -> list[int]:
     """Packed successors of a packed vertex, ordered by appended symbol."""
     value, phase = divmod(code, p.k)
@@ -96,20 +78,52 @@ def successor_codes(code: int, p: GraphParams) -> list[int]:
 
 @dataclass(frozen=True)
 class Cycle:
-    vertices: tuple[Vertex, ...]
+    """One cycle of a factor: packed vertex codes in walk order."""
+    codes: tuple[int, ...]
+    params: GraphParams
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.codes)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The cycle decoded to (word, phase) vertices."""
+        return tuple(unpack(c, self.params) for c in self.codes)
 
 
 @dataclass(frozen=True)
 class Factor:
-    """Vertex-disjoint cycles covering every vertex of G(n, k)."""
-    cycles: tuple[Cycle, ...]
+    """Vertex-disjoint cycles covering every vertex of G(n, k), held as
+    the packed successor permutation: succ[c] is the vertex after c.
+    Walk the cycles of a factor read from outside only once it validates."""
     params: GraphParams
+    succ: tuple[int, ...]
+
+    def __post_init__(self):
+        # a private copy: the exhaustive search keeps mutating its list
+        object.__setattr__(self, "succ", tuple(self.succ))
 
     def __len__(self) -> int:
         return len(self.cycles)
+
+    @cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """Cycles in ascending order of their minimal packed vertex, each
+        starting at that vertex."""
+        succ = self.succ
+        visited = bytearray(len(succ))
+        cycles = []
+        for start in range(len(succ)):
+            if visited[start]:
+                continue
+            codes = []
+            c = start
+            while not visited[c]:
+                visited[c] = 1
+                codes.append(c)
+                c = succ[c]
+            cycles.append(Cycle(tuple(codes), self.params))
+        return tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -121,63 +135,33 @@ class ValidationResult:
         return self.ok
 
 
+def _label(code: int, p: GraphParams) -> str:
+    v = unpack(code, p)
+    return f"{word_str(v.word)}@{v.phase}"
+
+
 def validate_factor(f: Factor) -> ValidationResult:
-    """Check arcs, cyclic closure, disjointness, and total coverage."""
+    """Check that succ is a permutation along arcs: each vertex has one
+    successor (-1 marks none) along an arc, and exactly one predecessor."""
     p = f.params
-    seen: set[int] = set()
-    for cyc in f.cycles:
-        vs = cyc.vertices
-        if not vs:
-            return ValidationResult(False, "empty cycle")
-        for v in vs:
-            try:
-                check_vertex(v, p)
-            except ValueError as e:
-                return ValidationResult(False, f"invalid vertex: {e}")
-            code = pack(v, p)
-            if code in seen:
-                return ValidationResult(False, f"duplicate vertex {word_str(v.word)}@{v.phase}")
-            seen.add(code)
-        for i, v in enumerate(vs):
-            w = vs[(i + 1) % len(vs)]
-            if not is_arc(v, w, p):
-                return ValidationResult(
-                    False,
-                    f"broken arc {word_str(v.word)}@{v.phase} -> {word_str(w.word)}@{w.phase}")
-    if len(seen) != p.num_vertices:
-        missing = next(c for c in range(p.num_vertices) if c not in seen)
-        v = unpack(missing, p)
-        return ValidationResult(False, f"uncovered vertex {word_str(v.word)}@{v.phase}")
+    n = p.num_vertices
+    if len(f.succ) != n:
+        return ValidationResult(False, f"{len(f.succ)} successors for {n} vertices")
+    pred = bytearray(n)
+    for c, t in enumerate(f.succ):
+        if t == -1:
+            return ValidationResult(False, f"uncovered vertex {_label(c, p)}")
+        if t not in successor_codes(c, p):
+            return ValidationResult(False, f"broken arc {_label(c, p)} -> {_label(t, p)}")
+        if pred[t]:
+            return ValidationResult(False, f"duplicate vertex {_label(t, p)}")
+        pred[t] = 1
     return ValidationResult(True)
 
 
-def all_words(p: GraphParams) -> list[tuple[int, ...]]:
-    """Every word, indexed by its packed value."""
-    return list(product(range(p.b), repeat=p.n))
-
-
-def factor_from_successor(succ_of, p: GraphParams) -> Factor:
-    """Assemble a Factor from a packed successor permutation.
-
-    Cycles are emitted in ascending order of their minimal packed vertex
-    and each starts at that vertex.
-    """
-    n = p.num_vertices
-    k = p.k
-    words = all_words(p)
-    visited = bytearray(n)
-    cycles = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        cyc = []
-        c = start
-        while not visited[c]:
-            visited[c] = 1
-            cyc.append(Vertex(words[c // k], c % k))
-            c = succ_of[c]
-        cycles.append(Cycle(tuple(cyc)))
-    return Factor(tuple(cycles), p)
+def _word_names(p: GraphParams) -> list[str]:
+    """word_str of every word, indexed by its packed value."""
+    return [word_str(w) for w in product(range(p.b), repeat=p.n)]
 
 
 def count_cycles(succ_of) -> int:
@@ -193,11 +177,6 @@ def count_cycles(succ_of) -> int:
             visited[c] = 1
             c = succ_of[c]
     return count
-
-
-def iter_vertices(p: GraphParams) -> Iterator[Vertex]:
-    for code in range(p.num_vertices):
-        yield unpack(code, p)
 
 
 def word_str(word: tuple[int, ...]) -> str:
@@ -216,14 +195,15 @@ def parse_word(s: str, b: int) -> tuple[int, ...]:
 
 def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = None) -> dict:
     """JSON document for a factor (schema astute/1)."""
-    p = f.params
+    p, k = f.params, f.params.k
+    names = _word_names(p)
     doc = {
         "schema": "astute/1",
         "b": p.b,
         "n": p.n,
-        "k": p.k,
+        "k": k,
         "count": len(f.cycles),
-        "cycles": [[[word_str(v.word), v.phase] for v in c.vertices] for c in f.cycles],
+        "cycles": [[[names[c // k], c % k] for c in cyc.codes] for cyc in f.cycles],
     }
     if optimal is not None:
         doc["optimal"] = optimal
@@ -233,29 +213,40 @@ def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = N
 
 
 def factor_from_doc(doc: dict) -> Factor:
+    """The factor a document describes; the one reader of outside input.
+
+    Refuses a malformed word or phase, a vertex listed twice and an empty
+    cycle with ValueError.  Arcs and coverage are validate_factor's: a
+    vertex no cycle lists keeps successor -1."""
     p = GraphParams(b=doc["b"], n=doc["n"], k=doc["k"])
-    cycles = tuple(
-        Cycle(tuple(Vertex(parse_word(w, p.b), ph) for w, ph in cyc))
-        for cyc in doc["cycles"])
-    return Factor(cycles, p)
+    succ = [-1] * p.num_vertices
+    for cyc in doc["cycles"]:
+        if not cyc:
+            raise ValueError("empty cycle")
+        codes = []
+        for w, ph in cyc:
+            word = parse_word(w, p.b)
+            if len(word) != p.n:
+                raise ValueError(f"word {w!r} has length {len(word)}, not n={p.n}")
+            if not 0 <= ph < p.k:
+                raise ValueError(f"phase {ph} out of range for k={p.k}")
+            codes.append(pack(Vertex(word, ph), p))
+        for c, t in zip(codes, codes[1:] + codes[:1]):
+            if succ[c] != -1:
+                raise ValueError(f"vertex {_label(c, p)} listed twice")
+            succ[c] = t
+    return Factor(p, succ)
 
 
 def to_dot(p: GraphParams, factor: Factor | None = None, color: str = "magenta") -> str:
     """DOT rendering of G(n, k); factor arcs get a color attribute."""
-    k = p.k
-    words = all_words(p)
-    labels = [f'"{name}@{ph}"' for name in map(word_str, words) for ph in range(k)]
-    marked: set[tuple[int, int]] = set()
-    if factor is not None:
-        value_of = {w: i for i, w in enumerate(words)}
-        for cyc in factor.cycles:
-            codes = [value_of[v.word] * k + v.phase for v in cyc.vertices]
-            marked.update(zip(codes, codes[1:] + codes[:1]))
+    labels = [f'"{name}@{ph}"' for name in _word_names(p) for ph in range(p.k)]
+    succ = factor.succ if factor is not None else (-1,) * p.num_vertices
     lines = ["digraph astute {"]
     lines += [f"  {label};" for label in labels]
     for code, label in enumerate(labels):
         for tcode in successor_codes(code, p):
-            attr = f" [color={color}]" if (code, tcode) in marked else ""
+            attr = f" [color={color}]" if succ[code] == tcode else ""
             lines.append(f"  {label} -> {labels[tcode]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

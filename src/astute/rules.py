@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .algebra import ModPoly, is_unit, mod_inverse
 from .errors import BudgetExceeded, NotInvertible
-from .graph import Factor, GraphParams, Vertex, factor_from_successor
+from .graph import Factor, GraphParams
 
 DEFAULT_MAX_VERTICES = 1 << 22
 
@@ -120,11 +120,6 @@ def parse_rule_spec(spec: str, n: int, b: int) -> AffineRule:
     raise ValueError(f"unknown rule spec {spec!r}")
 
 
-def act(rule: AffineRule, k: int, v: Vertex) -> Vertex:
-    """One step of the rule on G(n, k): apply to the word, advance the phase."""
-    return Vertex(rule.apply(v.word), (v.phase + 1) % k)
-
-
 def word_permutation(rule: AffineRule) -> list[int]:
     """The rule as a permutation of packed word values.
 
@@ -165,7 +160,7 @@ def enumerate_factor(rule: AffineRule, k: int,
     """
     p = GraphParams(rule.b, rule.n, k)
     check_vertex_budget(p, max_vertices)
-    return factor_from_successor(successor_array(rule, k), p)
+    return Factor(p, successor_array(rule, k))
 
 
 def fix_count_bruteforce(rule: AffineRule, i: int,

@@ -10,11 +10,10 @@ nonzero imaginary part is read off in floating point.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotPcrOrbit, PreconditionViolated
-from .graph import Cycle, Factor, GraphParams, Vertex, pack
+from .graph import Cycle, Factor, GraphParams, Vertex, unpack
 from .rules import enumerate_factor, pcr
 
 REAL_TOL = 1e-9
@@ -84,34 +83,18 @@ def _roots(n: int) -> tuple[complex, ...]:
     return tuple(root_of_unity(n, i) for i in range(n))
 
 
-def _approx(coeffs: tuple[int, ...], n: int) -> complex:
-    """sum a_i mu^i over the root table, in fixed left-to-right order (the
-    terms and their order are those of a per-term exp, so every float is
-    bit-identical to one)."""
-    if len(coeffs) != n:
-        raise ValueError(f"word length {len(coeffs)} != n = {n}")
+def transform(word, n: int | None = None) -> complex:
+    """C(word) = sum a_i mu^i for a sequence of integers, summed left to
+    right over the root table: the terms and their order are those of a
+    per-term exp, so every float is bit-identical to one."""
+    if n is None:
+        n = len(word)
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != n = {n}")
     total = 0j
-    for a, r in zip(coeffs, _roots(n)):
+    for a, r in zip(word, _roots(n)):
         total += a * r
     return total
-
-
-@dataclass(frozen=True)
-class Transform:
-    """C(word) in two forms: float approximation and the integer
-    coefficient vector it came from (exact arithmetic happens on the
-    latter, mod the order-n cyclotomic polynomial)."""
-    approx: complex
-    exact: tuple[int, ...]
-    order: int
-
-
-def transform(word, n: int | None = None) -> Transform:
-    """Finite Fourier transform of a word (or any integer vector)."""
-    coeffs = tuple(map(int, word))
-    if n is None:
-        n = len(coeffs)
-    return Transform(_approx(coeffs, n), coeffs, n)
 
 
 def is_real_exact(word, n: int | None = None) -> bool:
@@ -145,28 +128,18 @@ def rotation_identity_check(word, n: int | None = None, tol: float = REAL_TOL) -
     word = tuple(map(int, word))
     if n is None:
         n = len(word)
-    lhs = _approx(rotate_left(word), n)
-    rhs = root_of_unity(n, -1) * _approx(word, n)
+    lhs = transform(rotate_left(word), n)
+    rhs = root_of_unity(n, -1) * transform(word, n)
     return abs(lhs - rhs) < tol
 
 
 def cycle_sum_check(cycle: Cycle, tol_per_vertex: float = 1e-6) -> bool:
     """Transforms along any graph cycle must sum to zero."""
     total = 0j
-    n = len(cycle.vertices[0].word)
+    n = cycle.params.n
     for v in cycle.vertices:
-        total += _approx(v.word, n)
-    return abs(total) < tol_per_vertex * len(cycle.vertices)
-
-
-def _check_pcr_orbit(cycle: Cycle, p: GraphParams):
-    vs = cycle.vertices
-    t = len(vs)
-    for i, v in enumerate(vs):
-        w = vs[(i + 1) % t]
-        if w.word != rotate_left(v.word) or w.phase != (v.phase + 1) % p.k:
-            raise NotPcrOrbit(
-                f"step {i}: {v} -> {w} is not a rotation-rule action step")
+        total += transform(v.word, n)
+    return abs(total) < tol_per_vertex * len(cycle)
 
 
 def distinguished_vertex(cycle: Cycle, p: GraphParams) -> Vertex:
@@ -179,27 +152,35 @@ def distinguished_vertex(cycle: Cycle, p: GraphParams) -> Vertex:
     once) the minimal packed one is taken so each orbit still yields
     exactly one vertex.
     """
-    _check_pcr_orbit(cycle, p)
+    return unpack(_distinguished_code(cycle, p), p)
+
+
+def _distinguished_code(cycle: Cycle, p: GraphParams) -> int:
     vs = cycle.vertices
+    for i, v in enumerate(vs):
+        w = vs[(i + 1) % len(vs)]
+        if w.word != rotate_left(v.word) or w.phase != (v.phase + 1) % p.k:
+            raise NotPcrOrbit(
+                f"step {i}: {v} -> {w} is not a rotation-rule action step")
     n = p.n
     reals = [is_real_exact(v.word, n) for v in vs]
     if all(reals):
-        return min(vs, key=lambda v: pack(v, p))
+        return min(cycle.codes)
     # exact screening first; floats only for the sign of nonzero parts
-    ims = [0.0 if reals[i] else _approx(v.word, n).imag
+    ims = [0.0 if reals[i] else transform(v.word, n).imag
            for i, v in enumerate(vs)]
-    descents = [i for i in range(len(vs))
+    descents = [cycle.codes[i] for i in range(len(vs))
                 if (not reals[i] and ims[i] < 0)
                 and (reals[i - 1] or ims[i - 1] > 0)]
     if not descents:
         raise NotPcrOrbit("no sign descent found on a non-real orbit")
-    return min((vs[i] for i in descents), key=lambda v: pack(v, p))
+    return min(descents)
 
 
 def pcr_distinguished_codes(p: GraphParams) -> set[int]:
     """Packed distinguished vertices, one per rotation-rule orbit of G(n, k)."""
     factor = enumerate_factor(pcr(p.n, p.b), p.k)
-    return {pack(distinguished_vertex(c, p), p) for c in factor.cycles}
+    return {_distinguished_code(c, p) for c in factor.cycles}
 
 
 def covering_check(factor: Factor) -> bool:
@@ -213,7 +194,7 @@ def covering_check(factor: Factor) -> bool:
         raise PreconditionViolated(f"need k | n or n | k, got n={p.n}, k={p.k}")
     marked = pcr_distinguished_codes(p)
     for cyc in factor.cycles:
-        if not any(pack(v, p) in marked for v in cyc.vertices):
+        if not any(c in marked for c in cyc.codes):
             return False
     return True
 
@@ -223,15 +204,15 @@ def orbit_transform_table(p: GraphParams) -> list[dict]:
     factor = enumerate_factor(pcr(p.n, p.b), p.k)
     rows = []
     for idx, cyc in enumerate(factor.cycles):
-        d = distinguished_vertex(cyc, p)
-        for v in cyc.vertices:
-            t = _approx(v.word, p.n)
+        d = _distinguished_code(cyc, p)
+        for c, v in zip(cyc.codes, cyc.vertices):
+            t = transform(v.word, p.n)
             rows.append({
                 "orbit": idx,
                 "word": v.word,
                 "phase": v.phase,
                 "re": t.real,
                 "im": t.imag,
-                "distinguished": v == d,
+                "distinguished": c == d,
             })
     return rows

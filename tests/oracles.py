@@ -67,13 +67,17 @@ def necklace_count(n: int, b: int) -> int:
 
 
 def factor_count_by_permutations(p) -> int:
-    """Number of vertex permutations compatible with the arc set."""
-    from astute.graph import is_arc, iter_vertices
+    """Number of vertex permutations compatible with the arc set, with
+    vertices (word, phase) and arcs (s, i) -> (t, i+1), s[1:] = t[:-1],
+    taken straight from the definition of G(n, k)."""
+    vertices = [(w, i) for w in all_words(p.n, p.b) for i in range(p.k)]
 
-    vertices = list(iter_vertices(p))
+    def is_arc(u, v):
+        return u[0][1:] == v[0][:-1] and v[1] == (u[1] + 1) % p.k
+
     count = 0
     for perm in permutations(range(len(vertices))):
-        if all(is_arc(vertices[i], vertices[j], p) for i, j in enumerate(perm)):
+        if all(is_arc(vertices[i], vertices[j]) for i, j in enumerate(perm)):
             count += 1
     return count
 

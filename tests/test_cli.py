@@ -289,6 +289,26 @@ def test_verify_csv_needs_instance(capsys):
     assert "--csv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--rule", "pcr", "--b", "2", "--n", "3", "--out"],
+    ["export", "--b", "2", "--n", "3", "--out"],
+    ["extremal", "--b", "2", "--n", "3", "--k", "2", "--emit-json"],
+    ["extremal", "--b", "2", "--n", "3", "--k", "2", "--emit-dot"],
+    ["verify", "--suite", "theorem1", "--b", "2", "--n", "3", "--k", "1", "--csv"],
+])
+def test_unwritable_output_path(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid arguments: cannot write {path}: No such file or directory\n"
+    # a directory is no more writable than a missing parent
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"invalid arguments: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export", "--b", "2", "--n", "2", "--rule", "pcr")
     assert code == 0

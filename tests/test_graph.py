@@ -2,13 +2,21 @@ import json
 
 import pytest
 
-from astute.graph import (Cycle, Factor, GraphParams, Vertex, factor_from_doc,
-                          factor_to_doc, is_arc, iter_vertices, pack,
-                          parse_word, successor_codes, successors, to_dot,
-                          unpack, validate_factor, word_str)
+from astute.graph import (Factor, GraphParams, Vertex, factor_from_doc,
+                          factor_to_doc, pack, parse_word, successor_codes,
+                          to_dot, unpack, validate_factor, word_str)
 from astute.rules import enumerate_factor, pcr
 
 from oracles import debruijn_arcs_direct
+
+
+def successors(v, p):
+    """Out-neighbours of a vertex through the packed successor codes."""
+    return [unpack(s, p) for s in successor_codes(pack(v, p), p)]
+
+
+def is_arc(u, v, p):
+    return pack(v, p) in successor_codes(pack(u, p), p)
 
 
 def test_successors_examples():
@@ -42,10 +50,13 @@ def test_degree_regularity():
 
 
 def test_packed_successors_match_vertex_successors():
+    # the definition: shift the word left, append any symbol, advance the phase
     for p in (GraphParams(2, 4, 3), GraphParams(3, 2, 2), GraphParams(5, 1, 2)):
         for c in range(p.num_vertices):
-            via_codes = [unpack(s, p) for s in successor_codes(c, p)]
-            assert via_codes == successors(unpack(c, p), p)
+            v = unpack(c, p)
+            want = [Vertex(v.word[1:] + (x,), (v.phase + 1) % p.k)
+                    for x in range(p.b)]
+            assert [unpack(s, p) for s in successor_codes(c, p)] == want
 
 
 def test_k1_equals_de_bruijn():
@@ -54,9 +65,9 @@ def test_k1_equals_de_bruijn():
     for b, n in cases:
         p = GraphParams(b, n, 1)
         arcs = set()
-        for v in iter_vertices(p):
-            for w in successors(v, p):
-                arcs.add((v.word, w.word))
+        for c in range(p.num_vertices):
+            for s in successor_codes(c, p):
+                arcs.add((unpack(c, p).word, unpack(s, p).word))
         assert arcs == debruijn_arcs_direct(n, b)
 
 
@@ -85,18 +96,65 @@ def test_validate_factor_accepts_rule_factor():
 def test_validate_factor_diagnostics():
     f = enumerate_factor(pcr(3, 2), 2)
     p = f.params
-    missing = Factor(f.cycles[1:], p)
+    doc = factor_to_doc(f)
+    # a document that leaves out the first cycle (000@0 -> 000@1)
+    missing = factor_from_doc(dict(doc, cycles=doc["cycles"][1:]))
     res = validate_factor(missing)
-    assert not res.ok and "uncovered vertex" in res.diagnostic
+    assert not res.ok and res.diagnostic == "uncovered vertex 000@0"
 
-    broken = Factor((Cycle((Vertex((0, 0, 0), 0), Vertex((0, 0, 1), 1))),)
-                    + f.cycles[1:], p)
-    res = validate_factor(broken)
+    # 001@1 -> 000@0 is no arc: 001 shifts to 01x
+    succ = list(f.succ)
+    succ[pack(Vertex((0, 0, 1), 1), p)] = pack(Vertex((0, 0, 0), 0), p)
+    res = validate_factor(Factor(p, succ))
+    assert not res.ok and res.diagnostic == "broken arc 001@1 -> 000@0"
+    # a document whose second cycle runs backwards
+    broken = list(doc["cycles"])
+    broken[1] = broken[1][::-1]
+    res = validate_factor(factor_from_doc(dict(doc, cycles=broken)))
     assert not res.ok and "broken arc" in res.diagnostic
 
-    dup = Factor(f.cycles + (f.cycles[0],), p)
-    res = validate_factor(dup)
-    assert not res.ok and "duplicate" in res.diagnostic
+    # 100@0 -> 000@1 is an arc, but 000@0 already leads to 000@1
+    succ = list(f.succ)
+    succ[pack(Vertex((1, 0, 0), 0), p)] = pack(Vertex((0, 0, 0), 1), p)
+    res = validate_factor(Factor(p, succ))
+    assert not res.ok and "duplicate vertex 000@1" in res.diagnostic
+
+    res = validate_factor(Factor(p, f.succ[1:]))
+    assert not res.ok and "15 successors for 16 vertices" in res.diagnostic
+
+
+@pytest.mark.parametrize("cycles,message", [
+    ([[["00", 0]]], "has length 2, not n=3"),
+    ([[["000", 2]]], "phase 2 out of range"),
+    ([[["000", -1]]], "phase -1 out of range"),
+    ([[["000", 0], ["000", 1]], [["000", 1]]], "listed twice"),
+    ([[["001", 0], ["010", 1], ["001", 0]]], "listed twice"),
+    ([[]], "empty cycle"),
+    ([[["002", 0]]], "symbols outside"),
+])
+def test_factor_from_doc_refusals(cycles, message):
+    doc = {"schema": "astute/1", "b": 2, "n": 3, "k": 2, "cycles": cycles}
+    with pytest.raises(ValueError, match=message):
+        factor_from_doc(doc)
+
+
+def test_factor_holds_a_copy_of_succ():
+    p = GraphParams(2, 1, 1)
+    succ = [0, 1]
+    f = Factor(p, succ)
+    succ[0] = 1
+    assert f.succ == (0, 1)
+    assert [c.codes for c in f.cycles] == [(0,), (1,)]
+
+
+def test_cycles_walk_in_canonical_order():
+    p = GraphParams(2, 3, 1)
+    f = enumerate_factor(pcr(3, 2), 1)
+    assert [c.codes for c in f.cycles] == [(0,), (1, 2, 4), (3, 6, 5), (7,)]
+    assert f.cycles[1].vertices == (
+        Vertex((0, 0, 1), 0), Vertex((0, 1, 0), 0), Vertex((1, 0, 0), 0))
+    assert len(f) == 4 and len(f.cycles[1]) == 3
+    assert all(c.params == p for c in f.cycles)
 
 
 def test_word_render_parse():

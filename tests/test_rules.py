@@ -4,10 +4,11 @@ import pytest
 
 from astute.algebra import u_poly, x_pow_minus_one
 from astute.errors import BudgetExceeded, NotInvertible
-from astute.graph import GraphParams, Vertex, validate_factor, word_str
+from astute.graph import (GraphParams, Vertex, pack, unpack, validate_factor,
+                          word_str)
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import (AffineRule, act, enumerate_factor,
-                          fix_count_bruteforce, icr, parse_rule_spec, pcr,
+from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
+                          icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
 from oracles import all_words
@@ -67,6 +68,11 @@ def test_invertibility_is_enforced():
 
 
 def test_act():
+    # one step of the rule on G(n, k): apply to the word, advance the phase
+    def act(rule, k, v):
+        p = GraphParams(rule.b, rule.n, k)
+        return unpack(successor_array(rule, k)[pack(v, p)], p)
+
     assert act(pcr(3, 2), 2, Vertex((0, 1, 1), 0)) == Vertex((1, 1, 0), 1)
     # k = 1: phase pinned at 0
     assert act(pcr(3, 2), 1, Vertex((0, 1, 1), 0)) == Vertex((1, 1, 0), 0)
@@ -93,7 +99,6 @@ def test_factor_is_deterministic_and_sorted():
     f1 = enumerate_factor(pcr(3, 2), 2)
     f2 = enumerate_factor(pcr(3, 2), 2)
     assert f1 == f2
-    from astute.graph import pack
     minima = [min(pack(v, p) for v in c.vertices) for c in f1.cycles]
     assert minima == sorted(minima)
     starts = [pack(c.vertices[0], p) for c in f1.cycles]
