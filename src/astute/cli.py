@@ -32,9 +32,9 @@ EXIT_DISAGREE = 4
 EXIT_VERIFY = 5
 
 THEOREM1_INSTANCES = (
-    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3),
-                              (1, 2), (1, 3), (2, 4), (4, 2)]]
-    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (2, 2)]])
+    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
+                              (3, 3), (1, 2), (1, 3), (2, 4), (4, 2)]]
+    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (2, 2)]])
 
 
 def main(argv=None) -> int:

@@ -6,19 +6,31 @@ symbol; an in-degree flag keeps the assignment a bijection, and path
 endpoints are tracked so cycle closures are counted incrementally.
 
 The admissible bound takes the least of three limits on the cycles still
-to be closed: the open paths; open_vertices // k, by the phase invariant
-(every cycle length is a positive multiple of k), where open vertices
-are those not yet locked into a completed cycle; and the short-cycle
-capacity (`cycle_capacity`) less the cycles already closed.  The
-capacity holds because a cycle of length L <= n consists of the windows
-of an L-periodic sequence, so its words have minimal period <= L, and
-few words are that periodic.  The incumbent starts at the rotation-rule
-factor, which is optimal whenever k | n or n | k; when the capacity
-equals its count the search ends at the root.
+to be closed: the open chains that hold a vertex of a feedback vertex set
+F; open_vertices // k, by the phase invariant (every cycle length is a
+positive multiple of k), where open vertices are those not yet locked
+into a completed cycle; and the short-cycle capacity (`cycle_capacity`)
+less the cycles already closed.
+
+F meets every cycle of G(n, k) and is built from the arcs alone
+(`feedback_vertex_set`), never from the transforms or the closed forms,
+so the search stays an independent check of Theorem 1.  Every cycle
+still to close is a union of open chains (a lone vertex is a chain), it
+holds a vertex of F, and two cycles never share a chain; so the cycles
+still to close are at most the open chains holding a vertex of F.  At
+the root that is |F|, which equals the optimum on b=2 G(5, 1), G(6, 1),
+G(7, 1) and b=3 G(3, 1), G(4, 1).  The capacity holds because a cycle of
+length L <= n consists of the windows of an L-periodic sequence, so its
+words have minimal period <= L, and few words are that periodic; it is
+the tighter of the two on some instances (139 against |F| = 144 on b=2
+G(8, 4)).  The incumbent starts at the rotation-rule factor, which is
+optimal whenever k | n or n | k; when a bound equals its count the
+search ends at the root.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from collections import Counter
@@ -27,8 +39,8 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .counting import closed_form_pcr
-from .errors import (BudgetExceeded, Inconclusive, InvalidFactor,
-                     PreconditionViolated)
+from .errors import (AstuteError, BudgetExceeded, Inconclusive,
+                     InvalidFactor, PreconditionViolated)
 from .graph import (Factor, GraphParams, count_cycles, successor_codes,
                     validate_factor)
 from .rules import pcr, successor_array
@@ -98,6 +110,93 @@ def cycle_capacity(p: GraphParams) -> int:
     return cycles + (p.num_vertices - used) // length
 
 
+def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
+    """Packed codes of a set F meeting every cycle of G(n, k), ascending.
+
+    Every cycle of a factor is a cycle of the graph, so no factor has
+    more than |F| cycles.  F comes from the arcs alone, by the
+    contraction reductions of Levy and Low (1988), applied from a
+    worklist until none fits: drop a vertex with no in-arc or no
+    out-arc; put a vertex with a self-loop into F; bypass a vertex with
+    one in-arc or one out-arc by joining its neighbours directly (every
+    cycle through it keeps its other vertices).  When no reduction
+    fits, the vertex with the largest in * out degree joins F, the
+    smallest code on ties.  G - F is checked acyclic by Kahn's
+    algorithm before F is returned.
+    """
+    n = p.num_vertices
+    succs = [successor_codes(c, p) for c in range(n)]
+    out_arcs = [set(s) for s in succs]
+    in_arcs: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        for v in out_arcs[u]:
+            in_arcs[v].add(u)
+    alive = bytearray([1]) * n
+    work = list(range(n - 1, -1, -1))
+    heap: list[tuple[int, int]] = []
+    chosen = []
+
+    def remove(v: int) -> None:
+        alive[v] = 0
+        out_arcs[v].discard(v)
+        in_arcs[v].discard(v)
+        for u in in_arcs[v]:
+            out_arcs[u].discard(v)
+            work.append(u)
+        for w in out_arcs[v]:
+            in_arcs[w].discard(v)
+            work.append(w)
+
+    while work or heap:
+        if work:
+            v = work.pop()
+            if not alive[v]:
+                continue
+            ins, outs = in_arcs[v], out_arcs[v]
+            if v in outs:
+                chosen.append(v)
+            elif ins and outs:
+                if len(ins) > 1 and len(outs) > 1:
+                    # any later degree change puts v on the worklist
+                    # again, so the heap holds every live vertex's key
+                    heapq.heappush(heap, (-len(ins) * len(outs), v))
+                    continue
+                # bypass v; remove(v) below puts its neighbours back
+                for u in ins:
+                    for w in outs:
+                        out_arcs[u].add(w)
+                        in_arcs[w].add(u)
+        else:
+            key, v = heapq.heappop(heap)
+            if not alive[v] or key != -len(in_arcs[v]) * len(out_arcs[v]):
+                continue
+            chosen.append(v)
+        remove(v)
+
+    in_deg = [0] * n
+    removed = bytearray(n)
+    for c in chosen:
+        removed[c] = 1
+    for u in range(n):
+        if not removed[u]:
+            for v in succs[u]:
+                in_deg[v] += 1
+    ready = [c for c in range(n) if not removed[c] and not in_deg[c]]
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        for v in succs[u]:
+            if not removed[v]:
+                in_deg[v] -= 1
+                if not in_deg[v]:
+                    ready.append(v)
+    if seen != n - len(chosen):
+        raise AstuteError(f"feedback vertex set of {p} misses a cycle; "
+                          "this signals a bug")
+    return tuple(sorted(chosen))
+
+
 class _Searcher:
     def __init__(self, p: GraphParams, budget: SearchBudget,
                  best: int, best_succ: list[int]):
@@ -118,6 +217,11 @@ class _Searcher:
         self.head_of_tail = list(range(n))
         self.tail_of_head = list(range(n))
         self.len_of_tail = [1] * n
+        # does the chain ending at this tail hold a vertex of F?
+        self.has_f = bytearray(n)
+        for c in feedback_vertex_set(p):
+            self.has_f[c] = 1
+        self.f_chains = sum(self.has_f)
         self.completed = 0
         self.closed = 0
 
@@ -133,11 +237,12 @@ class _Searcher:
                 self.best = self.completed
                 self.best_succ = list(self.succ)
             return
-        remaining = min(n - u, (n - self.closed) // k,
+        remaining = min(self.f_chains, (n - self.closed) // k,
                         self.cap - self.completed)
         if self.completed + remaining <= self.best:
             return
         pred_used = self.pred_used
+        has_f = self.has_f
         for v in self.succ_choices[u]:
             if pred_used[v]:
                 continue
@@ -153,13 +258,17 @@ class _Searcher:
             if closes:
                 self.completed += 1
                 self.closed += self.len_of_tail[u]
-                h1 = t2 = -1
+                self.f_chains -= has_f[u]
+                h1 = t2 = ft = -1
             else:
                 h1 = self.head_of_tail[u]
                 t2 = self.tail_of_head[v]
                 self.head_of_tail[t2] = h1
                 self.tail_of_head[h1] = t2
                 self.len_of_tail[t2] += self.len_of_tail[u]
+                ft = has_f[t2]
+                has_f[t2] = ft | has_f[u]
+                self.f_chains -= ft & has_f[u]
             pred_used[v] = 1
             self.succ[u] = v
 
@@ -170,7 +279,10 @@ class _Searcher:
             if closes:
                 self.completed -= 1
                 self.closed -= self.len_of_tail[u]
+                self.f_chains += has_f[u]
             else:
+                self.f_chains += ft & has_f[u]
+                has_f[t2] = ft
                 self.len_of_tail[t2] -= self.len_of_tail[u]
                 self.head_of_tail[t2] = v
                 self.tail_of_head[h1] = u

@@ -82,6 +82,36 @@ def factor_count_by_permutations(p) -> int:
     return count
 
 
+def acyclic_without(b: int, n: int, k: int, removed) -> bool:
+    """Whether G(n, k) minus the vertices with the given packed codes has
+    no cycle, by Kahn's algorithm.  Vertices are (word, phase) with arcs
+    (s, i) -> (s[1:] + (x,), i+1 mod k), straight from the definition;
+    code c names the c-th vertex in the order words lexicographic, then
+    phase, which is how the package packs them."""
+    vertices = [(w, i) for w in all_words(n, b) for i in range(k)]
+    index = {v: c for c, v in enumerate(vertices)}
+    gone = set(removed)
+    kept = [c for c in range(len(vertices)) if c not in gone]
+    out = {c: [index[(vertices[c][0][1:] + (x,), (vertices[c][1] + 1) % k)]
+               for x in range(b)] for c in kept}
+    in_deg = {c: 0 for c in kept}
+    for c in kept:
+        for d in out[c]:
+            if d not in gone:
+                in_deg[d] += 1
+    ready = [c for c in kept if in_deg[c] == 0]
+    seen = 0
+    while ready:
+        c = ready.pop()
+        seen += 1
+        for d in out[c]:
+            if d not in gone:
+                in_deg[d] -= 1
+                if in_deg[d] == 0:
+                    ready.append(d)
+    return seen == len(kept)
+
+
 def debruijn_arcs_direct(n: int, b: int) -> set:
     """Arc set of the order-n de Bruijn graph, straight from the definition."""
     arcs = set()

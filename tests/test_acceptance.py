@@ -22,9 +22,9 @@ from astute.spectral import (covering_check, cycle_sum_check, is_real_exact,
 from oracles import all_words, lattice_rules
 
 EXTREMALITY_INSTANCES = (
-    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3),
-                              (1, 2), (1, 3), (2, 4), (4, 2)]]
-    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (2, 2)]])
+    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
+                              (3, 3), (1, 2), (1, 3), (2, 4), (4, 2)]]
+    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (2, 2)]])
 
 
 def _report(num, name):

@@ -189,19 +189,19 @@ def test_extremal_budget_exit(capsys):
 
 def test_extremal_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("ASTUTE_MAX_NODES", "25")
-    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "5", "--k", "1")
+    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "2")
     assert code == 3
     assert json.loads(out)["optimal"] is False
 
 
 def test_extremal_time_cap(capsys):
-    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "5",
-                       "--time-cap", "1e-6")
+    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "4",
+                       "--max-vertices", "48", "--time-cap", "1e-6")
     assert code == 3
     doc = json.loads(out)
     assert doc["optimal"] is False
     assert validate_factor(factor_from_doc(doc)).ok
-    assert doc["nodes"] < 737198  # a full run explores 737,198 nodes
+    assert doc["nodes"] < 21015  # a full run explores 21,015 nodes
 
 
 def test_verify_counterexample(capsys):
@@ -222,8 +222,9 @@ def test_verify_theorem1_single_instance(capsys):
 
 
 def test_verify_theorem1_budget_exit(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
-                         "--n", "5", "--k", "1", "--budget-nodes", "10")
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "4",
+                         "--n", "3", "--k", "1", "--max-vertices", "64",
+                         "--budget-nodes", "10")
     assert code == 3
     assert out == "" and "budget" in err
 
@@ -262,8 +263,8 @@ def test_verify_max_vertices(capsys):
                        "--n", "4", "--k", "2", "--max-vertices", "32")
     assert code == 0 and json.loads(out)["pass"] is True
     # 64 vertices pass the vertex budget and reach the node budget
-    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "2",
-                         "--n", "6", "--k", "1", "--max-vertices", "64",
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--b", "4",
+                         "--n", "3", "--k", "1", "--max-vertices", "64",
                          "--budget-nodes", "10")
     assert code == 3
     assert out == "" and "search hit its budget" in err

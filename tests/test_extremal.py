@@ -10,7 +10,8 @@ import pytest
 from astute.counting import closed_form_pcr
 from astute.errors import BudgetExceeded, Inconclusive, PreconditionViolated
 from astute.extremal import (EXHAUSTIVE_MAX_VERTICES, SearchBudget,
-                             cycle_capacity, exhaustive_factors, random_factor,
+                             cycle_capacity, exhaustive_factors,
+                             feedback_vertex_set, random_factor,
                              search_extremal, verify_theorem1)
 from astute.graph import GraphParams, validate_factor
 from astute.rules import enumerate_factor, pcr
@@ -82,6 +83,40 @@ def test_capacity_decides_at_root():
         assert validate_factor(res.certificate).ok
 
 
+def test_feedback_vertex_set_is_acyclic():
+    from oracles import acyclic_without
+    checked = 0
+    for b in (2, 3, 4, 6):
+        for n in range(1, 11):
+            for k in range(1, 1024 // b ** n + 1):
+                assert acyclic_without(b, n, k, feedback_vertex_set(
+                    GraphParams(b, n, k))), (b, n, k)
+                checked += 1
+    assert checked > 1000
+
+
+def test_feedback_vertex_set_bounds_exhaustive_maximum():
+    for p, best in enumerable_maxima():
+        assert len(feedback_vertex_set(p)) >= best, p
+
+
+def test_feedback_vertex_set_sizes():
+    # |F| is the optimum on the k = 1 instances below, one above it on
+    # b=4 G(3, 1), and above the capacity (139) on b=2 G(8, 4)
+    for (b, n, k), size in [((2, 5, 1), 8), ((2, 6, 1), 14), ((2, 7, 1), 20),
+                            ((3, 3, 1), 11), ((3, 4, 1), 24), ((4, 3, 1), 25),
+                            ((2, 8, 4), 144)]:
+        assert len(feedback_vertex_set(GraphParams(b, n, k))) == size
+
+
+def test_fvs_decides_at_root():
+    for (b, n, k), best in [((2, 5, 1), 8), ((2, 6, 1), 14), ((3, 3, 1), 11)]:
+        res = search_extremal(GraphParams(b, n, k), SearchBudget(max_vertices=64))
+        assert res.optimal and res.nodes_explored == 0
+        assert res.best_count == best
+        assert validate_factor(res.certificate).ok
+
+
 def test_certificate_at_least_rotation_count():
     for b, n, k in DIVISIBLE_INSTANCES:
         res = search_extremal(GraphParams(b, n, k))
@@ -115,11 +150,12 @@ def test_search_budget_vertices():
 
 
 def test_search_node_cap_returns_incumbent():
-    res = search_extremal(GraphParams(2, 5, 1), SearchBudget(max_nodes=40))
+    # G(3, 2) takes a few hundred nodes even with every bound
+    res = search_extremal(GraphParams(2, 3, 2), SearchBudget(max_nodes=40))
     assert not res.optimal
     assert res.nodes_explored <= 40
     assert validate_factor(res.certificate).ok
-    assert res.best_count >= closed_form_pcr(5, 1, 2).value
+    assert res.best_count >= closed_form_pcr(3, 2, 2).value
 
 
 def test_verify_extremality_instances():
@@ -136,8 +172,10 @@ def test_verify_precondition():
 
 
 def test_verify_inconclusive_on_cap():
+    # b=4 G(3, 1): |F| = 25 and capacity 26 against the optimum 24
     with pytest.raises(Inconclusive):
-        verify_theorem1(GraphParams(2, 5, 1), SearchBudget(max_nodes=10))
+        verify_theorem1(GraphParams(4, 3, 1),
+                        SearchBudget(max_vertices=64, max_nodes=10))
 
 
 def test_random_factor_valid_and_seeded():

@@ -36,7 +36,7 @@ GOLDEN = [
     ("factor --rule affine:2;2,3,4 --b 9 --n 2 --k 3 --format dot", 0, "96d6709081bf3af4e2b41a9ffef2bef3a72d8ecd00685550e9e96f73307b2fbd"),
     ("count --rule affine:2;2,3,4 --b 9 --n 2 --k 3 --method all", 0, "1a177c46323ae1c97ddfbb05eee8ca305f4fafc3daaed03fe74e35de466e328b"),
     ("export --b 2 --n 3 --k 2 --rule icr", 0, "e9af894ad22af89389421fa3fee5db72b14fdb70faabd8d4bc34ca4ff185115d"),
-    ("extremal --b 2 --n 3 --k 2", 0, "7eed916cb0c5f212800a22e1dfd7d9df01f8713b8855e52a7e99bd495b3e0427"),
+    ("extremal --b 2 --n 3 --k 2", 0, "04b8ffbdb98c77c0e5ca78a5204790cd060ee5c18b70c70713f3edee5b008c9a"),
 ]
 
 
