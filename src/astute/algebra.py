@@ -38,14 +38,27 @@ def is_unit(a: int, b: int) -> bool:
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+    return m >= 2 and factorize(m) == [(m, 1)]
+
+
+def factorize(m: int) -> list[tuple[int, int]]:
+    """Prime factorization of m >= 1 by trial division: (p, a) pairs
+    with ascending primes p and exponents a >= 1."""
+    if m < 1:
+        raise ValueError("factorize requires m >= 1")
+    out = []
     d = 2
     while d * d <= m:
         if m % d == 0:
-            return False
+            a = 0
+            while m % d == 0:
+                m //= d
+                a += 1
+            out.append((d, a))
         d += 1
-    return True
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
 def euler_phi(m: int) -> int:
@@ -53,15 +66,8 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("euler_phi requires m >= 1")
     result = m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for p, _ in factorize(m):
+        result -= result // p
     return result
 
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import eq
 from typing import Optional
 
-from .algebra import ModPoly, euler_phi
+from .algebra import ModPoly, euler_phi, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, count_cycles
@@ -24,9 +24,9 @@ from .rules import (AffineRule, DEFAULT_MAX_VERTICES, check_vertex_budget,
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
-# Burnside steps a permutation of b^n words M/k times.  Above this many
-# word steps (about 5 s on a 2-vCPU VM) it refuses instead of running
-# for minutes; b = 2, n = 20 pcr (M = 20) still fits.
+# Burnside composes and counts permutations of b^n words, one pass over
+# the words each.  Above this many word steps (about 5 s on a 2-vCPU VM)
+# it refuses instead of running for minutes.
 BURNSIDE_MAX_STEPS = 1 << 25
 
 
@@ -48,8 +48,11 @@ class CountReport:
 
 
 def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+    """Divisors of m >= 1 in ascending order."""
+    out = [1]
+    for p, a in factorize(m):
+        out = [d * p ** i for d in out for i in range(a + 1)]
+    return sorted(out)
 
 
 def count_enumeration(rule: AffineRule, k: int,
@@ -60,16 +63,32 @@ def count_enumeration(rule: AffineRule, k: int,
                        rule.spec(), rule.b, rule.n, k)
 
 
+def _compose(p: list[int], q: list[int]) -> list[int]:
+    """The permutation p after q: one pass over the words."""
+    return [p[v] for v in q]
+
+
+def _fixed_points(perm: list[int]) -> int:
+    """Brute-force count of the words perm leaves in place."""
+    return sum(map(eq, perm, range(len(perm))))
+
+
 def _perm_power(perm: list[int], e: int) -> list[int]:
-    """perm composed with itself e times, by repeated squaring."""
-    result = list(range(len(perm)))
-    while e:
+    """perm composed with itself e >= 1 times, by repeated squaring; it
+    makes _power_cost(e) compositions and may return perm itself."""
+    result = None
+    while True:
         if e & 1:
-            result = [perm[v] for v in result]
+            result = perm if result is None else _compose(perm, result)
         e >>= 1
-        if e:
-            perm = [perm[v] for v in perm]
-    return result
+        if not e:
+            return result
+        perm = _compose(perm, perm)
+
+
+def _power_cost(e: int) -> int:
+    """Compositions _perm_power(perm, e) makes."""
+    return e.bit_length() + bin(e).count("1") - 2
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
@@ -79,10 +98,21 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
     The average runs over one period M = lcm(k, l, w) of
     i -> [k | i] * |Fix(rule^i)|, with l the rule's smallest word-cycle
-    length and w the order of X modulo its polynomial.  Only the M/k
-    powers rule^0, rule^k, rule^2k, ... count, so the walk steps by
-    rule^k: about (M/k) * b^n steps, refused above BURNSIDE_MAX_STEPS.
-    A caller that already knows w passes it as `order`.
+    length and w the order of X modulo its polynomial.  With
+    sigma = rule^k and top = M/k, sigma^top is the identity, so
+    Fix(sigma^j) = Fix(sigma^gcd(j, top)) and
+
+        sum over j < top of |Fix(sigma^j)|
+            = sum over e | top of phi(top/e) * |Fix(sigma^e)|.
+
+    The divisors are walked depth first over the primes of top, each
+    power raised from a smaller divisor's power by one prime, so one
+    brute-force count per divisor replaces one per power.  The estimate
+    counts the compositions (rule^k, then one prime power per divisor
+    past the first) plus one count per divisor, b^n word steps each; it
+    is refused above BURNSIDE_MAX_STEPS.  At e = top every word must be
+    fixed, else M is not a period and ValueError is raised.  A caller
+    that already knows w passes it as `order`.
     """
     n_words = rule.b ** rule.n
     if n_words > max_vertices:
@@ -91,19 +121,37 @@ def count_burnside_direct(rule: AffineRule, k: int,
     omega = order_of_x(lam) if order is None else order
     ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
     m = lcm(k, ell, omega)
-    # the power loop, plus at most 2 log2(k) compositions to form rule^k
-    steps = (m // k + 2 * k.bit_length()) * n_words
+    top = m // k
+    # largest primes first: their raises are the dearest and run least often
+    primes = sorted(factorize(top), reverse=True)
+    compositions, n_divisors = _power_cost(k), 1
+    for p, a in primes:
+        compositions += n_divisors * a * _power_cost(p)
+        n_divisors *= a + 1
+    steps = (compositions + n_divisors) * n_words
     if steps > BURNSIDE_MAX_STEPS:
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
             f"over budget {BURNSIDE_MAX_STEPS}")
-    # each fixed-point count matches fix_count_bruteforce(rule, i)
-    step = _perm_power(word_permutation(rule), k)
-    power = list(range(n_words))
-    total = n_words  # i = 0
-    for _ in range(m // k - 1):
-        power = [step[v] for v in power]
-        total += sum(map(eq, power, range(n_words)))
+
+    def walk(i: int, power: list[int], e: int) -> int:
+        # sum of phi(top/d) * |Fix(sigma^d)| over d = e * (divisors of the
+        # part of top made of primes[i:]); power is sigma^e
+        if i == len(primes):
+            fixed = _fixed_points(power)
+            if e == top and fixed != n_words:
+                raise ValueError(f"M={m} is not a period of the rule: "
+                                 f"rule^{m} fixes {fixed} of {n_words} words")
+            return euler_phi(top // e) * fixed
+        p, a = primes[i]
+        total = walk(i + 1, power, e)
+        for _ in range(a):
+            power, e = _perm_power(power, p), e * p
+            total += walk(i + 1, power, e)
+        return total
+
+    # each fixed-point count matches fix_count_bruteforce(rule, k * e)
+    total = walk(0, _perm_power(word_permutation(rule), k), 1)
     value = Fraction(k * total, m)
     if value.denominator != 1:
         raise NonIntegerResult(f"Burnside average {value} is not an integer")

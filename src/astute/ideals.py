@@ -24,6 +24,11 @@ from .algebra import ModPoly, is_unit, poly_rem
 from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
 from .snf import smith_normal_form
 
+# order_of_x steps X^w mod lam one poly_rem at a time.  Above this many
+# steps (about 4.5 s at 16-19 us a step) it refuses instead of scanning
+# up to b^deg(lam) of them.
+ORDER_MAX_STEPS = 1 << 18
+
 
 def _span_quotient_size(rows: list[list[int]], width: int, b: int) -> int:
     """|(Z/b)^width / span(rows)| via elementary divisors of the row lattice."""
@@ -145,9 +150,10 @@ def _require_affine_valid(lam: ModPoly):
 def order_of_x(lam: ModPoly) -> int:
     """Least w >= 1 with X^w === 1 (mod lam).
 
-    Needs both the constant and leading coefficients of lam invertible;
-    the iteration is capped at b^deg(lam), past which a failure would
-    mean the premise is broken.
+    Needs both the constant and leading coefficients of lam invertible.
+    The scan makes one poly_rem step per w and refuses with
+    BudgetExceeded past ORDER_MAX_STEPS steps; it is also capped at
+    b^deg(lam), past which a failure would mean the premise is broken.
     """
     _require_affine_valid(lam)
     b = lam.modulus
@@ -159,6 +165,9 @@ def order_of_x(lam: ModPoly) -> int:
     cap = b ** lam.degree
     w = 1
     while r != one:
+        if w >= ORDER_MAX_STEPS:
+            raise BudgetExceeded(f"order of X exceeds {ORDER_MAX_STEPS}, "
+                                 f"the step budget of its scan")
         r = poly_rem(r.shift(1), lam)
         w += 1
         if w > cap:

@@ -82,6 +82,31 @@ def factor_count_by_permutations(p) -> int:
     return count
 
 
+def rule_orbit_count(lambdas, c: int, b: int, k: int) -> int:
+    """Cycles of the factor an affine rule generates on G(n, k): orbits of
+    its permutation of the vertices (word, phase), walked one by one.  The
+    rule appends x with lambdas[0]*a_0 + ... + lambdas[n-1]*a_(n-1) +
+    lambdas[n]*x = c (mod b), solved by trying every symbol x."""
+    n = len(lambdas) - 1
+
+    def step(vertex):
+        word, phase = vertex
+        partial = sum(l * a for l, a in zip(lambdas, word))
+        x, = [x for x in range(b) if (partial + lambdas[n] * x - c) % b == 0]
+        return word[1:] + (x,), (phase + 1) % k
+
+    seen = set()
+    orbits = 0
+    for vertex in ((w, i) for w in all_words(n, b) for i in range(k)):
+        if vertex in seen:
+            continue
+        orbits += 1
+        while vertex not in seen:
+            seen.add(vertex)
+            vertex = step(vertex)
+    return orbits
+
+
 def acyclic_without(b: int, n: int, k: int, removed) -> bool:
     """Whether G(n, k) minus the vertices with the given packed codes has
     no cycle, by Kahn's algorithm.  Vertices are (word, phase) with arcs

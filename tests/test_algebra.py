@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from astute.algebra import (ModPoly, euler_phi, is_prime, mod_inverse,
+from astute.algebra import (ModPoly, euler_phi, factorize, is_prime, mod_inverse,
                             poly_divmod, poly_gcd_field, poly_rem, u_poly,
                             x_pow_minus_one)
 from astute.errors import CompositeModulus, LeadingNotInvertible, NotInvertible
@@ -33,6 +33,22 @@ def test_euler_phi():
         assert euler_phi(p) == p - 1
     for m in range(1, 61):
         assert euler_phi(m) == sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+
+
+def test_factorize():
+    assert factorize(1) == []
+    assert factorize(2 ** 22 - 1) == [(3, 1), (23, 1), (89, 1), (683, 1)]
+    for m in range(1, 500):
+        pairs = factorize(m)
+        assert [p for p, _ in pairs] == [
+            p for p in range(2, m + 1)
+            if m % p == 0 and all(p % q for q in range(2, p))]
+        product = 1
+        for p, a in pairs:
+            product *= p ** a
+        assert product == m
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_modpoly_normalization():

@@ -4,6 +4,8 @@ from contextlib import contextmanager
 
 import pytest
 
+import astute.counting
+import astute.ideals
 from astute.cli import main
 from astute.graph import factor_from_doc, validate_factor
 
@@ -104,6 +106,11 @@ def test_count_pinned_affine_rule_finishes(capsys):
         ["enumeration", "2"], ["burnside_direct", "2"], ["theorem2", "2"]]
 
 
+# x^31 + x^3 + 1 over Z/2, a primitive trinomial: the order of x is 2^31 - 1
+X31_RULE = "affine:1;" + ",".join(
+    "1" if i in (0, 28, 31) else "0" for i in range(32))
+
+
 @contextmanager
 def within(seconds):
     """Fail the test instead of hanging the suite if the block overruns."""
@@ -119,9 +126,20 @@ def within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_count_burnside_budget_refusal(capsys):
+# b=2 rules whose Burnside period M is large: (rule, n, M, count)
+LONG_PERIOD_RULES = [
+    ("affine:0;1,0,0,0,0,1,0,0,0,0,0,0,0,0,1", 14, 5461, "4"),
+    ("affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1", 16, 16383, "6"),
+]
+
+# under the estimate of both rules above (524288 and 2883584 steps)
+LOW_BURNSIDE_BUDGET = 1 << 18
+
+
+def test_count_burnside_budget_refusal(capsys, monkeypatch):
     # M = 16383 powers of 65536 words: Burnside must refuse before its
-    # power loop instead of running for minutes
+    # power loop instead of running over its budget
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", LOW_BURNSIDE_BUDGET)
     with within(10):
         code, out, err = run(capsys, "count", "--rule",
                              "affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1",
@@ -133,22 +151,39 @@ def test_count_burnside_budget_refusal(capsys):
 def test_count_burnside_word_budget_before_order(capsys):
     # x^31 + x^3 + 1 is primitive, so the order of x is 2^31 - 1: the word
     # budget must refuse before anything scans for that order
-    lams = [0] * 32
-    lams[0] = lams[28] = lams[31] = 1
-    rule = "affine:1;" + ",".join(map(str, lams))
     with within(10):
-        code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
+        code, out, err = run(capsys, "count", "--rule", X31_RULE, "--b", "2",
                              "--n", "31", "--method", "burnside")
     assert code == 3 and out == ""
     assert "2147483648 words exceeds budget" in err
 
 
-@pytest.mark.parametrize("rule, n, m, value", [
-    ("affine:0;1,0,0,0,0,1,0,0,0,0,0,0,0,0,1", 14, 5461, "4"),
-    ("affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1", 16, 16383, "6"),
-])
-def test_count_all_skips_burnside_over_budget(capsys, rule, n, m, value):
+def test_count_theorem2_order_scan_budget(capsys):
+    # Theorem 2 has no word budget, so the order scan's own step budget
+    # must refuse x^31 + x^3 + 1 instead of scanning 2^31 - 1 steps
+    with within(15):
+        code, out, err = run(capsys, "count", "--rule", X31_RULE, "--b", "2",
+                             "--n", "31", "--method", "theorem2")
+    assert code == 3 and out == ""
+    assert "order of X exceeds 262144" in err
+
+
+def test_count_burnside_order_scan_budget(capsys, monkeypatch):
+    # the b=2 n=20 primitive trinomial passes the word budget; its order
+    # 2^20 - 1 is over the (lowered) scan budget, so Burnside refuses
+    monkeypatch.setattr(astute.ideals, "ORDER_MAX_STEPS", 1000)
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule",
+                             "affine:0;1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,1",
+                             "--b", "2", "--n", "20", "--method", "burnside")
+    assert code == 3 and out == ""
+    assert "order of X exceeds 1000" in err
+
+
+@pytest.mark.parametrize("rule, n, m, value", LONG_PERIOD_RULES)
+def test_count_all_skips_burnside_over_budget(capsys, monkeypatch, rule, n, m, value):
     # Burnside refuses, enumeration and Theorem 2 still agree
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", LOW_BURNSIDE_BUDGET)
     with within(10):
         code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
                              "--n", str(n), "--method", "all")
@@ -157,6 +192,18 @@ def test_count_all_skips_burnside_over_budget(capsys, rule, n, m, value):
         ["enumeration", value], ["theorem2", value]]
     assert err.startswith("skipped burnside_direct: Burnside needs about")
     assert f"M={m}," in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rule, n, m, value", LONG_PERIOD_RULES)
+def test_count_all_long_period_rules_answer(capsys, rule, n, m, value):
+    # one fixed-point count per divisor of M brings Burnside under budget
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
+                             "--n", str(n), "--method", "all")
+    assert code == 0 and err == ""
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["enumeration", value], ["burnside_direct", value], ["theorem2", value]]
+    assert f"M={m} " in out
 
 
 def test_count_closed_unavailable_for_custom(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import astute.cli
@@ -5,7 +7,7 @@ import astute.counting
 import astute.ideals
 from astute.algebra import u_poly, x_pow_minus_one
 from astute.cli import main
-from astute.counting import (CountReport, base_divisor, closed_form_for,
+from astute.counting import (CountReport, _divisors, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
                              count_theorem2, count_theorem2_rule)
@@ -163,12 +165,52 @@ def test_burnside_steps_by_rule_power():
 
 
 def test_burnside_step_budget(monkeypatch):
-    rule = pcr(3, 2)  # M = 3, 8 words: (3 + 2) * 8 = 40 steps at k = 1
-    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 40)
+    # pcr(3, 2) at k = 1: M = 3 and 8 words; cubing takes 2 compositions
+    # and the divisors 1, 3 one count each, so (2 + 2) * 8 = 32 steps
+    rule = pcr(3, 2)
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 32)
     assert count_burnside_direct(rule, 1).value == 4
-    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 39)
-    with pytest.raises(BudgetExceeded, match="about 40 steps"):
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 31)
+    with pytest.raises(BudgetExceeded, match="about 32 steps"):
         count_burnside_direct(rule, 1)
+
+
+def test_burnside_period_check():
+    # pcr(3, 2) has order 3, so M = 2 is no period: rule^2 moves words
+    with pytest.raises(ValueError, match="M=2 is not a period"):
+        count_burnside_direct(pcr(3, 2), 1, order=2)
+
+
+def test_burnside_estimate_covers_work(monkeypatch):
+    # the refusal's estimate bounds the compositions and fixed-point
+    # counts the walk then makes, b^n word steps each
+    made = []
+    compose, fixed = astute.counting._compose, astute.counting._fixed_points
+    monkeypatch.setattr(astute.counting, "_compose",
+                        lambda p, q: made.append(len(q)) or compose(p, q))
+    monkeypatch.setattr(astute.counting, "_fixed_points",
+                        lambda perm: made.append(len(perm)) or fixed(perm))
+    for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
+                                       (icr(6, 2), 1)]:
+        monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 0)
+        with pytest.raises(BudgetExceeded) as refusal:
+            count_burnside_direct(rule, k)
+        estimate = int(str(refusal.value).split()[3])
+        monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 1 << 25)
+        made.clear()
+        count_burnside_direct(rule, k)
+        assert made and sum(made) <= estimate, (rule.spec(), rule.b, k)
+
+
+def test_divisors_match_naive_list():
+    for m in range(1, 2001):
+        assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
+
+
+def test_divisors_of_large_order_are_fast():
+    start = time.perf_counter()
+    assert len(_divisors(2 ** 22 - 1)) == 16  # 3 * 23 * 89 * 683
+    assert time.perf_counter() - start < 0.1
 
 
 def test_order_of_x_once_per_route(monkeypatch):

@@ -2,14 +2,19 @@
 
 import functools
 import random
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from astute.counting import count_burnside_direct
 from astute.extremal import feedback_vertex_set, random_factor
 from astute.graph import GraphParams, count_cycles
+from astute.rules import AffineRule
+
+from oracles import rule_orbit_count
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,3 +30,18 @@ def test_random_factor_cycles_within_feedback_vertex_set(b, n, k, seed):
     assume(p.num_vertices <= 512)
     factor = random_factor(p, random.Random(seed))
     assert count_cycles(factor.succ) <= fvs_size(p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([4, 6, 8, 9, 12]), n=st.integers(1, 3),
+       k=st.integers(1, 6), data=st.data())
+def test_burnside_matches_orbit_oracle(b, n, k, data):
+    assume(b ** n <= 729)
+    units = [u for u in range(1, b) if gcd(u, b) == 1]
+    lambdas = ([data.draw(st.sampled_from(units))]
+               + data.draw(st.lists(st.integers(0, b - 1), min_size=n - 1,
+                                    max_size=n - 1))
+               + [data.draw(st.sampled_from(units))])
+    c = data.draw(st.integers(0, b - 1))
+    rule = AffineRule(tuple(lambdas), c, b)
+    assert count_burnside_direct(rule, k).value == rule_orbit_count(lambdas, c, b, k)
