@@ -165,13 +165,21 @@ def cmd_factor(args) -> int:
 def cmd_count(args) -> int:
     rule = parse_rule_spec(args.rule, args.n, args.b)
     wanted = args.method
+    routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
-    if wanted in ("all", "enum"):
+    if "enum" in routes:
         reports.append(counting.count_enumeration(rule, args.k))
     # shared by Burnside and Theorem 2; computed only after the enumeration's
     # vertex budget has passed, which also covers Burnside's word budget
-    order = order_of_x(rule.char_poly()) if wanted == "all" else None
-    if wanted in ("all", "burnside"):
+    order = None
+    if wanted == "all":
+        try:
+            order = order_of_x(rule.char_poly())
+        except BudgetExceeded as e:
+            # the rows that did run are still printed and checked
+            print(f"skipped burnside_direct, theorem2: {e}", file=sys.stderr)
+            routes -= {"burnside", "theorem2"}
+    if "burnside" in routes:
         try:
             reports.append(counting.count_burnside_direct(rule, args.k, order=order))
         except BudgetExceeded as e:
@@ -179,9 +187,9 @@ def cmd_count(args) -> int:
                 raise
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
-    if wanted in ("all", "theorem2"):
+    if "theorem2" in routes:
         reports.append(counting.count_theorem2_rule(rule, args.k, order=order))
-    if wanted in ("all", "closed"):
+    if "closed" in routes:
         closed = counting.closed_form_for(rule, args.k)
         if closed is not None:
             reports.append(closed)
@@ -281,16 +289,18 @@ def _suite_lemmas() -> list[dict]:
     # GCD identities for the repunit / X^m - 1 families
     ok_u = ok_x = ok_mixed = True
     for b in (2, 3, 5):
+        # built once per b; index 0 is unused
+        us = [None] + [u_poly(i, b) for i in range(1, 13)]
+        xs = [None] + [x_pow_minus_one(i, b) for i in range(1, 13)]
         for n in range(1, 13):
             for m in range(1, 13):
                 g = gcd(n, m)
-                if poly_gcd_field(u_poly(n, b), u_poly(m, b)) != u_poly(g, b).monic():
+                if poly_gcd_field(us[n], us[m]) != us[g].monic():
                     ok_u = False
-                lhs = poly_gcd_field(x_pow_minus_one(n, b), x_pow_minus_one(m, b))
-                if lhs != x_pow_minus_one(g, b).monic():
+                if poly_gcd_field(xs[n], xs[m]) != xs[g].monic():
                     ok_x = False
-                mixed = poly_gcd_field(u_poly(n, b), x_pow_minus_one(m, b))
-                want = (x_pow_minus_one(g, b) if (n // g) % b == 0 else u_poly(g, b))
+                mixed = poly_gcd_field(us[n], xs[m])
+                want = xs[g] if (n // g) % b == 0 else us[g]
                 if mixed != want.monic():
                     ok_mixed = False
     checks.append(_check("gcd-repunit", ok_u, "n,m<=12 b in 2,3,5"))
@@ -298,12 +308,8 @@ def _suite_lemmas() -> list[dict]:
     checks.append(_check("gcd-mixed", ok_mixed, "both branches"))
 
     # transform scales by a root of unity under rotation
-    ok_rot = True
-    for b in (2, 3, 4):
-        for n in range(1, 9):
-            for word in product(range(b), repeat=n):
-                if not spectral.rotation_identity_check(word, n):
-                    ok_rot = False
+    ok_rot = all(spectral.rotation_identity_holds(b, n)
+                 for b in (2, 3, 4) for n in range(1, 9))
     checks.append(_check("rotation-scaling", ok_rot, "all words b<=4 n<=8"))
 
     # transforms along any rule cycle sum to zero (n >= 2: the identity

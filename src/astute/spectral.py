@@ -5,6 +5,13 @@ C(a_0..a_{n-1}) = sum a_i mu^i with mu = exp(2*pi*i/n).  Realness and
 equality of transforms are decided exactly over the integers (reduction
 mod the n-th cyclotomic polynomial); only the sign of a provably
 nonzero imaginary part is read off in floating point.
+
+rotation_identity_holds checks C(rot s) = mu^(-1) C(s) on all b^n words
+at once.  It tabulates the partial sums of the first n - 1 symbols by
+packed value, digit by digit, and adds the last term: the same products
+summed in the same order as transform, so every value is bit-identical
+to transform(word) and each verdict is the per-word one.  As elsewhere,
+the floats are only compared against a tolerance.
 """
 
 from __future__ import annotations
@@ -131,6 +138,22 @@ def rotation_identity_check(word, n: int | None = None, tol: float = REAL_TOL) -
     lhs = transform(rotate_left(word), n)
     rhs = root_of_unity(n, -1) * transform(word, n)
     return abs(lhs - rhs) < tol
+
+
+def rotation_identity_holds(b: int, n: int, tol: float = REAL_TOL) -> bool:
+    """rotation_identity_check on every word of length n over b symbols,
+    read from a packed prefix table (see the module docstring)."""
+    roots = _roots(n)
+    prefix = [0j]
+    for r in roots[:-1]:
+        terms = [a * r for a in range(b)]
+        prefix = [t + x for t in prefix for x in terms]
+    last = [a * roots[-1] for a in range(b)]
+    mu_inv = root_of_unity(n, -1)
+    head = b ** (n - 1)
+    return all(abs(prefix[v % head] + last[v // head]
+                   - mu_inv * (prefix[v // b] + last[v % b])) < tol
+               for v in range(b ** n))
 
 
 def cycle_sum_check(cycle: Cycle, tol_per_vertex: float = 1e-6) -> bool:

@@ -180,6 +180,35 @@ def test_count_burnside_order_scan_budget(capsys, monkeypatch):
     assert "order of X exceeds 1000" in err
 
 
+def test_count_all_keeps_enumeration_when_order_scan_refuses(capsys, monkeypatch):
+    # oracles.rule_orbit_count gives 2 for this rule (in about 10 s, too
+    # slow to repeat here): c = 0 fixes the zero word and the primitive
+    # trinomial cycles the other 2^20 - 1 words
+    monkeypatch.setattr(astute.ideals, "ORDER_MAX_STEPS", 1000)
+    with within(10):
+        code, out, err = run(capsys, "count", "--rule",
+                             "affine:0;1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,1",
+                             "--b", "2", "--n", "20", "--method", "all")
+    assert code == 3
+    assert [line.split() for line in out.splitlines()] == [["enumeration", "2"]]
+    assert err.splitlines() == [
+        "skipped burnside_direct, theorem2: order of X exceeds 1000, "
+        "the step budget of its scan",
+        "fewer than two counting methods ran"]
+
+
+def test_count_all_order_refusal_keeps_closed_form(capsys, monkeypatch):
+    # the scan refuses, enumeration and the closed form still cross-check
+    monkeypatch.setattr(astute.ideals, "ORDER_MAX_STEPS", 1)
+    code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2",
+                         "--n", "6", "--method", "all")
+    assert code == 0
+    rows = [line.split()[:2] for line in out.splitlines()]
+    assert [r[0] for r in rows] == ["enumeration", "closed_form"]
+    assert rows[0][1] == rows[1][1] == "14"
+    assert err.startswith("skipped burnside_direct, theorem2: order of X exceeds 1,")
+
+
 @pytest.mark.parametrize("rule, n, m, value", LONG_PERIOD_RULES)
 def test_count_all_skips_burnside_over_budget(capsys, monkeypatch, rule, n, m, value):
     # Burnside refuses, enumeration and Theorem 2 still agree

@@ -1,7 +1,8 @@
 """Golden CLI output: stdout digests and exit codes pinned before the
-packed-orbit refactor, so `factor`, `count`, `export` and `extremal`
-stay byte-identical.  Regenerate a digest only for a documented change
-of output."""
+packed-orbit refactor (the `verify` ones before the batched
+rotation-scaling sweep), so `factor`, `count`, `export`, `extremal` and
+`verify` stay byte-identical.  Regenerate a digest only for a documented
+change of output."""
 
 import hashlib
 
@@ -37,6 +38,8 @@ GOLDEN = [
     ("count --rule affine:2;2,3,4 --b 9 --n 2 --k 3 --method all", 0, "1a177c46323ae1c97ddfbb05eee8ca305f4fafc3daaed03fe74e35de466e328b"),
     ("export --b 2 --n 3 --k 2 --rule icr", 0, "e9af894ad22af89389421fa3fee5db72b14fdb70faabd8d4bc34ca4ff185115d"),
     ("extremal --b 2 --n 3 --k 2", 0, "04b8ffbdb98c77c0e5ca78a5204790cd060ee5c18b70c70713f3edee5b008c9a"),
+    ("verify --suite lemmas", 0, "cfa6696529ab4da16b891a29c86bcc07a658964d8a2480d299da8894716ee848"),
+    ("verify --suite all", 0, "92e69a452e2174d6f0e4ae2597a23a72b05f1e78f6d03eb604aa23edc40c4a6f"),
 ]
 
 

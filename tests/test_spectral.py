@@ -11,8 +11,8 @@ from astute.spectral import (covering_check, cycle_sum_check, cyclotomic,
                              distinguished_vertex, evaluates_to_zero_exact,
                              is_real_exact, orbit_transform_table,
                              pcr_distinguished_codes, rotate_right,
-                             rotation_identity_check, transform,
-                             transforms_equal_exact)
+                             rotation_identity_check, rotation_identity_holds,
+                             transform, transforms_equal_exact)
 
 from oracles import all_words, transform_reference
 
@@ -85,6 +85,17 @@ def test_rotation_identity():
                 continue
             for w in all_words(n, b):
                 assert rotation_identity_check(w)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-15, 4e-16, 0.0])
+def test_rotation_identity_holds_matches_per_word_check(tol):
+    # the table's floats are bit-identical to transform's, so the batch
+    # verdict equals the per-word one even where the identity fails at tol
+    shapes = ([(b, n) for b in (2, 3, 4) for n in range(1, 9)]
+              + [(6, n) for n in range(1, 5)])
+    for b, n in shapes:
+        want = all(rotation_identity_check(w, n, tol) for w in all_words(n, b))
+        assert rotation_identity_holds(b, n, tol) == want, (b, n)
 
 
 def test_cycle_sum_vanishes_on_rule_factors():
