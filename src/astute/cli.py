@@ -181,14 +181,14 @@ def cmd_count(args) -> int:
             routes -= {"burnside", "theorem2"}
     if "burnside" in routes:
         try:
-            reports.append(counting.count_burnside_direct(rule, args.k, order=order))
+            reports.append(counting.count_burnside_direct(rule, args.k, omega=order))
         except BudgetExceeded as e:
             if wanted != "all":
                 raise
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
     if "theorem2" in routes:
-        reports.append(counting.count_theorem2_rule(rule, args.k, order=order))
+        reports.append(counting.count_theorem2_rule(rule, args.k, omega=order))
     if "closed" in routes:
         closed = counting.closed_form_for(rule, args.k)
         if closed is not None:
@@ -345,7 +345,7 @@ def _suite_lemmas() -> list[dict]:
             for rule in rules:
                 lam = rule.char_poly()
                 omega = order_of_x(lam)
-                ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
+                ell = smallest_cycle_length(lam, rule.c, 1)
                 for i in range(1, 25):
                     want = (ideal_quotient_size(lam, gcd(i, omega))
                             if i % ell == 0 else 0)

@@ -93,12 +93,13 @@ def _power_cost(e: int) -> int:
 
 def count_burnside_direct(rule: AffineRule, k: int,
                           max_vertices: int = DEFAULT_MAX_VERTICES,
-                          order: int | None = None) -> CountReport:
+                          omega: int | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
 
     The average runs over one period M = lcm(k, l, w) of
     i -> [k | i] * |Fix(rule^i)|, with l the rule's smallest word-cycle
-    length and w the order of X modulo its polynomial.  With
+    length and w = `omega`, any multiple of the order of X modulo its
+    polynomial (the order itself by default).  With
     sigma = rule^k and top = M/k, sigma^top is the identity, so
     Fix(sigma^j) = Fix(sigma^gcd(j, top)) and
 
@@ -111,15 +112,15 @@ def count_burnside_direct(rule: AffineRule, k: int,
     counts the compositions (rule^k, then one prime power per divisor
     past the first) plus one count per divisor, b^n word steps each; it
     is refused above BURNSIDE_MAX_STEPS.  At e = top every word must be
-    fixed, else M is not a period and ValueError is raised.  A caller
-    that already knows w passes it as `order`.
+    fixed, else M is not a period and ValueError is raised.
     """
     n_words = rule.b ** rule.n
     if n_words > max_vertices:
         raise BudgetExceeded(f"{n_words} words exceeds budget {max_vertices}")
     lam = rule.char_poly()
-    omega = order_of_x(lam) if order is None else order
-    ell = smallest_cycle_length(lam, rule.c, 1, order=omega)
+    if omega is None:
+        omega = order_of_x(lam)
+    ell = smallest_cycle_length(lam, rule.c, 1)
     m = lcm(k, ell, omega)
     top = m // k
     # largest primes first: their raises are the dearest and run least often
@@ -161,23 +162,22 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
 def count_theorem2(lam: ModPoly, c: int, k: int,
                    omega: int | None = None,
-                   rule_spec: str = "",
-                   order: int | None = None) -> CountReport:
+                   rule_spec: str = "") -> CountReport:
     """The general affine-rule count:
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
 
-    with w any multiple of the order of X mod lam, s the least multiple
-    of k with c*U_s in (lam, X^s - 1), g = gcd(s, w), and Q(d) the size
-    of Z/bZ[X] / (lam, X^d - 1).  A caller that already knows the order
-    of X mod lam passes it as `order`.
+    with w = `omega` any multiple of the order of X mod lam (the order
+    itself by default), s the least multiple of k with c*U_s in
+    (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
+    Z/bZ[X] / (lam, X^d - 1).  A given w is checked by Q(w) = b^deg(lam),
+    which holds exactly when X^w === 1; the sum reuses that size.
     """
-    base_order = order_of_x(lam) if order is None else order
     if omega is None:
-        omega = base_order
-    elif omega % base_order:
-        raise ValueError(f"omega={omega} is not a multiple of the order {base_order}")
-    s = smallest_cycle_length(lam, c, k, order=base_order)
+        omega = order_of_x(lam)
+    s = smallest_cycle_length(lam, c, k)
+    if ideal_quotient_size(lam, omega) != lam.modulus ** lam.degree:
+        raise ValueError(f"omega={omega} is not a multiple of the order of X")
     g = gcd(s, omega)
     terms = []
     total = Fraction(0)
@@ -197,10 +197,10 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
                        witnesses={"omega": omega, "s": s, "terms": terms})
 
 
-def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None,
-                        order: int | None = None) -> CountReport:
+def count_theorem2_rule(rule: AffineRule, k: int,
+                        omega: int | None = None) -> CountReport:
     return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
-                          rule_spec=rule.spec(), order=order)
+                          rule_spec=rule.spec())
 
 
 def closed_form_pcr(n: int, k: int, b: int) -> CountReport:

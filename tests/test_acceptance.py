@@ -9,6 +9,7 @@ import time
 from math import gcd
 
 from astute.algebra import u_poly, x_pow_minus_one, poly_gcd_field
+from astute.cli import THEOREM1_INSTANCES as EXTREMALITY_INSTANCES
 from astute.counting import (closed_form_for, count_burnside_direct,
                              count_enumeration, count_theorem2,
                              count_theorem2_rule)
@@ -20,11 +21,6 @@ from astute.spectral import (covering_check, cycle_sum_check, is_real_exact,
                              rotation_identity_check, transforms_equal_exact)
 
 from oracles import all_words, lattice_rules
-
-EXTREMALITY_INSTANCES = (
-    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
-                              (3, 3), (1, 2), (1, 3), (2, 4), (4, 2)]]
-    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (2, 2)]])
 
 
 def _report(num, name):

@@ -90,17 +90,9 @@ def test_count_single_methods(capsys):
 def test_count_pinned_affine_rule_finishes(capsys):
     # omega = 124 for this rule, so a route that builds d x d lattices
     # stalls here; the alarm turns a stall into a failure, not a hang
-    def stop(signum, frame):
-        raise TimeoutError("count did not finish within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with within(10):
         code, out, _ = run(capsys, "count", "--rule", "affine:4;4,3,1,3", "--b", "5",
                            "--n", "3", "--method", "all")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     assert [line.split()[:2] for line in out.splitlines()] == [
         ["enumeration", "2"], ["burnside_direct", "2"], ["theorem2", "2"]]

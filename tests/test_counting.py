@@ -178,7 +178,7 @@ def test_burnside_step_budget(monkeypatch):
 def test_burnside_period_check():
     # pcr(3, 2) has order 3, so M = 2 is no period: rule^2 moves words
     with pytest.raises(ValueError, match="M=2 is not a period"):
-        count_burnside_direct(pcr(3, 2), 1, order=2)
+        count_burnside_direct(pcr(3, 2), 1, omega=2)
 
 
 def test_burnside_estimate_covers_work(monkeypatch):
@@ -223,15 +223,16 @@ def test_order_of_x_once_per_route(monkeypatch):
     monkeypatch.setattr(astute.counting, "order_of_x", counted)
     monkeypatch.setattr(astute.ideals, "order_of_x", counted)
     monkeypatch.setattr(astute.cli, "order_of_x", counted)
-    rule = icr(4, 2)  # c != 0, so smallest_cycle_length needs the order
+    rule = icr(4, 2)  # c != 0, so the cycle-length scan runs too
     for route in (count_theorem2_rule, count_burnside_direct):
         calls.clear()
         route(rule, 2)
         assert len(calls) == 1, route.__name__
-    # a known order is taken as given, by both routes and by the CLI
+    # a given omega is not checked by a second scan, by both routes
+    # and by the CLI
     calls.clear()
     for route in (count_theorem2_rule, count_burnside_direct):
-        route(rule, 2, order=order_of_x(rule.char_poly()))
+        route(rule, 2, omega=order_of_x(rule.char_poly()))
     assert calls == []
     assert main(["count", "--rule", "icr", "--b", "2", "--n", "4", "--k", "2",
                  "--method", "all"]) == 0

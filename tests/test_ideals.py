@@ -1,13 +1,27 @@
 import random
+from math import lcm
 
 import pytest
 
+import astute.counting
+import astute.ideals
 from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
+from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
-from astute.ideals import (ideal_quotient_size, membership_cUs, order_of_x,
-                           smallest_cycle_length)
+from astute.ideals import (_companion, _in_image, _power_and_sum,
+                           ideal_quotient_size, order_of_x, smallest_cycle_length)
+from astute.rules import parse_rule_spec
 
 from oracles import ideal_quotient_size_oracle, membership_oracle
+
+
+def membership_cUs(lam, c, s):
+    """Is c*(1 + X + ... + X^(s-1)) in (lam, X^s - 1)?  The membership
+    test smallest_cycle_length makes, for any unit-leading lam."""
+    comp = _companion(lam)
+    b = lam.modulus
+    power, total = _power_and_sum(comp, s, b)
+    return _in_image(power, [c * x % b for x in total], b)
 
 
 def test_quotient_size_examples():
@@ -147,3 +161,36 @@ def test_membership_true_exactly_on_multiples():
         for s in range(1, 25):
             assert membership_cUs(lam, c, s) == (s % ell == 0), (lam, c, s, ell)
         checked += 1
+
+
+def refuse_order_scan(lam):
+    raise AssertionError("order_of_x called")
+
+
+def test_smallest_cycle_length_needs_no_order(monkeypatch):
+    monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
+    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1) == 4
+    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2) == 2
+
+
+def test_cycle_length_guard_is_tight():
+    # a full cycle over the b words of n = 1: s = lcm(k, b), which for k
+    # coprime to b is k * b^deg(lam), the guard's cap itself
+    for spec, b in (("affine:1;1,1", 2), ("affine:1;1,2", 3)):
+        rule = parse_rule_spec(spec, 1, b)
+        for k in (1, 2, 3):
+            s = smallest_cycle_length(rule.char_poly(), rule.c, k)
+            assert s == lcm(k, b), (spec, k)
+            if k % b:
+                assert s == k * b, (spec, k)
+
+
+def test_theorem2_with_omega_scans_no_order(monkeypatch):
+    lam = u_poly(4, 2)  # order 4
+    want = count_theorem2(lam, 1, 2).value
+    monkeypatch.setattr(astute.counting, "order_of_x", refuse_order_scan)
+    monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
+    assert count_theorem2(lam, 1, 2, omega=4).value == want
+    assert count_theorem2(lam, 1, 2, omega=12).value == want
+    with pytest.raises(ValueError, match="omega=6 is not a multiple"):
+        count_theorem2(lam, 1, 2, omega=6)

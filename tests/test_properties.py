@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from astute.counting import count_burnside_direct
+from astute.counting import count_burnside_direct, count_theorem2_rule
 from astute.extremal import feedback_vertex_set, random_factor
 from astute.graph import GraphParams, count_cycles
 from astute.rules import AffineRule
@@ -32,16 +32,36 @@ def test_random_factor_cycles_within_feedback_vertex_set(b, n, k, seed):
     assert count_cycles(factor.succ) <= fvs_size(p)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(b=st.sampled_from([4, 6, 8, 9, 12]), n=st.integers(1, 3),
-       k=st.integers(1, 6), data=st.data())
-def test_burnside_matches_orbit_oracle(b, n, k, data):
-    assume(b ** n <= 729)
+def draw_unit_leading_rule(data, b, n):
+    """An affine rule over Z/b whose first and last coefficients are units."""
     units = [u for u in range(1, b) if gcd(u, b) == 1]
     lambdas = ([data.draw(st.sampled_from(units))]
                + data.draw(st.lists(st.integers(0, b - 1), min_size=n - 1,
                                     max_size=n - 1))
                + [data.draw(st.sampled_from(units))])
-    c = data.draw(st.integers(0, b - 1))
-    rule = AffineRule(tuple(lambdas), c, b)
-    assert count_burnside_direct(rule, k).value == rule_orbit_count(lambdas, c, b, k)
+    return AffineRule(tuple(lambdas), data.draw(st.integers(0, b - 1)), b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([4, 6, 8, 9, 12]), n=st.integers(1, 3),
+       k=st.integers(1, 6), data=st.data())
+def test_burnside_matches_orbit_oracle(b, n, k, data):
+    assume(b ** n <= 729)
+    rule = draw_unit_leading_rule(data, b, n)
+    assert count_burnside_direct(rule, k).value == \
+        rule_orbit_count(rule.lambdas, rule.c, b, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([4, 6, 8, 9, 12]), n=st.integers(1, 3),
+       k=st.integers(1, 6), data=st.data())
+def test_theorem2_matches_orbit_oracle(b, n, k, data):
+    # w may be any multiple of the order of X, so 2w and 3w give the same count
+    assume(b ** n <= 729)
+    rule = draw_unit_leading_rule(data, b, n)
+    want = rule_orbit_count(rule.lambdas, rule.c, b, k)
+    report = count_theorem2_rule(rule, k)
+    assert report.value == want
+    for m in (2, 3):
+        omega = m * report.witnesses["omega"]
+        assert count_theorem2_rule(rule, k, omega=omega).value == want
