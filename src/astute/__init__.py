@@ -14,19 +14,17 @@ from .counting import (CountReport, base_divisor, closed_form_icr,
                        closed_form_pcr, closed_form_xor, count_burnside_direct,
                        count_enumeration, count_theorem2, count_theorem2_rule)
 from .errors import (AstuteError, BudgetExceeded, CompositeModulus,
-                     Inconclusive, InvalidFactor, LeadingNotInvertible,
-                     NonIntegerResult, NotInvertible, NotPcrOrbit,
-                     PreconditionViolated)
+                     Inconclusive, LeadingNotInvertible, NonIntegerResult,
+                     NotInvertible, NotPcrOrbit, PreconditionViolated)
 from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
-                       exhaustive_factors, random_factor, search_extremal,
-                       verify_theorem1)
+                       search_extremal, verify_theorem1)
 from .graph import (Cycle, Factor, GraphParams, Vertex, factor_from_doc,
                     factor_to_doc, successor_codes, to_dot, validate_factor)
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                     parse_rule_spec, pcr, successor_array, xor_rule)
 from .snf import smith_normal_form
-from .spectral import (covering_check, cycle_sum_check, distinguished_vertex,
-                       is_real_exact, rotation_identity_check, transform)
+from .spectral import (covering_check, cycle_sum_check, distinguished_code,
+                       is_real_exact, rotation_identity_holds, transform)
 
 __version__ = "0.1.0"

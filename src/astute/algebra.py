@@ -102,14 +102,6 @@ class ModPoly:
     def zero(cls, b: int) -> "ModPoly":
         return cls((), b)
 
-    @classmethod
-    def one(cls, b: int) -> "ModPoly":
-        return cls.from_coeffs([1], b)
-
-    @classmethod
-    def x_power(cls, j: int, b: int) -> "ModPoly":
-        return cls.from_coeffs([0] * j + [1], b)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -128,27 +120,9 @@ class ModPoly:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def coeff(self, j: int) -> int:
-        return self.coeffs[j] if j < len(self.coeffs) else 0
-
     def _check(self, other: "ModPoly"):
         if self.modulus != other.modulus:
             raise ValueError("mixed moduli")
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPoly.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(n)], self.modulus)
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPoly.from_coeffs(
-            [self.coeff(i) - other.coeff(i) for i in range(n)], self.modulus)
-
-    def __neg__(self) -> "ModPoly":
-        return ModPoly.from_coeffs([-c for c in self.coeffs], self.modulus)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -164,12 +138,6 @@ class ModPoly:
         return ModPoly.from_coeffs(out, self.modulus)
 
     __rmul__ = __mul__
-
-    def shift(self, j: int) -> "ModPoly":
-        """Multiply by X^j."""
-        if self.is_zero:
-            return self
-        return ModPoly((0,) * j + self.coeffs, self.modulus)
 
     def monic(self) -> "ModPoly":
         if self.is_zero:

@@ -14,7 +14,9 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from itertools import product
+from math import gcd
 
 from . import counting, spectral
 from .algebra import u_poly, x_pow_minus_one, poly_gcd_field
@@ -22,19 +24,15 @@ from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
                      PreconditionViolated)
 from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import GraphParams, factor_to_doc, to_dot, word_str
-from .ideals import order_of_x
-from .rules import enumerate_factor, parse_rule_spec, pcr, icr, xor_rule
+from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from .rules import (enumerate_factor, fix_count_bruteforce, parse_rule_spec,
+                    pcr, icr, xor_rule)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREE = 4
 EXIT_VERIFY = 5
-
-THEOREM1_INSTANCES = (
-    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
-                              (3, 3), (1, 2), (1, 3), (2, 4), (4, 2)]]
-    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (2, 2)]])
 
 
 def main(argv=None) -> int:
@@ -245,7 +243,151 @@ def cmd_export(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: one row per check, shared with the tests
+#
+# Each row returns the dict the report prints.  The rows check verify's
+# scope; the cycle-sum and fix-count rows take a wider instance set from
+# the tests, and then carry no detail, since it names verify's scope.
+
+# pcr, icr and, at b = 2, xor for b = 2, 3 and n <= 4
+LEMMA_RULES = tuple(rule for b in (2, 3) for n in range(1, 5)
+                    for rule in [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else []))
+
+
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    out = {"name": name, "pass": bool(ok)}
+    if detail:
+        out["detail"] = detail
+    return out
+
+
+def _gcd_cases():
+    """(b, n, m, gcd(n, m), us, xs) for n, m <= 12 over b = 2, 3, 5, with
+    us[i] = 1 + X + ... + X^(i-1) and xs[i] = X^i - 1 (index 0 unused)."""
+    for b in (2, 3, 5):
+        us = [None] + [u_poly(i, b) for i in range(1, 13)]
+        xs = [None] + [x_pow_minus_one(i, b) for i in range(1, 13)]
+        for n in range(1, 13):
+            for m in range(1, 13):
+                yield b, n, m, gcd(n, m), us, xs
+
+
+def check_gcd_repunit() -> dict:
+    """gcd(U_n, U_m) = U_gcd(n, m) over each prime b."""
+    ok = all(poly_gcd_field(us[n], us[m]) == us[g].monic()
+             for b, n, m, g, us, xs in _gcd_cases())
+    return _check("gcd-repunit", ok, "n,m<=12 b in 2,3,5")
+
+
+def check_gcd_xn_minus_one() -> dict:
+    """gcd(X^n - 1, X^m - 1) = X^gcd(n, m) - 1 over each prime b."""
+    ok = all(poly_gcd_field(xs[n], xs[m]) == xs[g].monic()
+             for b, n, m, g, us, xs in _gcd_cases())
+    return _check("gcd-xn-minus-one", ok, "n,m<=12 b in 2,3,5")
+
+
+def check_gcd_mixed() -> dict:
+    """gcd(U_n, X^m - 1) is X^g - 1 when b divides n/g and U_g otherwise,
+    g = gcd(n, m), over each prime b."""
+    ok = all(poly_gcd_field(us[n], xs[m])
+             == (xs[g] if (n // g) % b == 0 else us[g]).monic()
+             for b, n, m, g, us, xs in _gcd_cases())
+    return _check("gcd-mixed", ok, "both branches")
+
+
+def check_rotation_scaling() -> dict:
+    """The transform scales by a root of unity under rotation, on every
+    word of b <= 4, n <= 8."""
+    ok = all(spectral.rotation_identity_holds(b, n)
+             for b in (2, 3, 4) for n in range(1, 9))
+    return _check("rotation-scaling", ok, "all words b<=4 n<=8")
+
+
+def check_cycle_sum_zero(rules=None) -> dict:
+    """Transforms along every cycle of each rule's factor, k in 1, 2, 3, 6,
+    sum to zero; rules default to LEMMA_RULES with n >= 2 (the identity
+    rests on the vanishing power sum of a root of unity of order n)."""
+    ok = True
+    for rule in rules or [r for r in LEMMA_RULES if r.n >= 2]:
+        for k in (1, 2, 3, 6):
+            f = enumerate_factor(rule, k)
+            ok &= all(spectral.cycle_sum_check(c) for c in f.cycles)
+    return _check("cycle-sum-zero", ok,
+                  "" if rules else "rule factors b<=3 2<=n<=4 k in 1,2,3,6")
+
+
+def check_arc_difference_real() -> dict:
+    """On every arc s -> t of b <= 3, n <= 6, C(s) - C(rot^-1(t)) is
+    exactly real, and exactly zero iff s = rot^-1(t)."""
+    ok = True
+    for b in (2, 3):
+        for n in range(1, 7):
+            for s in product(range(b), repeat=n):
+                for x in range(b):
+                    r_inv_t = spectral.rotate_right(s[1:] + (x,))
+                    diff = [a - c for a, c in zip(s, r_inv_t)]
+                    ok &= spectral.is_real_exact(diff, n) and (
+                        spectral.evaluates_to_zero_exact(diff, n) == (s == r_inv_t))
+    return _check("arc-difference-real", ok, "all arcs b<=3 n<=6")
+
+
+def check_fix_count_ideal(rules=None, exponents=None) -> dict:
+    """Brute-force fixed counts of rule^i match the ideal-quotient
+    prediction: |Z/b[X] / (lam, X^gcd(i, w) - 1)| when the smallest
+    word-cycle length divides i, else 0.  Rules default to LEMMA_RULES
+    and exponents to 1..24."""
+    ok = True
+    for rule in rules or LEMMA_RULES:
+        lam = rule.char_poly()
+        omega = order_of_x(lam)
+        ell = smallest_cycle_length(lam, rule.c, 1)
+        for i in exponents or range(1, 25):
+            want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
+            ok &= fix_count_bruteforce(rule, i) == want
+    return _check("fix-count-ideal", ok,
+                  "" if rules or exponents else "b<=3 n<=4 i<=24")
+
+
+def check_theorem1(b: int, n: int, k: int,
+                   budget: SearchBudget | None = None) -> dict:
+    """The search optimum on G(n, k) equals the rotation-rule closed form;
+    an incomplete search raises Inconclusive."""
+    report = verify_theorem1(GraphParams(b, n, k), budget)
+    return _check(f"pcr-extremal b={b} n={n} k={k}", report.ok,
+                  f"search={report.search_count} formula={report.formula_count}")
+
+
+def check_counterexample(budget: SearchBudget | None = None) -> dict:
+    """On b=2 G(3, 2) the rotation rule makes 4 cycles and the optimum is
+    6; an incomplete search raises Inconclusive."""
+    pcr_count = len(enumerate_factor(pcr(3, 2), 2).cycles)
+    result = search_extremal(GraphParams(2, 3, 2), budget)
+    if not result.optimal:
+        raise Inconclusive(
+            f"search hit its budget after {result.nodes_explored} nodes")
+    ok = pcr_count == 4 and result.best_count == 6
+    return _check("counterexample-g32", ok,
+                  f"rotation-rule={pcr_count} extremal={result.best_count}")
+
+
+THEOREM1_INSTANCES = (
+    [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
+                              (3, 3), (1, 2), (1, 3), (2, 4), (4, 2)]]
+    + [(3, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (2, 2)]])
+
+
+def check_table(instances=THEOREM1_INSTANCES,
+                budget: SearchBudget | None = None) -> list[tuple]:
+    """Every verify row in report order, as (suite, call returning the
+    row's dict) pairs: the lemmas, one Theorem 1 row per instance, then
+    the counterexample; the search rows use budget."""
+    return [*(("lemmas", row) for row in (
+                check_gcd_repunit, check_gcd_xn_minus_one, check_gcd_mixed,
+                check_rotation_scaling, check_cycle_sum_zero,
+                check_arc_difference_real, check_fix_count_ideal)),
+            *(("theorem1", partial(check_theorem1, b, n, k, budget))
+              for b, n, k in instances),
+            ("counterexample", partial(check_counterexample, budget))]
 
 
 def cmd_verify(args) -> int:
@@ -256,13 +398,14 @@ def cmd_verify(args) -> int:
         raise ValueError("--csv needs an explicit --b/--n/--k instance")
     if all(given) and not args.csv and args.suite in ("lemmas", "counterexample"):
         raise ValueError(f"--suite {args.suite} takes no --b/--n/--k instance")
-    checks: list[dict] = []
-    if args.suite in ("lemmas", "all"):
-        checks += _suite_lemmas()
-    if args.suite in ("theorem1", "all"):
-        checks += _suite_theorem1(args)
-    if args.suite in ("counterexample", "all"):
-        checks += _suite_counterexample(args)
+    instances = THEOREM1_INSTANCES
+    # explicit flags narrow the sweep; with --csv they describe the dump instead
+    if args.b is not None and not args.csv:
+        instances = [(args.b, args.n, args.k)]
+    # only the search rows read the budget, so only they refuse a bad one
+    budget = None if args.suite == "lemmas" else _search_budget(args)
+    checks = [run() for suite, run in check_table(instances, budget)
+              if args.suite in (suite, "all")]
     if args.csv:
         _write_transform_csv(args.csv, GraphParams(args.b, args.n, args.k))
     ok = all(c["pass"] for c in checks)
@@ -273,122 +416,6 @@ def cmd_verify(args) -> int:
         print("failed checks: " + ", ".join(failed), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    out = {"name": name, "pass": bool(ok)}
-    if detail:
-        out["detail"] = detail
-    return out
-
-
-def _suite_lemmas() -> list[dict]:
-    from math import gcd
-
-    checks = []
-    # GCD identities for the repunit / X^m - 1 families
-    ok_u = ok_x = ok_mixed = True
-    for b in (2, 3, 5):
-        # built once per b; index 0 is unused
-        us = [None] + [u_poly(i, b) for i in range(1, 13)]
-        xs = [None] + [x_pow_minus_one(i, b) for i in range(1, 13)]
-        for n in range(1, 13):
-            for m in range(1, 13):
-                g = gcd(n, m)
-                if poly_gcd_field(us[n], us[m]) != us[g].monic():
-                    ok_u = False
-                if poly_gcd_field(xs[n], xs[m]) != xs[g].monic():
-                    ok_x = False
-                mixed = poly_gcd_field(us[n], xs[m])
-                want = xs[g] if (n // g) % b == 0 else us[g]
-                if mixed != want.monic():
-                    ok_mixed = False
-    checks.append(_check("gcd-repunit", ok_u, "n,m<=12 b in 2,3,5"))
-    checks.append(_check("gcd-xn-minus-one", ok_x, "n,m<=12 b in 2,3,5"))
-    checks.append(_check("gcd-mixed", ok_mixed, "both branches"))
-
-    # transform scales by a root of unity under rotation
-    ok_rot = all(spectral.rotation_identity_holds(b, n)
-                 for b in (2, 3, 4) for n in range(1, 9))
-    checks.append(_check("rotation-scaling", ok_rot, "all words b<=4 n<=8"))
-
-    # transforms along any rule cycle sum to zero (n >= 2: the identity
-    # rests on the vanishing power sum of a root of unity of order n)
-    ok_sum = True
-    for b in (2, 3):
-        for n in range(2, 5):
-            rules = [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else [])
-            for rule in rules:
-                for k in (1, 2, 3, 6):
-                    f = enumerate_factor(rule, k)
-                    if not all(spectral.cycle_sum_check(c) for c in f.cycles):
-                        ok_sum = False
-    checks.append(_check("cycle-sum-zero", ok_sum, "rule factors b<=3 2<=n<=4 k in 1,2,3,6"))
-
-    # arc gap: C(s) - C(rot^-1(t)) real, zero iff s = rot^-1(t)
-    ok_arc = True
-    for b in (2, 3):
-        for n in range(1, 7):
-            for word in product(range(b), repeat=n):
-                for x in range(b):
-                    t = word[1:] + (x,)
-                    ok_arc &= _arc_gap_ok(word, t, n)
-    checks.append(_check("arc-difference-real", ok_arc, "all arcs b<=3 n<=6"))
-
-    # brute-force fixed counts match the ideal-quotient prediction
-    from .ideals import ideal_quotient_size, smallest_cycle_length
-    from .rules import fix_count_bruteforce
-    ok_fix = True
-    for b in (2, 3):
-        for n in range(1, 5):
-            rules = [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else [])
-            for rule in rules:
-                lam = rule.char_poly()
-                omega = order_of_x(lam)
-                ell = smallest_cycle_length(lam, rule.c, 1)
-                for i in range(1, 25):
-                    want = (ideal_quotient_size(lam, gcd(i, omega))
-                            if i % ell == 0 else 0)
-                    if fix_count_bruteforce(rule, i) != want:
-                        ok_fix = False
-    checks.append(_check("fix-count-ideal", ok_fix, "b<=3 n<=4 i<=24"))
-    return checks
-
-
-def _arc_gap_ok(s: tuple[int, ...], t: tuple[int, ...], n: int) -> bool:
-    r_inv_t = spectral.rotate_right(t)
-    diff = [a - c for a, c in zip(s, r_inv_t)]
-    if not spectral.is_real_exact(diff, n):
-        return False
-    is_zero = spectral.evaluates_to_zero_exact(diff, n)
-    return is_zero == (s == r_inv_t)
-
-
-def _suite_theorem1(args) -> list[dict]:
-    checks = []
-    instances = THEOREM1_INSTANCES
-    # explicit flags narrow the sweep; with --csv they describe the dump instead
-    if args.b is not None and not args.csv:
-        instances = [(args.b, args.n, args.k)]
-    budget = _search_budget(args)
-    for (b, n, k) in instances:
-        report = verify_theorem1(GraphParams(b, n, k), budget)
-        checks.append(_check(
-            f"pcr-extremal b={b} n={n} k={k}", report.ok,
-            f"search={report.search_count} formula={report.formula_count}"))
-    return checks
-
-
-def _suite_counterexample(args) -> list[dict]:
-    p = GraphParams(2, 3, 2)
-    pcr_count = len(enumerate_factor(pcr(3, 2), 2).cycles)
-    result = search_extremal(p, _search_budget(args))
-    if not result.optimal:
-        raise Inconclusive(
-            f"search hit its budget after {result.nodes_explored} nodes")
-    ok = pcr_count == 4 and result.best_count == 6
-    return [_check("counterexample-g32", ok,
-                   f"rotation-rule={pcr_count} extremal={result.best_count}")]
 
 
 def _write_transform_csv(path: str, p: GraphParams):

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import eq
 from typing import Optional
 
 from .algebra import ModPoly, euler_phi, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, count_cycles
+from . import rules
 from .rules import (AffineRule, DEFAULT_MAX_VERTICES, check_vertex_budget,
                     successor_array, word_permutation)
 
@@ -63,34 +63,6 @@ def count_enumeration(rule: AffineRule, k: int,
                        rule.spec(), rule.b, rule.n, k)
 
 
-def _compose(p: list[int], q: list[int]) -> list[int]:
-    """The permutation p after q: one pass over the words."""
-    return [p[v] for v in q]
-
-
-def _fixed_points(perm: list[int]) -> int:
-    """Brute-force count of the words perm leaves in place."""
-    return sum(map(eq, perm, range(len(perm))))
-
-
-def _perm_power(perm: list[int], e: int) -> list[int]:
-    """perm composed with itself e >= 1 times, by repeated squaring; it
-    makes _power_cost(e) compositions and may return perm itself."""
-    result = None
-    while True:
-        if e & 1:
-            result = perm if result is None else _compose(perm, result)
-        e >>= 1
-        if not e:
-            return result
-        perm = _compose(perm, perm)
-
-
-def _power_cost(e: int) -> int:
-    """Compositions _perm_power(perm, e) makes."""
-    return e.bit_length() + bin(e).count("1") - 2
-
-
 def count_burnside_direct(rule: AffineRule, k: int,
                           max_vertices: int = DEFAULT_MAX_VERTICES,
                           omega: int | None = None) -> CountReport:
@@ -125,9 +97,9 @@ def count_burnside_direct(rule: AffineRule, k: int,
     top = m // k
     # largest primes first: their raises are the dearest and run least often
     primes = sorted(factorize(top), reverse=True)
-    compositions, n_divisors = _power_cost(k), 1
+    compositions, n_divisors = rules.power_cost(k), 1
     for p, a in primes:
-        compositions += n_divisors * a * _power_cost(p)
+        compositions += n_divisors * a * rules.power_cost(p)
         n_divisors *= a + 1
     steps = (compositions + n_divisors) * n_words
     if steps > BURNSIDE_MAX_STEPS:
@@ -139,7 +111,7 @@ def count_burnside_direct(rule: AffineRule, k: int,
         # sum of phi(top/d) * |Fix(sigma^d)| over d = e * (divisors of the
         # part of top made of primes[i:]); power is sigma^e
         if i == len(primes):
-            fixed = _fixed_points(power)
+            fixed = rules.fixed_points(power)
             if e == top and fixed != n_words:
                 raise ValueError(f"M={m} is not a period of the rule: "
                                  f"rule^{m} fixes {fixed} of {n_words} words")
@@ -147,12 +119,12 @@ def count_burnside_direct(rule: AffineRule, k: int,
         p, a = primes[i]
         total = walk(i + 1, power, e)
         for _ in range(a):
-            power, e = _perm_power(power, p), e * p
+            power, e = rules.perm_power(power, p), e * p
             total += walk(i + 1, power, e)
         return total
 
     # each fixed-point count matches fix_count_bruteforce(rule, k * e)
-    total = walk(0, _perm_power(word_permutation(rule), k), 1)
+    total = walk(0, rules.perm_power(word_permutation(rule), k), 1)
     value = Fraction(k * total, m)
     if value.denominator != 1:
         raise NonIntegerResult(f"Burnside average {value} is not an integer")
@@ -203,15 +175,22 @@ def count_theorem2_rule(rule: AffineRule, k: int,
                           rule_spec=rule.spec())
 
 
+def _rotation_family(n: int, k: int, b: int, s: int) -> int:
+    """(k * g) / (s * n) * sum over g | d | n of phi(n/d) * b^d, g = gcd(s, n):
+    the general formula for a rule with polynomial X^n - 1 and smallest
+    factor-cycle length s."""
+    g = gcd(s, n)
+    total = sum(euler_phi(n // d) * b ** d for d in _divisors(n) if d % g == 0)
+    value = Fraction(k * g * total, s * n)
+    if value.denominator != 1:
+        raise NonIntegerResult(f"closed form gave {value}")
+    return int(value)
+
+
 def closed_form_pcr(n: int, k: int, b: int) -> CountReport:
     """Rotation-rule count: (g/n) * sum over g | d | n of phi(n/d) * b^d, g = gcd(n, k)."""
     _check_nkb(n, k, b)
-    g = gcd(n, k)
-    total = sum(euler_phi(n // d) * b ** d for d in _divisors(n) if d % g == 0)
-    value = Fraction(g * total, n)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"closed form gave {value}")
-    return CountReport(int(value), "closed_form", "pcr", b, n, k)
+    return CountReport(_rotation_family(n, k, b, k), "closed_form", "pcr", b, n, k)
 
 
 def base_divisor(n: int, b: int) -> int:
@@ -228,12 +207,7 @@ def closed_form_icr(n: int, k: int, b: int) -> CountReport:
     """Incremented-rotation count, with s = lcm(k, b * base_divisor(n, b))."""
     _check_nkb(n, k, b)
     s = lcm(k, b * base_divisor(n, b))
-    g = gcd(s, n)
-    total = sum(euler_phi(n // d) * b ** d for d in _divisors(n) if d % g == 0)
-    value = Fraction(k * g * total, s * n)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"closed form gave {value}")
-    return CountReport(int(value), "closed_form", "icr", b, n, k,
+    return CountReport(_rotation_family(n, k, b, s), "closed_form", "icr", b, n, k,
                        witnesses={"s": s})
 
 

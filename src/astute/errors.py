@@ -25,10 +25,6 @@ class NonIntegerResult(AstuteError):
     """An exact counting formula produced a non-integer; signals a bug."""
 
 
-class InvalidFactor(AstuteError):
-    """A factor built by construction failed validation; signals a bug."""
-
-
 class NotPcrOrbit(AstuteError):
     """A cycle claimed to be a rotation-rule orbit is not one."""
 

@@ -31,21 +31,17 @@ search ends at the root.
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .counting import closed_form_pcr
 from .errors import (AstuteError, BudgetExceeded, Inconclusive,
-                     InvalidFactor, PreconditionViolated)
-from .graph import (Factor, GraphParams, count_cycles, successor_codes,
-                    validate_factor)
+                     PreconditionViolated)
+from .graph import Factor, GraphParams, count_cycles, successor_codes
 from .rules import pcr, successor_array
-
-EXHAUSTIVE_MAX_VERTICES = 20
 
 
 @dataclass(frozen=True)
@@ -342,57 +338,3 @@ def verify_theorem1(p: GraphParams,
     return ExtremalityReport(result.best_count == formula, result.best_count,
                              formula, result.certificate, result.nodes_explored)
 
-
-def exhaustive_factors(p: GraphParams) -> Iterator[Factor]:
-    """Yield every factor of G(n, k), in deterministic order.
-
-    Only for tiny instances; every successor assignment that forms a
-    permutation is a factor.
-    """
-    n = p.num_vertices
-    if n > EXHAUSTIVE_MAX_VERTICES:
-        raise BudgetExceeded(
-            f"{n} vertices exceeds exhaustive budget {EXHAUSTIVE_MAX_VERTICES}")
-    succ_choices = [successor_codes(c, p) for c in range(n)]
-    succ = [-1] * n
-    pred_used = bytearray(n)
-
-    def descend(u: int) -> Iterator[Factor]:
-        if u == n:
-            yield Factor(p, succ)
-            return
-        for v in succ_choices[u]:
-            if pred_used[v]:
-                continue
-            pred_used[v] = 1
-            succ[u] = v
-            yield from descend(u + 1)
-            succ[u] = -1
-            pred_used[v] = 0
-
-    return descend(0)
-
-
-def random_factor(p: GraphParams, rng: random.Random) -> Factor:
-    """A uniformly random factor of G(n, k).
-
-    The successor bijection splits into independent blocks: the b
-    sources (y w, i) share the target set {(w x, i+1)}, so a factor is
-    exactly one permutation of the alphabet per (suffix w, phase i).
-    """
-    b, n, k = p.b, p.n, p.k
-    head = b ** (n - 1)
-    succ = [0] * p.num_vertices
-    for w in range(head):
-        for ph in range(k):
-            perm = list(range(b))
-            rng.shuffle(perm)
-            for y in range(b):
-                src = (y * head + w) * k + ph
-                dst = (w * b + perm[y]) * k + (ph + 1) % k
-                succ[src] = dst
-    f = Factor(p, succ)
-    check = validate_factor(f)
-    if not check:
-        raise InvalidFactor(f"random factor construction broke: {check.diagnostic}")
-    return f

@@ -142,7 +142,9 @@ def _label(code: int, p: GraphParams) -> str:
 
 def validate_factor(f: Factor) -> ValidationResult:
     """Check that succ is a permutation along arcs: each vertex has one
-    successor (-1 marks none) along an arc, and exactly one predecessor."""
+    successor (-1 marks none) along an arc, and exactly one predecessor.
+    Package code builds only valid factors; this is kept to check factors
+    read from outside."""
     p = f.params
     n = p.num_vertices
     if len(f.succ) != n:
@@ -213,7 +215,8 @@ def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = N
 
 
 def factor_from_doc(doc: dict) -> Factor:
-    """The factor a document describes; the one reader of outside input.
+    """The factor a document describes; the one reader of outside input,
+    kept for library users though no package code calls it.
 
     Refuses a malformed word or phase, a vertex listed twice and an empty
     cycle with ValueError.  Arcs and coverage are validate_factor's: a

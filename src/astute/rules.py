@@ -8,6 +8,7 @@ to be units mod b.  The rule acts on G(n, k) by advancing the phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 
 from .algebra import ModPoly, is_unit, mod_inverse
 from .errors import BudgetExceeded, NotInvertible
@@ -48,14 +49,6 @@ class AffineRule:
     def char_poly(self) -> ModPoly:
         """sum(lambdas[i] * X^(n-i)) over Z/bZ."""
         return ModPoly.from_coeffs(list(reversed(self.lambdas)), self.b)
-
-    def apply(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        """Shift left and append the unique symbol satisfying the relation."""
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} != n = {self.n}")
-        acc = sum(l * a for l, a in zip(self.lambdas, word))
-        a_n = (mod_inverse(self.lambdas[-1], self.b) * (self.c - acc)) % self.b
-        return word[1:] + (a_n,)
 
     def spec(self) -> str:
         """Mini-grammar form understood by parse_rule_spec."""
@@ -163,19 +156,43 @@ def enumerate_factor(rule: AffineRule, k: int,
     return Factor(p, successor_array(rule, k))
 
 
+def compose(p: list[int], q: list[int]) -> list[int]:
+    """The permutation p after q: one pass over the words."""
+    return [p[v] for v in q]
+
+
+def fixed_points(perm: list[int]) -> int:
+    """Brute-force count of the words perm leaves in place."""
+    return sum(map(eq, perm, range(len(perm))))
+
+
+def perm_power(perm: list[int], e: int) -> list[int]:
+    """perm composed with itself e >= 1 times, by repeated squaring; it
+    makes power_cost(e) compositions and may return perm itself."""
+    result = None
+    while True:
+        if e & 1:
+            result = perm if result is None else compose(perm, result)
+        e >>= 1
+        if not e:
+            return result
+        perm = compose(perm, perm)
+
+
+def power_cost(e: int) -> int:
+    """Compositions perm_power(perm, e) makes."""
+    return e.bit_length() + bin(e).count("1") - 2
+
+
 def fix_count_bruteforce(rule: AffineRule, i: int,
                          max_words: int = DEFAULT_MAX_VERTICES) -> int:
-    """|{words s : rule^i(s) = s}| by exhaustive iteration."""
+    """|{words s : rule^i(s) = s}|, counted on the i-th power of the word
+    permutation."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    b, n = rule.b, rule.n
-    total = b ** n
+    total = rule.b ** rule.n
     if total > max_words:
         raise BudgetExceeded(f"{total} words exceeds budget {max_words}")
     if i == 0:
         return total
-    perm = word_permutation(rule)
-    power = list(range(total))
-    for _ in range(i):
-        power = [perm[v] for v in power]
-    return sum(1 for v, w in enumerate(power) if v == w)
+    return fixed_points(perm_power(word_permutation(rule), i))

@@ -6,7 +6,6 @@ elementary divisors are computed; no transform matrices are tracked.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 
@@ -24,7 +23,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(r, c) nonnegative integers with the divisibility chain;
-    trailing zeros indicate rank deficiency.
+    trailing zeros indicate rank deficiency.  The chain needs no repair:
+    a pivot is kept only once it divides the whole trailing submatrix,
+    and every later entry is an integer combination of that submatrix's
+    entries, so every later pivot is its multiple.
     """
     a = _as_matrix(rows)
     nr, nc = len(a), len(a[0])
@@ -41,7 +43,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
         divisors.append(abs(a[t][t]))
         t += 1
     divisors += [0] * (n - len(divisors))
-    _fix_chain(divisors)
     return divisors
 
 
@@ -105,16 +106,3 @@ def _reduce_at(a, t) -> bool:
                 return False
     return True
 
-
-def _fix_chain(divisors: list[int]):
-    # enforce d_i | d_{i+1} by gcd/lcm sweeps (divisors already nonnegative)
-    n = len(divisors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            x, y = divisors[i], divisors[i + 1]
-            if y and (not x or y % x):
-                g = gcd(x, y)
-                divisors[i], divisors[i + 1] = g, x * y // g
-                changed = True

@@ -20,7 +20,7 @@ import cmath
 from functools import lru_cache
 
 from .errors import NotPcrOrbit, PreconditionViolated
-from .graph import Cycle, Factor, GraphParams, Vertex, unpack
+from .graph import Cycle, Factor, GraphParams
 from .rules import enumerate_factor, pcr
 
 REAL_TOL = 1e-9
@@ -117,11 +117,6 @@ def is_real_exact(word, n: int | None = None) -> bool:
     return evaluates_to_zero_exact(diff, n)
 
 
-def transforms_equal_exact(u, v, n: int) -> bool:
-    """Exactly decide C(u) = C(v) for integer vectors of length n."""
-    return evaluates_to_zero_exact([int(a) - int(b) for a, b in zip(u, v)], n)
-
-
 def rotate_left(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[1:] + word[:1]
 
@@ -130,19 +125,10 @@ def rotate_right(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[-1:] + word[:-1]
 
 
-def rotation_identity_check(word, n: int | None = None, tol: float = REAL_TOL) -> bool:
-    """Check C(rotate_left(word)) = mu^(-1) * C(word) numerically."""
-    word = tuple(map(int, word))
-    if n is None:
-        n = len(word)
-    lhs = transform(rotate_left(word), n)
-    rhs = root_of_unity(n, -1) * transform(word, n)
-    return abs(lhs - rhs) < tol
-
-
 def rotation_identity_holds(b: int, n: int, tol: float = REAL_TOL) -> bool:
-    """rotation_identity_check on every word of length n over b symbols,
-    read from a packed prefix table (see the module docstring)."""
+    """Whether |C(rotate_left(s)) - mu^(-1) * C(s)| < tol for every word s
+    of length n over b symbols, read from a packed prefix table (see the
+    module docstring)."""
     roots = _roots(n)
     prefix = [0j]
     for r in roots[:-1]:
@@ -165,8 +151,8 @@ def cycle_sum_check(cycle: Cycle, tol_per_vertex: float = 1e-6) -> bool:
     return abs(total) < tol_per_vertex * len(cycle)
 
 
-def distinguished_vertex(cycle: Cycle, p: GraphParams) -> Vertex:
-    """The distinguished vertex of a rotation-rule orbit.
+def distinguished_code(cycle: Cycle, p: GraphParams) -> int:
+    """The packed distinguished vertex of a rotation-rule orbit.
 
     All transforms exactly real: the minimal packed vertex (canonical
     stand-in for an arbitrary choice).  Otherwise: the vertex where the
@@ -175,10 +161,6 @@ def distinguished_vertex(cycle: Cycle, p: GraphParams) -> Vertex:
     once) the minimal packed one is taken so each orbit still yields
     exactly one vertex.
     """
-    return unpack(_distinguished_code(cycle, p), p)
-
-
-def _distinguished_code(cycle: Cycle, p: GraphParams) -> int:
     vs = cycle.vertices
     for i, v in enumerate(vs):
         w = vs[(i + 1) % len(vs)]
@@ -203,14 +185,16 @@ def _distinguished_code(cycle: Cycle, p: GraphParams) -> int:
 def pcr_distinguished_codes(p: GraphParams) -> set[int]:
     """Packed distinguished vertices, one per rotation-rule orbit of G(n, k)."""
     factor = enumerate_factor(pcr(p.n, p.b), p.k)
-    return {_distinguished_code(c, p) for c in factor.cycles}
+    return {distinguished_code(c, p) for c in factor.cycles}
 
 
 def covering_check(factor: Factor) -> bool:
     """Does every cycle of the factor contain a distinguished vertex?
 
     Only meaningful in the divisibility regime the extremality theorem
-    covers, so other shapes are rejected.
+    covers, so other shapes are rejected.  No package code calls it; it is
+    kept as the covering property's check until a certificate that G - D
+    is acyclic replaces it.
     """
     p = factor.params
     if p.n % p.k and p.k % p.n:
@@ -227,7 +211,7 @@ def orbit_transform_table(p: GraphParams) -> list[dict]:
     factor = enumerate_factor(pcr(p.n, p.b), p.k)
     rows = []
     for idx, cyc in enumerate(factor.cycles):
-        d = _distinguished_code(cyc, p)
+        d = distinguished_code(cyc, p)
         for c, v in zip(cyc.codes, cyc.vertices):
             t = transform(v.word, p.n)
             rows.append({

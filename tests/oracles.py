@@ -2,12 +2,20 @@
 
 Everything here deliberately avoids the package's computation paths:
 ideals are enumerated as additive closures, necklaces counted by
-canonical rotations, factor counts taken over raw permutations.
+canonical rotations, factor counts taken over raw permutations, rule
+steps solved by trying every symbol, factors built from the arc rule.
+From the package they take only data types (ModPoly, Factor), the
+BudgetExceeded error and, to list the rules under test, the rule
+constructors.
 """
 
 from itertools import permutations
 
 from astute.algebra import ModPoly
+from astute.errors import BudgetExceeded
+from astute.graph import Factor
+
+EXHAUSTIVE_MAX_VERTICES = 20
 
 
 def all_words(n: int, b: int):
@@ -82,18 +90,27 @@ def factor_count_by_permutations(p) -> int:
     return count
 
 
+def rule_step(lambdas, c: int, b: int, word) -> tuple:
+    """The word an affine rule maps word to: shift left and append the x
+    with lambdas[0]*a_0 + ... + lambdas[n-1]*a_(n-1) + lambdas[n]*x = c
+    (mod b), solved by trying every symbol x."""
+    n = len(lambdas) - 1
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != n = {n}")
+    partial = sum(l * a for l, a in zip(lambdas, word))
+    x, = [x for x in range(b) if (partial + lambdas[n] * x - c) % b == 0]
+    return tuple(word[1:]) + (x,)
+
+
 def rule_orbit_count(lambdas, c: int, b: int, k: int) -> int:
     """Cycles of the factor an affine rule generates on G(n, k): orbits of
-    its permutation of the vertices (word, phase), walked one by one.  The
-    rule appends x with lambdas[0]*a_0 + ... + lambdas[n-1]*a_(n-1) +
-    lambdas[n]*x = c (mod b), solved by trying every symbol x."""
+    its permutation of the vertices (word, phase), walked one by one with
+    rule_step."""
     n = len(lambdas) - 1
 
     def step(vertex):
         word, phase = vertex
-        partial = sum(l * a for l, a in zip(lambdas, word))
-        x, = [x for x in range(b) if (partial + lambdas[n] * x - c) % b == 0]
-        return word[1:] + (x,), (phase + 1) % k
+        return rule_step(lambdas, c, b, word), (phase + 1) % k
 
     seen = set()
     orbits = 0
@@ -107,18 +124,25 @@ def rule_orbit_count(lambdas, c: int, b: int, k: int) -> int:
     return orbits
 
 
+def _vertex_successors(b: int, n: int, k: int) -> list:
+    """For each vertex (word, phase) of G(n, k), in the order words
+    lexicographic, then phase, the indices in that order of its successors
+    (s, i) -> (s[1:] + (x,), i+1 mod k), by appended symbol x."""
+    vertices = [(w, i) for w in all_words(n, b) for i in range(k)]
+    index = {v: c for c, v in enumerate(vertices)}
+    return [[index[(w[1:] + (x,), (i + 1) % k)] for x in range(b)]
+            for w, i in vertices]
+
+
 def acyclic_without(b: int, n: int, k: int, removed) -> bool:
     """Whether G(n, k) minus the vertices with the given packed codes has
     no cycle, by Kahn's algorithm.  Vertices are (word, phase) with arcs
     (s, i) -> (s[1:] + (x,), i+1 mod k), straight from the definition;
     code c names the c-th vertex in the order words lexicographic, then
     phase, which is how the package packs them."""
-    vertices = [(w, i) for w in all_words(n, b) for i in range(k)]
-    index = {v: c for c, v in enumerate(vertices)}
+    out = _vertex_successors(b, n, k)
     gone = set(removed)
-    kept = [c for c in range(len(vertices)) if c not in gone]
-    out = {c: [index[(vertices[c][0][1:] + (x,), (vertices[c][1] + 1) % k)]
-               for x in range(b)] for c in kept}
+    kept = [c for c in range(len(out)) if c not in gone]
     in_deg = {c: 0 for c in kept}
     for c in kept:
         for d in out[c]:
@@ -135,6 +159,49 @@ def acyclic_without(b: int, n: int, k: int, removed) -> bool:
                 if in_deg[d] == 0:
                     ready.append(d)
     return seen == len(kept)
+
+
+def exhaustive_factors(p):
+    """Every factor of G(n, k), one per successor choice that is a
+    permutation, in lexicographic order of the choices; refused past
+    EXHAUSTIVE_MAX_VERTICES vertices."""
+    n = p.num_vertices
+    if n > EXHAUSTIVE_MAX_VERTICES:
+        raise BudgetExceeded(
+            f"{n} vertices exceeds exhaustive budget {EXHAUSTIVE_MAX_VERTICES}")
+    choices = _vertex_successors(p.b, p.n, p.k)
+    succ = [-1] * n
+    taken = [False] * n
+
+    def descend(u):
+        if u == n:
+            yield Factor(p, succ)
+            return
+        for v in choices[u]:
+            if not taken[v]:
+                taken[v] = True
+                succ[u] = v
+                yield from descend(u + 1)
+                taken[v] = False
+
+    return descend(0)
+
+
+def random_factor(p, rng):
+    """A uniformly random factor of G(n, k).  The b vertices (y w, i) share
+    the successors (w x, i+1), so a factor is one permutation of the
+    alphabet per (suffix w, phase i), drawn by rng.shuffle in that order."""
+    b, n, k = p.b, p.n, p.k
+    head = b ** (n - 1)
+    succ = [0] * p.num_vertices
+    for w in range(head):
+        for ph in range(k):
+            perm = list(range(b))
+            rng.shuffle(perm)
+            for y in range(b):
+                # packed code: word value * k + phase, first symbol most significant
+                succ[(y * head + w) * k + ph] = (w * b + perm[y]) * k + (ph + 1) % k
+    return Factor(p, succ)
 
 
 def debruijn_arcs_direct(n: int, b: int) -> set:

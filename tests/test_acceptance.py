@@ -1,26 +1,25 @@
 """Acceptance suite: one test per criterion, exact tolerances pinned.
 
-Each test prints one pass/fail line (visible with pytest -s); the
-assertions themselves are the gate.
+The lemma criteria run the rows of `cli`'s check table, the ones
+`verify` reports, at its scope or wider.  Each test prints one pass/fail
+line (visible with pytest -s); the assertions themselves are the gate.
 """
 
 import random
 import time
-from math import gcd
 
-from astute.algebra import u_poly, x_pow_minus_one, poly_gcd_field
+from astute import cli
 from astute.cli import THEOREM1_INSTANCES as EXTREMALITY_INSTANCES
 from astute.counting import (closed_form_for, count_burnside_direct,
                              count_enumeration, count_theorem2,
                              count_theorem2_rule)
-from astute.extremal import exhaustive_factors, random_factor, search_extremal
+from astute.extremal import search_extremal
 from astute.graph import GraphParams, validate_factor
-from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import enumerate_factor, fix_count_bruteforce, icr, pcr, xor_rule
-from astute.spectral import (covering_check, cycle_sum_check, is_real_exact,
-                             rotation_identity_check, transforms_equal_exact)
+from astute.ideals import order_of_x
+from astute.rules import icr, pcr, xor_rule
+from astute.spectral import covering_check
 
-from oracles import all_words, lattice_rules
+from oracles import exhaustive_factors, lattice_rules, random_factor
 
 
 def _report(num, name):
@@ -29,11 +28,10 @@ def _report(num, name):
 
 def test_c1_counterexample_reproduction():
     start = time.monotonic()
-    factor = enumerate_factor(pcr(3, 2), 2)
-    assert len(factor.cycles) == 4
+    assert cli.check_counterexample() == {
+        "name": "counterexample-g32", "pass": True,
+        "detail": "rotation-rule=4 extremal=6"}
     result = search_extremal(GraphParams(2, 3, 2))
-    assert result.optimal
-    assert result.best_count == 6
     assert len(result.certificate.cycles) == 6
     assert validate_factor(result.certificate).ok
     assert time.monotonic() - start < 1.0
@@ -41,11 +39,10 @@ def test_c1_counterexample_reproduction():
 
 
 def test_c2_rotation_rule_extremality_desk_scale():
-    from astute.extremal import verify_theorem1
     start = time.monotonic()
-    for b, n, k in EXTREMALITY_INSTANCES:
-        report = verify_theorem1(GraphParams(b, n, k))
-        assert report.ok, (b, n, k, report.search_count, report.formula_count)
+    rows = [run() for suite, run in cli.check_table() if suite == "theorem1"]
+    assert len(rows) == len(EXTREMALITY_INSTANCES)
+    assert all(row["pass"] for row in rows), rows
     assert time.monotonic() - start < 600
     _report(2, "rotation-rule-extremality")
 
@@ -65,61 +62,26 @@ def test_c3_four_way_count_agreement():
 
 
 def test_c4_fix_count_oracle():
-    for rule in lattice_rules():
-        lam = rule.char_poly()
-        ell = smallest_cycle_length(lam, rule.c, 1)
-        omega = order_of_x(lam)
-        for i in range(25):
-            predicted = (ideal_quotient_size(lam, gcd(i, omega))
-                         if i % ell == 0 else 0)
-            assert fix_count_bruteforce(rule, i) == predicted, (rule.spec(), i)
+    # every lattice rule, custom affine ones included, and i = 0 too
+    assert cli.check_fix_count_ideal(lattice_rules(), range(25))["pass"]
     _report(4, "fix-count-ideal-oracle")
 
 
 def test_c5_gcd_lemma_suite():
-    for b in (2, 3, 5):
-        for n in range(1, 13):
-            for m in range(1, 13):
-                g = gcd(n, m)
-                assert poly_gcd_field(u_poly(n, b), u_poly(m, b)) \
-                    == u_poly(g, b).monic()
-                assert poly_gcd_field(x_pow_minus_one(n, b), x_pow_minus_one(m, b)) \
-                    == x_pow_minus_one(g, b).monic()
-                mixed = poly_gcd_field(u_poly(n, b), x_pow_minus_one(m, b))
-                if (n // g) % b == 0:
-                    assert mixed == x_pow_minus_one(g, b).monic()
-                else:
-                    assert mixed == u_poly(g, b).monic()
+    rows = [cli.check_gcd_repunit, cli.check_gcd_xn_minus_one, cli.check_gcd_mixed]
+    assert all(row()["pass"] for row in rows)
     _report(5, "gcd-lemma-suite")
 
 
 def test_c6_spectral_lemma_suite():
-    # rotation scaling, 1e-9 per word
-    for b in (2, 3):
-        for n in range(1, 7):
-            for w in all_words(n, b):
-                assert rotation_identity_check(w, tol=1e-9)
-    # cycle sums, 1e-6 per vertex, over rule factors (n >= 2: the
-    # identity needs a root of unity of order > 1)
+    assert cli.check_rotation_scaling()["pass"]
+    assert cli.check_arc_difference_real()["pass"]
+    # cycle sums over the wider rule list (n >= 2: the identity needs a
+    # root of unity of order > 1)
     rules = [r for r in lattice_rules() if r.n >= 2]
     rules += [pcr(n, b) for b in (2, 3) for n in (5, 6)]
     rules += [icr(n, 2) for n in (5, 6)] + [xor_rule(6)]
-    for rule in rules:
-        if rule.n > 6 or rule.b > 3:
-            continue
-        for k in (1, 2, 3, 6):
-            for cyc in enumerate_factor(rule, k).cycles:
-                assert cycle_sum_check(cyc, tol_per_vertex=1e-6)
-    # arc gap: exactly real, zero iff target is the inverse rotation
-    for b in (2, 3):
-        for n in range(1, 7):
-            for s in all_words(n, b):
-                for x in range(b):
-                    t = s[1:] + (x,)
-                    r_inv_t = t[-1:] + t[:-1]
-                    diff = [p - q for p, q in zip(s, r_inv_t)]
-                    assert is_real_exact(diff, n)
-                    assert transforms_equal_exact(s, r_inv_t, n) == (s == r_inv_t)
+    assert cli.check_cycle_sum_zero(rules)["pass"]
     _report(6, "spectral-lemma-suite")
 
 

@@ -1,11 +1,14 @@
 import json
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 import astute.counting
 import astute.ideals
+from astute import cli, extremal, spectral
+from astute.algebra import ModPoly
 from astute.cli import main
 from astute.graph import factor_from_doc, validate_factor
 
@@ -350,6 +353,37 @@ def test_verify_csv(capsys, tmp_path):
     # with --csv the flags describe the dump, not a sweep restriction
     assert len(json.loads(out)["checks"]) == len(
         json.loads(run(capsys, "verify", "--suite", "theorem1")[1])["checks"])
+
+
+def _negated(fn):
+    return lambda *args, **kwargs: not fn(*args, **kwargs)
+
+
+# (rows, module, subject, a wrong version of the subject): each row of the
+# check table, with its subject wrong, must report pass: false
+WRONG_SUBJECTS = [
+    ("gcd-repunit gcd-xn-minus-one gcd-mixed", cli, "poly_gcd_field",
+     lambda f: lambda p, q: f(p, q) * ModPoly.from_coeffs([0, 1], p.modulus)),
+    ("rotation-scaling", spectral, "rotation_identity_holds", _negated),
+    ("cycle-sum-zero", spectral, "cycle_sum_check", _negated),
+    ("arc-difference-real", spectral, "evaluates_to_zero_exact", _negated),
+    ("fix-count-ideal", cli, "fix_count_bruteforce",
+     lambda f: lambda *args: f(*args) + 1),
+    ("pcr-extremal", extremal, "closed_form_pcr",
+     lambda f: lambda *args: replace(f(*args), value=f(*args).value + 1)),
+    ("counterexample-g32", cli, "search_extremal",
+     lambda f: lambda *args: replace(f(*args), best_count=f(*args).best_count + 1)),
+]
+
+
+@pytest.mark.parametrize("names,module,subject,wrong", WRONG_SUBJECTS,
+                         ids=[w[2] for w in WRONG_SUBJECTS])
+def test_no_check_row_passes_vacuously(monkeypatch, names, module, subject, wrong):
+    monkeypatch.setattr(module, subject, wrong(getattr(module, subject)))
+    rows = [run() for _, run in cli.check_table()]
+    hit = [row for row in rows if row["name"].split()[0] in names.split()]
+    assert {row["name"].split()[0] for row in hit} == set(names.split())
+    assert not any(row["pass"] for row in hit), hit
 
 
 def test_verify_csv_needs_instance(capsys):

@@ -5,6 +5,7 @@ import pytest
 import astute.cli
 import astute.counting
 import astute.ideals
+import astute.rules
 from astute.algebra import u_poly, x_pow_minus_one
 from astute.cli import main
 from astute.counting import (CountReport, _divisors, base_divisor, closed_form_for,
@@ -185,10 +186,10 @@ def test_burnside_estimate_covers_work(monkeypatch):
     # the refusal's estimate bounds the compositions and fixed-point
     # counts the walk then makes, b^n word steps each
     made = []
-    compose, fixed = astute.counting._compose, astute.counting._fixed_points
-    monkeypatch.setattr(astute.counting, "_compose",
+    compose, fixed = astute.rules.compose, astute.rules.fixed_points
+    monkeypatch.setattr(astute.rules, "compose",
                         lambda p, q: made.append(len(q)) or compose(p, q))
-    monkeypatch.setattr(astute.counting, "_fixed_points",
+    monkeypatch.setattr(astute.rules, "fixed_points",
                         lambda perm: made.append(len(perm)) or fixed(perm))
     for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
                                        (icr(6, 2), 1)]:

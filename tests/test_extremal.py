@@ -1,20 +1,18 @@
 import functools
-import os
 import random
-import subprocess
-import sys
 from math import factorial
 
 import pytest
 
 from astute.counting import closed_form_pcr
 from astute.errors import BudgetExceeded, Inconclusive, PreconditionViolated
-from astute.extremal import (EXHAUSTIVE_MAX_VERTICES, SearchBudget,
-                             cycle_capacity, exhaustive_factors,
-                             feedback_vertex_set, random_factor,
-                             search_extremal, verify_theorem1)
+from astute.extremal import (SearchBudget, cycle_capacity,
+                             feedback_vertex_set, search_extremal,
+                             verify_theorem1)
 from astute.graph import GraphParams, validate_factor
 from astute.rules import enumerate_factor, pcr
+
+from oracles import EXHAUSTIVE_MAX_VERTICES, exhaustive_factors, random_factor
 
 DIVISIBLE_INSTANCES = (
     [(2, n, k) for (n, k) in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 3),
@@ -186,23 +184,3 @@ def test_random_factor_valid_and_seeded():
     assert validate_factor(a).ok
     assert a == b
     assert a != c
-
-
-
-def test_random_factor_check_survives_optimize():
-    # the construction check must not be an assert: run under python -O
-    # with validation forced to fail, and expect InvalidFactor
-    code = (
-        "import random, astute.extremal as ex\n"
-        "from astute.errors import InvalidFactor\n"
-        "from astute.graph import GraphParams, ValidationResult\n"
-        "ex.validate_factor = lambda f: ValidationResult(False, 'forced')\n"
-        "try:\n"
-        "    ex.random_factor(GraphParams(2, 2, 1), random.Random(0))\n"
-        "except InvalidFactor as e:\n"
-        "    print('raised', e)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.startswith("raised") and "forced" in out

@@ -1,5 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module
-under src/astute imports must be used in that module."""
+under src/astute imports must be used in that module, and every public
+name the package defines must be read by package code (helpers only the
+tests call belong in the tests)."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,52 @@ def test_detects_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+# Public names that no module in src/astute references, each with the
+# reason it stays in the package.
+KEPT = {
+    "factor_from_doc": "reads a certificate back from outside",
+    "validate_factor": "checks a factor read from outside",
+    "covering_check": "the covering property's check until a decycling "
+                      "certificate replaces it",
+}
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Public functions, methods and classes (dunders excluded) defined in
+    `sources` (module name -> source) whose name no source reads, as
+    'module.Class.name' strings.  A read is a Name or an attribute access;
+    re-exports by import are not reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [qual for qual, name in defined
+            if not name.startswith("_") and name not in read and name not in KEPT]
+
+
+def test_detects_unreferenced_public_name():
+    sources = {"a": "def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+                    "class C:\n    def method(self):\n        pass\n\n"
+                    "    def __len__(self):\n        return 0\n\n\n"
+                    "def _private():\n    pass\n\n\n"
+                    "def factor_from_doc():\n    pass\n",
+               "b": "from .a import unused\n\nx = C()\n"}
+    assert unreferenced_public_names(sources) == ["a.unused", "a.C.method"]
+
+
+def test_no_test_only_public_api():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_public_names(sources) == []

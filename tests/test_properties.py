@@ -10,11 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from astute.counting import count_burnside_direct, count_theorem2_rule
-from astute.extremal import feedback_vertex_set, random_factor
+from astute.extremal import feedback_vertex_set
 from astute.graph import GraphParams, count_cycles
 from astute.rules import AffineRule
 
-from oracles import rule_orbit_count
+from oracles import random_factor, rule_orbit_count
 
 
 @functools.lru_cache(maxsize=None)

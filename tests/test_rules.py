@@ -11,33 +11,38 @@ from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
-from oracles import all_words
+from oracles import all_words, rule_step
+
+
+def apply(rule, word):
+    """The word rule maps word to, solved independently of the package."""
+    return rule_step(rule.lambdas, rule.c, rule.b, word)
 
 
 def test_pcr_is_rotation():
     r = pcr(6, 6)
-    assert word_str(r.apply((1, 2, 3, 3, 5, 1))) == "233511"
+    assert word_str(apply(r, (1, 2, 3, 3, 5, 1))) == "233511"
     r2 = pcr(4, 3)
     for w in all_words(4, 3):
-        assert r2.apply(w) == w[1:] + w[:1]
+        assert apply(r2, w) == w[1:] + w[:1]
 
 
 def test_icr_increments():
     r = icr(2, 2)
     table = {(0, 0): (0, 1), (0, 1): (1, 1), (1, 1): (1, 0), (1, 0): (0, 0)}
     for w, want in table.items():
-        assert r.apply(w) == want
+        assert apply(r, w) == want
     # general b: appended symbol is first symbol plus one
     r3 = icr(3, 5)
     for w in all_words(3, 5):
-        assert r3.apply(w) == w[1:] + ((w[0] + 1) % 5,)
+        assert apply(r3, w) == w[1:] + ((w[0] + 1) % 5,)
 
 
 def test_xor_includes_first_symbol():
     r = xor_rule(3)
-    assert r.apply((0, 0, 1)) == (0, 1, 1)
+    assert apply(r, (0, 0, 1)) == (0, 1, 1)
     for w in all_words(4, 2):
-        assert xor_rule(4).apply(w) == w[1:] + (sum(w) % 2,)
+        assert apply(xor_rule(4), w) == w[1:] + (sum(w) % 2,)
 
 
 def test_char_polys():
@@ -56,7 +61,7 @@ def test_rules_are_bijections():
     rules = [pcr(6, 2), icr(6, 2), xor_rule(6), pcr(4, 4), icr(4, 4),
              AffineRule((1, 2, 0, 1), 2, 3), AffineRule((3, 1, 3), 2, 4)]
     for r in rules:
-        image = {r.apply(w) for w in all_words(r.n, r.b)}
+        image = {apply(r, w) for w in all_words(r.n, r.b)}
         assert len(image) == r.b ** r.n
 
 
@@ -143,7 +148,7 @@ def test_word_permutation_agrees_with_apply():
     for rule in rules:
         perm = word_permutation(rule)
         for w in all_words(rule.n, rule.b):
-            assert perm[word_value(w, rule.b)] == word_value(rule.apply(w), rule.b)
+            assert perm[word_value(w, rule.b)] == word_value(apply(rule, w), rule.b)
 
 
 def test_parse_rule_spec():
