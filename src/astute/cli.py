@@ -23,10 +23,12 @@ from .algebra import u_poly, x_pow_minus_one, poly_gcd_field
 from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
                      PreconditionViolated)
 from .extremal import SearchBudget, search_extremal, verify_theorem1
-from .graph import GraphParams, factor_to_doc, to_dot, word_str
+from .graph import (GraphParams, check_renderable, factor_to_doc, to_dot,
+                    word_names, word_str)
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from .rules import (enumerate_factor, fix_count_bruteforce, parse_rule_spec,
-                    pcr, icr, xor_rule)
+from .rules import (DEFAULT_MAX_VERTICES, check_vertex_budget, enumerate_factor,
+                    fix_count_bruteforce, parse_rule_spec, pcr, icr,
+                    word_permutation, xor_rule)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,13 +146,14 @@ def _emit(text: str, out: str | None, newline: str | None = None):
 def cmd_factor(args) -> int:
     p = _params(args)
     rule = parse_rule_spec(args.rule, args.n, args.b)
+    check_renderable(p.b)
     factor = enumerate_factor(rule, args.k)
     if args.format == "text":
+        labels = [f"{name}@{ph}" for name in word_names(p) for ph in range(p.k)]
         lines = [f"factor of G(n={p.n}, k={p.k}) over b={p.b} by rule {rule.spec()}: "
                  f"{len(factor.cycles)} cycles"]
         for cyc in factor.cycles:
-            lines.append("  " + " -> ".join(
-                f"{word_str(v.word)}@{v.phase}" for v in cyc.vertices))
+            lines.append("  " + " -> ".join([labels[c] for c in cyc.codes]))
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "json":
         doc = factor_to_doc(factor, extra={"rule": rule.spec()})
@@ -165,8 +168,14 @@ def cmd_count(args) -> int:
     wanted = args.method
     routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
+    # one word permutation for enumeration and Burnside, built only after
+    # the vertex budget has passed; Burnside alone builds its own after
+    # its word budget
+    perm = None
     if "enum" in routes:
-        reports.append(counting.count_enumeration(rule, args.k))
+        check_vertex_budget(_params(args), DEFAULT_MAX_VERTICES)
+        perm = word_permutation(rule)
+        reports.append(counting.count_enumeration(rule, args.k, perm=perm))
     # shared by Burnside and Theorem 2; computed only after the enumeration's
     # vertex budget has passed, which also covers Burnside's word budget
     order = None
@@ -179,7 +188,8 @@ def cmd_count(args) -> int:
             routes -= {"burnside", "theorem2"}
     if "burnside" in routes:
         try:
-            reports.append(counting.count_burnside_direct(rule, args.k, omega=order))
+            reports.append(counting.count_burnside_direct(rule, args.k, omega=order,
+                                                          perm=perm))
         except BudgetExceeded as e:
             if wanted != "all":
                 raise
@@ -222,6 +232,7 @@ def _fmt_witness(v) -> str:
 def cmd_extremal(args) -> int:
     p = _params(args)
     budget = _search_budget(args)
+    check_renderable(p.b)
     result = search_extremal(p, budget)
     doc = factor_to_doc(result.certificate, optimal=result.optimal,
                         extra={"nodes": result.nodes_explored})
@@ -235,9 +246,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_export(args) -> int:
     p = _params(args)
-    factor = None
-    if args.rule:
-        factor = enumerate_factor(parse_rule_spec(args.rule, args.n, args.b), args.k)
+    rule = parse_rule_spec(args.rule, args.n, args.b) if args.rule else None
+    check_renderable(p.b)
+    factor = enumerate_factor(rule, args.k) if rule else None
     _emit(to_dot(p, factor, color=args.color), args.out)
     return EXIT_OK
 
@@ -398,6 +409,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--csv needs an explicit --b/--n/--k instance")
     if all(given) and not args.csv and args.suite in ("lemmas", "counterexample"):
         raise ValueError(f"--suite {args.suite} takes no --b/--n/--k instance")
+    if args.csv:
+        check_renderable(args.b)
     instances = THEOREM1_INSTANCES
     # explicit flags narrow the sweep; with --csv they describe the dump instead
     if args.b is not None and not args.csv:

@@ -20,7 +20,7 @@ from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, count_cycles
 from . import rules
 from .rules import (AffineRule, DEFAULT_MAX_VERTICES, check_vertex_budget,
-                    successor_array, word_permutation)
+                    successor_array)
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
@@ -56,16 +56,19 @@ def _divisors(m: int) -> list[int]:
 
 
 def count_enumeration(rule: AffineRule, k: int,
-                      max_vertices: int = DEFAULT_MAX_VERTICES) -> CountReport:
-    """Count orbits by walking the rule's successor permutation on G(n, k)."""
+                      max_vertices: int = DEFAULT_MAX_VERTICES,
+                      perm: list[int] | None = None) -> CountReport:
+    """Count orbits by walking the rule's successor permutation on G(n, k),
+    built from perm, the rule's word permutation (built here by default)."""
     check_vertex_budget(GraphParams(rule.b, rule.n, k), max_vertices)
-    return CountReport(count_cycles(successor_array(rule, k)), "enumeration",
+    return CountReport(count_cycles(successor_array(rule, k, perm)), "enumeration",
                        rule.spec(), rule.b, rule.n, k)
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
                           max_vertices: int = DEFAULT_MAX_VERTICES,
-                          omega: int | None = None) -> CountReport:
+                          omega: int | None = None,
+                          perm: list[int] | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
 
     The average runs over one period M = lcm(k, l, w) of
@@ -84,7 +87,8 @@ def count_burnside_direct(rule: AffineRule, k: int,
     counts the compositions (rule^k, then one prime power per divisor
     past the first) plus one count per divisor, b^n word steps each; it
     is refused above BURNSIDE_MAX_STEPS.  At e = top every word must be
-    fixed, else M is not a period and ValueError is raised.
+    fixed, else M is not a period and ValueError is raised.  perm is the
+    rule's word permutation (built here by default, after the word budget).
     """
     n_words = rule.b ** rule.n
     if n_words > max_vertices:
@@ -124,7 +128,9 @@ def count_burnside_direct(rule: AffineRule, k: int,
         return total
 
     # each fixed-point count matches fix_count_bruteforce(rule, k * e)
-    total = walk(0, rules.perm_power(word_permutation(rule), k), 1)
+    if perm is None:
+        perm = rules.word_permutation(rule)
+    total = walk(0, rules.perm_power(perm, k), 1)
     value = Fraction(k * total, m)
     if value.denominator != 1:
         raise NonIntegerResult(f"Burnside average {value} is not an integer")

@@ -10,14 +10,14 @@ Each vertex has a canonical packed code word_value * k + phase, where
 the word value places symbol 0 in the most significant base-b digit so
 the shift is plain arithmetic.  A factor is stored as one thing only:
 its packed successor permutation.  Cycles are walked from it on demand
-and decode to Vertex objects only for output and the spectral checks.
+and decode to Vertex objects only for the spectral checks; the text,
+JSON and DOT renderings read word names from one table (word_names).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import NamedTuple
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -113,9 +113,8 @@ class Factor:
         succ = self.succ
         visited = bytearray(len(succ))
         cycles = []
-        for start in range(len(succ)):
-            if visited[start]:
-                continue
+        start = visited.find(0)
+        while start != -1:
             codes = []
             c = start
             while not visited[c]:
@@ -123,6 +122,7 @@ class Factor:
                 codes.append(c)
                 c = succ[c]
             cycles.append(Cycle(tuple(codes), self.params))
+            start = visited.find(0, start)
         return tuple(cycles)
 
 
@@ -161,23 +161,53 @@ def validate_factor(f: Factor) -> ValidationResult:
     return ValidationResult(True)
 
 
-def _word_names(p: GraphParams) -> list[str]:
+def check_renderable(b: int):
+    """Refuse an alphabet too large to render words in."""
+    if b > len(_DIGITS):
+        raise ValueError("word rendering supports symbols < 36 only")
+
+
+def word_sums(columns: list) -> list:
+    """columns[0][a_0] + ... + columns[n-1][a_(n-1)] for every word
+    a_0..a_(n-1), indexed by its packed value (n >= 1; values may be
+    numbers or strings).
+
+    Each half of the positions is tabled a position at a time, each pass
+    extending every entry by every symbol; one last pass joins the
+    halves, so most of the b^n entries are made once.
+    """
+    def table(cols):
+        out = cols[0]
+        for col in cols[1:]:
+            out = [s + t for s in out for t in col]
+        return list(out)
+
+    half = (len(columns) + 1) // 2
+    head = table(columns[:half])
+    if half == len(columns):
+        return head
+    tail = table(columns[half:])
+    return [h + t for h in head for t in tail]
+
+
+def word_names(p: GraphParams) -> list[str]:
     """word_str of every word, indexed by its packed value."""
-    return [word_str(w) for w in product(range(p.b), repeat=p.n)]
+    check_renderable(p.b)
+    return word_sums([_DIGITS[:p.b]] * p.n)
 
 
 def count_cycles(succ_of) -> int:
     """Number of cycles of a packed successor permutation."""
     visited = bytearray(len(succ_of))
     count = 0
-    for start in range(len(succ_of)):
-        if visited[start]:
-            continue
+    start = visited.find(0)
+    while start != -1:
         count += 1
         c = start
         while not visited[c]:
             visited[c] = 1
             c = succ_of[c]
+        start = visited.find(0, start)
     return count
 
 
@@ -198,7 +228,7 @@ def parse_word(s: str, b: int) -> tuple[int, ...]:
 def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = None) -> dict:
     """JSON document for a factor (schema astute/1)."""
     p, k = f.params, f.params.k
-    names = _word_names(p)
+    names = word_names(p)
     doc = {
         "schema": "astute/1",
         "b": p.b,
@@ -243,13 +273,19 @@ def factor_from_doc(doc: dict) -> Factor:
 
 def to_dot(p: GraphParams, factor: Factor | None = None, color: str = "magenta") -> str:
     """DOT rendering of G(n, k); factor arcs get a color attribute."""
-    labels = [f'"{name}@{ph}"' for name in _word_names(p) for ph in range(p.k)]
+    b, k = p.b, p.k
+    labels = [f'"{name}@{ph}"' for name in word_names(p) for ph in range(k)]
     succ = factor.succ if factor is not None else (-1,) * p.num_vertices
+    head = b ** (p.n - 1)
+    marked = f" [color={color}]"
     lines = ["digraph astute {"]
     lines += [f"  {label};" for label in labels]
     for code, label in enumerate(labels):
-        for tcode in successor_codes(code, p):
-            attr = f" [color={color}]" if succ[code] == tcode else ""
-            lines.append(f"  {label} -> {labels[tcode]}{attr};")
+        # successor_codes(code, p): b codes, k apart, from the shifted word
+        value, phase = divmod(code, k)
+        first = (value % head) * b * k + (phase + 1) % k
+        arc = succ[code]
+        for tcode in range(first, first + b * k, k):
+            lines.append(f"  {label} -> {labels[tcode]}{marked if tcode == arc else ''};")
     lines.append("}")
     return "\n".join(lines) + "\n"

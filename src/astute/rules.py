@@ -12,7 +12,7 @@ from operator import eq
 
 from .algebra import ModPoly, is_unit, mod_inverse
 from .errors import BudgetExceeded, NotInvertible
-from .graph import Factor, GraphParams
+from .graph import Factor, GraphParams, word_sums
 
 DEFAULT_MAX_VERTICES = 1 << 22
 
@@ -116,16 +116,13 @@ def parse_rule_spec(spec: str, n: int, b: int) -> AffineRule:
 def word_permutation(rule: AffineRule) -> list[int]:
     """The rule as a permutation of packed word values.
 
-    Built digit by digit: the partial sums of lambda_i * a_i over the
-    first i symbols, listed in packed order, extend by one symbol per
-    pass, and the appended symbol is read from a table over the full sums.
+    The sums of lambda_i * a_i over each word, listed in packed order,
+    come from word_sums, and the appended symbol is read from a table
+    over the sums.
     """
     b, n = rule.b, rule.n
     inv = mod_inverse(rule.lambdas[-1], b)
-    sums = [0]
-    for lam in rule.lambdas[:-1]:
-        terms = [lam * a for a in range(b)]
-        sums = [s + t for s in sums for t in terms]
+    sums = word_sums([[lam * a for a in range(b)] for lam in rule.lambdas[:-1]])
     appended = [inv * (rule.c - s) % b
                 for s in range(sum(rule.lambdas[:-1]) * (b - 1) + 1)]
     # shifting value left drops its leading symbol: (value % b^(n-1)) * b
@@ -133,10 +130,21 @@ def word_permutation(rule: AffineRule) -> list[int]:
     return [t + appended[s] for t, s in zip(shifted, sums)]
 
 
-def successor_array(rule: AffineRule, k: int) -> list[int]:
-    """The rule's action on G(n, k) as a permutation of packed vertices."""
-    next_phase = [(ph + 1) % k for ph in range(k)]
-    return [w * k + ph for w in word_permutation(rule) for ph in next_phase]
+def successor_array(rule: AffineRule, k: int,
+                    perm: list[int] | None = None) -> list[int]:
+    """The rule's action on G(n, k) as a permutation of packed vertices,
+    from perm, the rule's word permutation (built here by default).
+
+    Vertex w * k + ph goes to perm[w] * k + (ph + 1) % k, so each phase
+    fills every k-th slot from one pass over perm.
+    """
+    if perm is None:
+        perm = word_permutation(rule)
+    succ = [0] * (len(perm) * k)
+    for ph in range(k):
+        nxt = (ph + 1) % k
+        succ[ph::k] = [w * k + nxt for w in perm]
+    return succ
 
 
 def check_vertex_budget(p: GraphParams, max_vertices: int):

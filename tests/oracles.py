@@ -90,6 +90,21 @@ def factor_count_by_permutations(p) -> int:
     return count
 
 
+def permutation_cycles(perm) -> list:
+    """Cycles of a permutation of range(len(perm)), each a tuple starting
+    at its least element, in ascending order of that element: every
+    element's orbit is followed back to the element, and an orbit is kept
+    from its least element only."""
+    cycles = []
+    for start in range(len(perm)):
+        orbit = [start]
+        while perm[orbit[-1]] != start:
+            orbit.append(perm[orbit[-1]])
+        if min(orbit) == start:
+            cycles.append(tuple(orbit))
+    return cycles
+
+
 def rule_step(lambdas, c: int, b: int, word) -> tuple:
     """The word an affine rule maps word to: shift left and append the x
     with lambdas[0]*a_0 + ... + lambdas[n-1]*a_(n-1) + lambdas[n]*x = c

@@ -7,6 +7,7 @@ import pytest
 
 import astute.counting
 import astute.ideals
+import astute.rules
 from astute import cli, extremal, spectral
 from astute.algebra import ModPoly
 from astute.cli import main
@@ -151,6 +152,28 @@ def test_count_burnside_word_budget_before_order(capsys):
                              "--n", "31", "--method", "burnside")
     assert code == 3 and out == ""
     assert "2147483648 words exceeds budget" in err
+
+
+def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
+    # 2^23 vertices: the refusal must come before any b^n-sized list
+    def refuse(rule):
+        raise AssertionError("word permutation built over the vertex budget")
+
+    monkeypatch.setattr(cli, "word_permutation", refuse)
+    monkeypatch.setattr(astute.rules, "word_permutation", refuse)
+    code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "23",
+                         "--method", "all")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 8388608 vertices exceeds budget 4194304\n"
+
+
+def test_count_burnside_alone_keeps_its_word_budget(capsys):
+    # 3 * 2^21 vertices are over the vertex budget, 2^21 words are not
+    with within(30):
+        code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "21",
+                             "--k", "3", "--method", "burnside")
+    assert (code, err) == (0, "")
+    assert out == "burnside_direct  299600  M=21 ell=1 omega=21\n"
 
 
 def test_count_theorem2_order_scan_budget(capsys):
@@ -410,6 +433,37 @@ def test_unwritable_output_path(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"invalid arguments: cannot write {tmp_path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--rule", "pcr", "--b", "37", "--n", "1"],
+    ["factor", "--rule", "icr", "--b", "37", "--n", "1", "--format", "json"],
+    ["extremal", "--b", "37", "--n", "1", "--max-vertices", "64"],
+    ["export", "--b", "37", "--n", "1", "--rule", "pcr"],
+    ["export", "--b", "37", "--n", "1"],
+    ["verify", "--suite", "all", "--b", "37", "--n", "1", "--k", "1", "--csv"],
+])
+def test_unrenderable_alphabet_refused_before_work(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the b > 36 refusal")
+
+    for name in ("enumerate_factor", "search_extremal", "to_dot", "check_table"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = tmp_path / "table.csv"
+    code, out, err = run(capsys, *argv, *([str(path)] if argv[-1] == "--csv" else []))
+    assert (code, out) == (2, "")
+    assert err == "invalid arguments: word rendering supports symbols < 36 only\n"
+    assert not path.exists()
+
+
+def test_count_accepts_unrenderable_alphabet(capsys):
+    # count prints no words, so b > 36 is fine
+    code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "37", "--n", "1",
+                         "--method", "all")
+    assert (code, err) == (0, "")
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["enumeration", "37"], ["burnside_direct", "37"], ["theorem2", "37"],
+        ["closed_form", "37"]]
 
 
 def test_export_dot(capsys):

@@ -40,6 +40,12 @@ GOLDEN = [
     ("extremal --b 2 --n 3 --k 2", 0, "04b8ffbdb98c77c0e5ca78a5204790cd060ee5c18b70c70713f3edee5b008c9a"),
     ("verify --suite lemmas", 0, "cfa6696529ab4da16b891a29c86bcc07a658964d8a2480d299da8894716ee848"),
     ("verify --suite all", 0, "92e69a452e2174d6f0e4ae2597a23a72b05f1e78f6d03eb604aa23edc40c4a6f"),
+    # benchmark scale (b^n = 65536, 16384, 4096), pinned before the bulk
+    # orbit-layer kernels: the word permutation shared by enumeration and
+    # Burnside, the phase-sliced successor array and the digit-built names
+    ("count --rule icr --b 2 --n 16 --k 3 --method all", 0, "f09c24b5dbb223d1db33b5eef5199c162c0cc7b8658fe6aac5cdf1abbaf5e6f0"),
+    ("factor --rule xor --b 2 --n 14 --format json", 0, "a139140f0fbc7b4c9f2f9460b27299118bd3313d9d2b5373bb482dec39a25aeb"),
+    ("factor --rule pcr --b 2 --n 12 --k 2 --format dot", 0, "8affab8cad405eddfd4ff644b590aa41bb38021f3c05b326dbc7550c9d95f827"),
 ]
 
 

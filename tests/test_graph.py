@@ -1,10 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 
-from astute.graph import (Factor, GraphParams, Vertex, factor_from_doc,
-                          factor_to_doc, pack, parse_word, successor_codes,
-                          to_dot, unpack, validate_factor, word_str)
+from astute.graph import (Factor, GraphParams, Vertex, count_cycles,
+                          factor_from_doc, factor_to_doc, pack, parse_word,
+                          successor_codes, to_dot, unpack, validate_factor,
+                          word_names, word_str)
 from astute.rules import enumerate_factor, pcr
 
 from oracles import debruijn_arcs_direct
@@ -163,6 +165,34 @@ def test_word_render_parse():
     assert word_str(parse_word("a5", 16)) == "a5"
     with pytest.raises(ValueError):
         parse_word("3", 3)
+
+
+@pytest.mark.parametrize("b, n", [(2, 1), (2, 6), (3, 4), (6, 3), (10, 2),
+                                  (36, 1), (36, 2)])
+def test_word_names_match_word_str(b, n):
+    assert word_names(GraphParams(b, n, 1)) == [
+        word_str(w) for w in product(range(b), repeat=n)]
+
+
+def test_word_names_refuse_large_alphabet():
+    with pytest.raises(ValueError, match="word rendering supports symbols < 36 only"):
+        word_names(GraphParams(37, 1, 1))
+
+
+def test_cycle_walks_return_on_non_permutations():
+    # a walk stops at the first visited vertex, so succ need not be a
+    # permutation: [1, 1] is one cycle, and a -1 left by an uncovered
+    # vertex indexes the last vertex, as on any Python list
+    assert count_cycles([1, 1]) == 1
+    assert [c.codes for c in Factor(GraphParams(2, 1, 1), [1, 1]).cycles] == [(0, 1)]
+    f = factor_from_doc({"b": 2, "n": 1, "k": 1, "cycles": [[["0", 0]]]})
+    assert f.succ == (0, -1)
+    assert count_cycles(f.succ) == 2
+    assert [c.codes for c in f.cycles] == [(0,), (1,)]
+    f = factor_from_doc({"b": 2, "n": 2, "k": 1, "cycles": [[["01", 0], ["10", 0]]]})
+    assert f.succ == (-1, 2, 1, -1)
+    assert count_cycles(f.succ) == 2
+    assert [c.codes for c in f.cycles] == [(0, -1), (1, 2)]
 
 
 def test_factor_json_roundtrip():

@@ -7,14 +7,14 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from astute.counting import count_burnside_direct, count_theorem2_rule
 from astute.extremal import feedback_vertex_set
-from astute.graph import GraphParams, count_cycles
+from astute.graph import Factor, GraphParams, count_cycles
 from astute.rules import AffineRule
 
-from oracles import random_factor, rule_orbit_count
+from oracles import permutation_cycles, random_factor, rule_orbit_count
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,6 +30,25 @@ def test_random_factor_cycles_within_feedback_vertex_set(b, n, k, seed):
     assume(p.num_vertices <= 512)
     factor = random_factor(p, random.Random(seed))
     assert count_cycles(factor.succ) <= fvs_size(p)
+
+
+@st.composite
+def graph_permutations(draw):
+    """A G(n, k) and any permutation of its packed vertices."""
+    p = GraphParams(draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)),
+                    draw(st.integers(1, 3)))
+    return p, draw(st.permutations(range(p.num_vertices)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=graph_permutations())
+@example(case=(GraphParams(2, 4, 2), list(range(32))))          # all fixed points
+@example(case=(GraphParams(3, 3, 2), list(range(1, 54)) + [0]))  # one long cycle
+def test_cycle_walks_match_permutation_oracle(case):
+    p, perm = case
+    want = permutation_cycles(perm)
+    assert count_cycles(perm) == len(want)
+    assert [c.codes for c in Factor(p, perm).cycles] == want
 
 
 def draw_unit_leading_rule(data, b, n):

@@ -11,7 +11,7 @@ from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
-from oracles import all_words, rule_step
+from oracles import all_words, fixed_affine_rules, rule_step
 
 
 def apply(rule, word):
@@ -166,6 +166,19 @@ def test_parse_rule_spec():
         parse_rule_spec("affine:1;1,0", 2, 2)  # wrong coefficient count
     with pytest.raises(ValueError):
         parse_rule_spec("spr", 3, 2)
+
+
+@pytest.mark.parametrize("b, n", [(4, 2), (6, 2), (9, 1), (9, 2)])
+def test_successor_array_matches_vertex_definition(b, n):
+    # (word, ph) -> (rule's word, ph + 1 mod k), with the rule step solved
+    # by trial, on composite b and k = 1..5
+    for rule in [pcr(n, b), icr(n, b)] + fixed_affine_rules(b, n, count=2):
+        for k in range(1, 6):
+            p = GraphParams(b, n, k)
+            succ = successor_array(rule, k)
+            assert succ == successor_array(rule, k, word_permutation(rule))
+            assert succ == [pack(Vertex(apply(rule, w), (ph + 1) % k), p)
+                            for w in all_words(n, b) for ph in range(k)]
 
 
 def test_budget_exceeded():
