@@ -61,6 +61,14 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def divisors(m: int) -> list[int]:
+    """Divisors of m >= 1 in ascending order."""
+    out = [1]
+    for p, a in factorize(m):
+        out = [d * p ** i for d in out for i in range(a + 1)]
+    return sorted(out)
+
+
 def euler_phi(m: int) -> int:
     """Count of integers in [1, m] coprime to m."""
     if m < 1:

@@ -23,8 +23,8 @@ from .algebra import u_poly, x_pow_minus_one, poly_gcd_field
 from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
                      PreconditionViolated)
 from .extremal import SearchBudget, search_extremal, verify_theorem1
-from .graph import (GraphParams, check_renderable, factor_to_doc, to_dot,
-                    word_names, word_str)
+from .graph import (GraphParams, check_renderable, doc_to_json, factor_to_doc,
+                    to_dot, word_names, word_str)
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .rules import (DEFAULT_MAX_VERTICES, check_vertex_budget, enumerate_factor,
                     fix_count_bruteforce, parse_rule_spec, pcr, icr,
@@ -157,7 +157,7 @@ def cmd_factor(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "json":
         doc = factor_to_doc(factor, extra={"rule": rule.spec()})
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(doc_to_json(doc) + "\n", args.out)
     else:
         _emit(to_dot(p, factor, color="magenta"), args.out)
     return EXIT_OK
@@ -234,13 +234,13 @@ def cmd_extremal(args) -> int:
     budget = _search_budget(args)
     check_renderable(p.b)
     result = search_extremal(p, budget)
-    doc = factor_to_doc(result.certificate, optimal=result.optimal,
-                        extra={"nodes": result.nodes_explored})
+    text = doc_to_json(factor_to_doc(result.certificate, optimal=result.optimal,
+                                     extra={"nodes": result.nodes_explored}))
     if args.emit_json:
-        _emit(json.dumps(doc, indent=2), args.emit_json)
+        _emit(text, args.emit_json)
     if args.emit_dot:
         _emit(to_dot(p, result.certificate, color="blue"), args.emit_dot)
-    print(json.dumps(doc, indent=2))
+    print(text)
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 
@@ -351,7 +351,7 @@ def check_fix_count_ideal(rules=None, exponents=None) -> dict:
     for rule in rules or LEMMA_RULES:
         lam = rule.char_poly()
         omega = order_of_x(lam)
-        ell = smallest_cycle_length(lam, rule.c, 1)
+        ell = smallest_cycle_length(lam, rule.c, 1, omega)
         for i in exponents or range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
             ok &= fix_count_bruteforce(rule, i) == want
@@ -411,6 +411,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--suite {args.suite} takes no --b/--n/--k instance")
     if args.csv:
         check_renderable(args.b)
+        dump = GraphParams(args.b, args.n, args.k)
     instances = THEOREM1_INSTANCES
     # explicit flags narrow the sweep; with --csv they describe the dump instead
     if args.b is not None and not args.csv:
@@ -420,7 +421,7 @@ def cmd_verify(args) -> int:
     checks = [run() for suite, run in check_table(instances, budget)
               if args.suite in (suite, "all")]
     if args.csv:
-        _write_transform_csv(args.csv, GraphParams(args.b, args.n, args.k))
+        _write_transform_csv(args.csv, dump)
     ok = all(c["pass"] for c in checks)
     report = {"schema": "astute/1", "suite": args.suite, "checks": checks, "pass": ok}
     print(json.dumps(report, indent=2))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .algebra import ModPoly, euler_phi, factorize
+from .algebra import ModPoly, divisors, euler_phi, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, count_cycles
@@ -45,14 +45,6 @@ class CountReport:
             raise ValueError("cycle count must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-
-def _divisors(m: int) -> list[int]:
-    """Divisors of m >= 1 in ascending order."""
-    out = [1]
-    for p, a in factorize(m):
-        out = [d * p ** i for d in out for i in range(a + 1)]
-    return sorted(out)
 
 
 def count_enumeration(rule: AffineRule, k: int,
@@ -86,7 +78,8 @@ def count_burnside_direct(rule: AffineRule, k: int,
     brute-force count per divisor replaces one per power.  The estimate
     counts the compositions (rule^k, then one prime power per divisor
     past the first) plus one count per divisor, b^n word steps each; it
-    is refused above BURNSIDE_MAX_STEPS.  At e = top every word must be
+    is refused above BURNSIDE_MAX_STEPS.  A wrong omega is refused by
+    smallest_cycle_length; past that, at e = top every word must be
     fixed, else M is not a period and ValueError is raised.  perm is the
     rule's word permutation (built here by default, after the word budget).
     """
@@ -96,7 +89,7 @@ def count_burnside_direct(rule: AffineRule, k: int,
     lam = rule.char_poly()
     if omega is None:
         omega = order_of_x(lam)
-    ell = smallest_cycle_length(lam, rule.c, 1)
+    ell = smallest_cycle_length(lam, rule.c, 1, omega)
     m = lcm(k, ell, omega)
     top = m // k
     # largest primes first: their raises are the dearest and run least often
@@ -148,18 +141,17 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
     with w = `omega` any multiple of the order of X mod lam (the order
     itself by default), s the least multiple of k with c*U_s in
     (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
-    Z/bZ[X] / (lam, X^d - 1).  A given w is checked by Q(w) = b^deg(lam),
-    which holds exactly when X^w === 1; the sum reuses that size.
+    Z/bZ[X] / (lam, X^d - 1).  smallest_cycle_length checks w by
+    Q(w) = b^deg(lam), which holds exactly when X^w === 1; the sum
+    reuses that cached size.
     """
     if omega is None:
         omega = order_of_x(lam)
-    s = smallest_cycle_length(lam, c, k)
-    if ideal_quotient_size(lam, omega) != lam.modulus ** lam.degree:
-        raise ValueError(f"omega={omega} is not a multiple of the order of X")
+    s = smallest_cycle_length(lam, c, k, omega)
     g = gcd(s, omega)
     terms = []
     total = Fraction(0)
-    for d in _divisors(omega):
+    for d in divisors(omega):
         if d % g:
             continue
         phi = euler_phi(omega // d)
@@ -186,7 +178,7 @@ def _rotation_family(n: int, k: int, b: int, s: int) -> int:
     the general formula for a rule with polynomial X^n - 1 and smallest
     factor-cycle length s."""
     g = gcd(s, n)
-    total = sum(euler_phi(n // d) * b ** d for d in _divisors(n) if d % g == 0)
+    total = sum(euler_phi(n // d) * b ** d for d in divisors(n) if d % g == 0)
     value = Fraction(k * g * total, s * n)
     if value.denominator != 1:
         raise NonIntegerResult(f"closed form gave {value}")
@@ -203,7 +195,7 @@ def base_divisor(n: int, b: int) -> int:
     """Smallest divisor d of n such that n // d is coprime to b."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for d in _divisors(n):
+    for d in divisors(n):
         if gcd(n // d, b) == 1:
             return d
     return n  # unreachable: d = n always works
@@ -231,7 +223,7 @@ def closed_form_xor(n: int, k: int) -> CountReport:
     _check_nkb(n, k, 2)
     w = n + 1
     g = gcd(k, w)
-    total = sum(euler_phi(2 * e) * 2 ** (w // e) for e in _divisors(w // g))
+    total = sum(euler_phi(2 * e) * 2 ** (w // e) for e in divisors(w // g))
     value = Fraction(g * total, 2 * w)
     if value.denominator != 1:
         raise NonIntegerResult(f"closed form gave {value}")

@@ -16,8 +16,10 @@ JSON and DOT renderings read word names from one table (word_names).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -242,6 +244,26 @@ def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = N
     if extra:
         doc.update(extra)
     return doc
+
+
+def doc_to_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) of a factor document, byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder, one call per
+    value; here the "cycles" list, nearly all of the document, is joined
+    from a fixed template per [word, phase] pair instead, its words
+    escaped by the C string encoder.  The other keys go through
+    json.dumps with a placeholder standing in for the cycles.
+    """
+    enc = encode_basestring_ascii
+    cycles = ",\n".join([
+        "    [\n"
+        + ",\n".join([f"      [\n        {enc(w)},\n        {ph}\n      ]"
+                      for w, ph in cyc])
+        + "\n    ]" for cyc in doc["cycles"]])
+    head, tail = json.dumps({**doc, "cycles": None}, indent=2).split(
+        '\n  "cycles": null', 1)
+    return f'{head}\n  "cycles": [\n{cycles}\n  ]{tail}'
 
 
 def factor_from_doc(doc: dict) -> Factor:

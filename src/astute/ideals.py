@@ -18,9 +18,9 @@ Fields, ch. 8).  Matrices are lists of columns.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .algebra import ModPoly, is_unit
+from .algebra import ModPoly, divisors, is_unit
 from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
 from .snf import smith_normal_form
 
@@ -160,28 +160,30 @@ def order_of_x(lam: ModPoly) -> int:
                          f"the step budget of its scan")
 
 
-def smallest_cycle_length(lam: ModPoly, c: int, k: int) -> int:
+def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
     """Least multiple s of k with c*U_s in (lam, X^s - 1).
 
-    The search is capped at k * b^deg(lam): the affine rule of lam on
-    (Z/b)^deg(lam) has some cycle, of a length L <= b^deg(lam), so c*U_L
-    is in the ideal, membership holds for every multiple of L, and k*L
-    is a multiple of k.  Overrunning the cap signals a bug.  C^s and U_s(C) e_0 advance by those of k at each step.
+    omega is any multiple of the order of X mod lam, checked first by
+    Q(omega) = b^deg(lam) (ValueError otherwise).  For the affine map A
+    of lam and c on (Z/b)^deg(lam), A^omega is a translation, so
+    A^(b*omega) is the identity and every orbit length L divides
+    b*omega.  c*U_s is in the ideal exactly when A^s fixes some point,
+    that is when some L divides s, so s = min over L of lcm(k, L), a
+    divisor of lcm(k, b*omega).  Those divisors that are multiples of k
+    are tried in ascending order; none passing signals a bug.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_affine_valid(lam)
     b = lam.modulus
+    if ideal_quotient_size(lam, omega) != b ** lam.degree:
+        raise ValueError(f"omega={omega} is not a multiple of the order of X")
     c %= b
     if c == 0:
         return k
-    bound = k * b ** lam.degree
-    step, step_sum = _power_and_sum(_companion(lam), k, b)
-    power, total = step, step_sum
-    s = k
-    while s <= bound:
+    comp = _companion(lam)
+    for d in divisors(lcm(k, b * omega) // k):
+        power, total = _power_and_sum(comp, k * d, b)
         if _in_image(power, [c * x % b for x in total], b):
-            return s
-        power, total = _compose(power, total, step, step_sum, b)
-        s += k
-    raise BudgetExceeded("no cycle length within k*b^deg bound; internal error")
+            return k * d
+    raise BudgetExceeded("no cycle length divides lcm(k, b*omega); internal error")

@@ -10,6 +10,7 @@ constructors.
 """
 
 from itertools import permutations
+from math import lcm
 
 from astute.algebra import ModPoly
 from astute.errors import BudgetExceeded
@@ -137,6 +138,24 @@ def rule_orbit_count(lambdas, c: int, b: int, k: int) -> int:
             seen.add(vertex)
             vertex = step(vertex)
     return orbits
+
+
+def smallest_cycle_length_oracle(lambdas, c: int, b: int, k: int) -> int:
+    """Least lcm(k, L) over the lengths L of the cycles of an affine
+    rule's word permutation, each cycle walked once with rule_step."""
+    n = len(lambdas) - 1
+    seen = set()
+    best = None
+    for word in all_words(n, b):
+        if word in seen:
+            continue
+        length = 0
+        while word not in seen:
+            seen.add(word)
+            word = rule_step(lambdas, c, b, word)
+            length += 1
+        best = lcm(k, length) if best is None else min(best, lcm(k, length))
+    return best
 
 
 def _vertex_successors(b: int, n: int, k: int) -> list:
@@ -267,3 +286,4 @@ def lattice_rules():
                 rules.append(xor_rule(n))
     rules.append(xor_rule(5))
     return rules
+

@@ -456,6 +456,25 @@ def test_unrenderable_alphabet_refused_before_work(capsys, monkeypatch, tmp_path
     assert not path.exists()
 
 
+@pytest.mark.parametrize("b,n,k,message", [
+    (1, 1, 1, "alphabet size b must be >= 2"),
+    (2, 0, 1, "n and k must be >= 1"),
+    (2, 1, 0, "n and k must be >= 1"),
+])
+def test_verify_csv_instance_refused_before_checks(capsys, monkeypatch, tmp_path,
+                                                    b, n, k, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("checks ran before the --csv instance was refused")
+
+    monkeypatch.setattr(cli, "check_table", refuse)
+    path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "verify", "--b", str(b), "--n", str(n), "--k", str(k),
+                         "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"invalid arguments: {message}\n"
+    assert not path.exists()
+
+
 def test_count_accepts_unrenderable_alphabet(capsys):
     # count prints no words, so b > 36 is fine
     code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "37", "--n", "1",

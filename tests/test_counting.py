@@ -6,15 +6,15 @@ import astute.cli
 import astute.counting
 import astute.ideals
 import astute.rules
-from astute.algebra import u_poly, x_pow_minus_one
+from astute.algebra import divisors, u_poly, x_pow_minus_one
 from astute.cli import main
-from astute.counting import (CountReport, _divisors, base_divisor, closed_form_for,
+from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
                              count_theorem2, count_theorem2_rule)
 from astute.errors import BudgetExceeded
 from astute.graph import count_cycles
-from astute.ideals import order_of_x
+from astute.ideals import order_of_x, smallest_cycle_length
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, pcr, successor_array, xor_rule)
 
@@ -176,10 +176,28 @@ def test_burnside_step_budget(monkeypatch):
         count_burnside_direct(rule, 1)
 
 
-def test_burnside_period_check():
-    # pcr(3, 2) has order 3, so M = 2 is no period: rule^2 moves words
+def test_burnside_period_check(monkeypatch):
+    # icr(2, 2) is one cycle of its 4 words and X has order 2; a wrong
+    # ell = 1 makes M = 2, which is no period: rule^2 moves words
+    monkeypatch.setattr(astute.counting, "smallest_cycle_length",
+                        lambda lam, c, k, omega: 1)
     with pytest.raises(ValueError, match="M=2 is not a period"):
-        count_burnside_direct(pcr(3, 2), 1, omega=2)
+        count_burnside_direct(icr(2, 2), 1, omega=2)
+
+
+def test_wrong_omega_refused():
+    # pcr(3, 2) has order 3; each route refuses omega = 2 before using it,
+    # and the cycle length refuses it whatever c is
+    rule = pcr(3, 2)
+    lam = rule.char_poly()
+    message = "omega=2 is not a multiple of the order of X"
+    for c in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            smallest_cycle_length(lam, c, 1, 2)
+    with pytest.raises(ValueError, match=message):
+        count_theorem2(lam, rule.c, 1, omega=2)
+    with pytest.raises(ValueError, match=message):
+        count_burnside_direct(rule, 1, omega=2)
 
 
 def test_burnside_estimate_covers_work(monkeypatch):
@@ -205,12 +223,12 @@ def test_burnside_estimate_covers_work(monkeypatch):
 
 def test_divisors_match_naive_list():
     for m in range(1, 2001):
-        assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
+        assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
 
 
 def test_divisors_of_large_order_are_fast():
     start = time.perf_counter()
-    assert len(_divisors(2 ** 22 - 1)) == 16  # 3 * 23 * 89 * 683
+    assert len(divisors(2 ** 22 - 1)) == 16  # 3 * 23 * 89 * 683
     assert time.perf_counter() - start < 0.1
 
 

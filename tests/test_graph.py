@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from astute.graph import (Factor, GraphParams, Vertex, count_cycles,
+from astute.graph import (Factor, GraphParams, Vertex, count_cycles, doc_to_json,
                           factor_from_doc, factor_to_doc, pack, parse_word,
                           successor_codes, to_dot, unpack, validate_factor,
                           word_names, word_str)
@@ -204,6 +204,23 @@ def test_factor_json_roundtrip():
     back = factor_from_doc(json.loads(blob))
     assert back == f
     assert validate_factor(back).ok
+
+
+@pytest.mark.parametrize("b,n", [(2, 3), (3, 2), (6, 2), (36, 1)])
+def test_doc_to_json_matches_json_dumps(b, n):
+    # the extra string needs escaping: quotes, backslash, control and
+    # non-ASCII characters, and the writer's own placeholder key
+    note = 'tab\t "q" \\ \x01 \u00e9 \u2603 \U0001f600\n  "cycles": null'
+    for k in (1, 2, 3):
+        rule = pcr(n, b)
+        f = enumerate_factor(rule, k)
+        for doc in (factor_to_doc(f),
+                    factor_to_doc(f, extra={"rule": rule.spec()}),
+                    factor_to_doc(f, optimal=False, extra={"nodes": 0}),
+                    factor_to_doc(f, optimal=True,
+                                  extra={"rule": rule.spec(), "nodes": 12345,
+                                         "note": note})):
+            assert doc_to_json(doc) == json.dumps(doc, indent=2), (b, n, k)
 
 
 def test_dot_output():

@@ -10,7 +10,7 @@ from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_companion, _in_image, _power_and_sum,
                            ideal_quotient_size, order_of_x, smallest_cycle_length)
-from astute.rules import parse_rule_spec
+from astute.rules import icr, parse_rule_spec
 
 from oracles import ideal_quotient_size_oracle, membership_oracle
 
@@ -141,12 +141,24 @@ def test_order_of_x_definition():
 
 
 def test_smallest_cycle_length_examples():
-    assert smallest_cycle_length(x_pow_minus_one(4, 3), 0, 3) == 3
-    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1) == 4
+    # omega is the order of X: 4, 2 and 3
+    assert smallest_cycle_length(x_pow_minus_one(4, 3), 0, 3, 4) == 3
+    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1, 2) == 4
     # oracle-decided: U_2 = X - 1 lies in (X^3 - 1, X^2 - 1) over Z/2,
     # so the least even s is already 2
-    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2) == 2
+    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2, 3) == 2
 
+
+def test_smallest_cycle_length_icr_16():
+    # omega = 16 and every word cycle of icr has length 32, so the walk
+    # passes only at lcm(k, 32), the last divisor of lcm(k, 2 * 16) / k
+    rule = icr(16, 2)
+    lam = rule.char_poly()
+    assert order_of_x(lam) == 16
+    assert smallest_cycle_length(lam, rule.c, 1, 16) == 32
+    assert smallest_cycle_length(lam, rule.c, 3, 16) == 96
+    # any multiple of the order gives the same s
+    assert smallest_cycle_length(lam, rule.c, 3, 48) == 96
 
 def test_membership_true_exactly_on_multiples():
     rng = random.Random(9)
@@ -158,7 +170,7 @@ def test_membership_true_exactly_on_multiples():
         if not (is_unit(lam.constant, b) and is_unit(lam.leading, b)):
             continue
         c = rng.randrange(b)
-        ell = smallest_cycle_length(lam, c, 1)
+        ell = smallest_cycle_length(lam, c, 1, order_of_x(lam))
         for s in range(1, 25):
             assert membership_cUs(lam, c, s) == (s % ell == 0), (lam, c, s, ell)
         checked += 1
@@ -170,17 +182,20 @@ def refuse_order_scan(lam):
 
 def test_smallest_cycle_length_needs_no_order(monkeypatch):
     monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
-    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1) == 4
-    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2) == 2
+    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1, 2) == 4
+    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2, 3) == 2
 
 
 def test_cycle_length_guard_is_tight():
-    # a full cycle over the b words of n = 1: s = lcm(k, b), which for k
-    # coprime to b is k * b^deg(lam), the guard's cap itself
+    # a full cycle over the b words of n = 1, where X = 1 (omega = 1):
+    # s = lcm(k, b), the walk's bound lcm(k, b * omega) itself, which for
+    # k coprime to b is also k * b^deg(lam)
     for spec, b in (("affine:1;1,1", 2), ("affine:1;1,2", 3)):
         rule = parse_rule_spec(spec, 1, b)
+        lam = rule.char_poly()
+        assert order_of_x(lam) == 1
         for k in (1, 2, 3):
-            s = smallest_cycle_length(rule.char_poly(), rule.c, k)
+            s = smallest_cycle_length(lam, rule.c, k, 1)
             assert s == lcm(k, b), (spec, k)
             if k % b:
                 assert s == k * b, (spec, k)

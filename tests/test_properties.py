@@ -12,9 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from astute.counting import count_burnside_direct, count_theorem2_rule
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, count_cycles
+from astute.ideals import order_of_x, smallest_cycle_length
 from astute.rules import AffineRule
 
-from oracles import permutation_cycles, random_factor, rule_orbit_count
+from oracles import (permutation_cycles, random_factor, rule_orbit_count,
+                     smallest_cycle_length_oracle)
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,3 +86,17 @@ def test_theorem2_matches_orbit_oracle(b, n, k, data):
     for m in (2, 3):
         omega = m * report.witnesses["omega"]
         assert count_theorem2_rule(rule, k, omega=omega).value == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([2, 3, 4, 5, 6, 8, 9]), n=st.integers(1, 4),
+       k=st.integers(1, 6), data=st.data())
+def test_smallest_cycle_length_matches_word_cycle_oracle(b, n, k, data):
+    # the divisor walk against the least lcm(k, L) over word-cycle
+    # lengths L, for the drawn c and for c = 0
+    rule = draw_unit_leading_rule(data, b, n)
+    lam = rule.char_poly()
+    omega = order_of_x(lam)
+    for c in {rule.c, 0}:
+        assert smallest_cycle_length(lam, c, k, omega) == \
+            smallest_cycle_length_oracle(rule.lambdas, c, b, k), (rule.spec(), c)

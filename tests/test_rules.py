@@ -130,8 +130,8 @@ def test_fix_count_examples():
 def test_fix_count_matches_ideal_prediction_sample():
     for rule in (pcr(3, 2), icr(3, 2), xor_rule(4), icr(2, 3), pcr(4, 3)):
         lam = rule.char_poly()
-        ell = smallest_cycle_length(lam, rule.c, 1)
         omega = order_of_x(lam)
+        ell = smallest_cycle_length(lam, rule.c, 1, omega)
         for i in range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
             assert fix_count_bruteforce(rule, i) == want, (rule.spec(), i)
