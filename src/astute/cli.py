@@ -26,9 +26,8 @@ from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import (GraphParams, check_renderable, doc_to_json, factor_to_doc,
                     to_dot, word_names, word_str)
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from .rules import (DEFAULT_MAX_VERTICES, check_vertex_budget, enumerate_factor,
-                    fix_count_bruteforce, parse_rule_spec, pcr, icr,
-                    word_permutation, xor_rule)
+from .rules import (check_vertex_budget, enumerate_factor, fix_count_bruteforce,
+                    parse_rule_spec, pcr, icr, word_permutation, xor_rule)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,7 +172,7 @@ def cmd_count(args) -> int:
     # its word budget
     perm = None
     if "enum" in routes:
-        check_vertex_budget(_params(args), DEFAULT_MAX_VERTICES)
+        check_vertex_budget(_params(args))
         perm = word_permutation(rule)
         reports.append(counting.count_enumeration(rule, args.k, perm=perm))
     # shared by Burnside and Theorem 2; computed only after the enumeration's

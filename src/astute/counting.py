@@ -19,8 +19,7 @@ from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, count_cycles
 from . import rules
-from .rules import (AffineRule, DEFAULT_MAX_VERTICES, check_vertex_budget,
-                    successor_array)
+from .rules import AffineRule, check_vertex_budget, successor_array
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
@@ -48,17 +47,15 @@ class CountReport:
 
 
 def count_enumeration(rule: AffineRule, k: int,
-                      max_vertices: int = DEFAULT_MAX_VERTICES,
                       perm: list[int] | None = None) -> CountReport:
     """Count orbits by walking the rule's successor permutation on G(n, k),
     built from perm, the rule's word permutation (built here by default)."""
-    check_vertex_budget(GraphParams(rule.b, rule.n, k), max_vertices)
+    check_vertex_budget(GraphParams(rule.b, rule.n, k))
     return CountReport(count_cycles(successor_array(rule, k, perm)), "enumeration",
                        rule.spec(), rule.b, rule.n, k)
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
-                          max_vertices: int = DEFAULT_MAX_VERTICES,
                           omega: int | None = None,
                           perm: list[int] | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
@@ -84,8 +81,8 @@ def count_burnside_direct(rule: AffineRule, k: int,
     rule's word permutation (built here by default, after the word budget).
     """
     n_words = rule.b ** rule.n
-    if n_words > max_vertices:
-        raise BudgetExceeded(f"{n_words} words exceeds budget {max_vertices}")
+    if n_words > rules.MAX_VERTICES:
+        raise BudgetExceeded(f"{n_words} words exceeds budget {rules.MAX_VERTICES}")
     lam = rule.char_poly()
     if omega is None:
         omega = order_of_x(lam)

@@ -270,21 +270,28 @@ def factor_from_doc(doc: dict) -> Factor:
     """The factor a document describes; the one reader of outside input,
     kept for library users though no package code calls it.
 
-    Refuses a malformed word or phase, a vertex listed twice and an empty
-    cycle with ValueError.  Arcs and coverage are validate_factor's: a
-    vertex no cycle lists keeps successor -1."""
+    Refuses an entry that is not a [word, phase] pair, a word that is
+    not a string of n symbols, a phase that is not an int in [0, k), a
+    vertex listed twice and an empty cycle with ValueError.  Arcs and
+    coverage are validate_factor's: a vertex no cycle lists keeps
+    successor -1."""
     p = GraphParams(b=doc["b"], n=doc["n"], k=doc["k"])
     succ = [-1] * p.num_vertices
     for cyc in doc["cycles"]:
         if not cyc:
             raise ValueError("empty cycle")
         codes = []
-        for w, ph in cyc:
+        for entry in cyc:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ValueError(f"cycle entry {entry!r} is not a [word, phase] pair")
+            w, ph = entry
+            if not isinstance(w, str):
+                raise ValueError(f"word {w!r} is not a string")
             word = parse_word(w, p.b)
             if len(word) != p.n:
                 raise ValueError(f"word {w!r} has length {len(word)}, not n={p.n}")
-            if not 0 <= ph < p.k:
-                raise ValueError(f"phase {ph} out of range for k={p.k}")
+            if type(ph) is not int or not 0 <= ph < p.k:
+                raise ValueError(f"phase {ph!r} out of range for k={p.k}")
             codes.append(pack(Vertex(word, ph), p))
         for c, t in zip(codes, codes[1:] + codes[:1]):
             if succ[c] != -1:

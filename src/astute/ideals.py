@@ -1,24 +1,25 @@
 """Ideal computations in Z/bZ[X] / (X^d - 1) for arbitrary b >= 2.
 
 For a polynomial lam with a unit leading coefficient, Z/b[X] / (lam) is
-free over Z/b with basis 1, X, ..., X^(n-1), n = deg(lam), and
-multiplication by X acts on it as the n x n companion matrix C of lam
-made monic.  The ideal (lam, X^d - 1) then maps onto the column span of
-C^d - I, so
+free over Z/b with basis 1, X, ..., X^(n-1), n = deg(lam).  Residues mod
+lam are coordinate vectors in that basis, and all arithmetic on them
+needs only `tail`, the coordinates of X^n mod lam (lam made monic): one
+shift-and-reduce step multiplies by X.  The ideal (lam, X^d - 1) maps
+onto the span of X^(d+j) - X^j for j < n, so
 
-    |Z/bZ[X] / (lam, X^d - 1)| = |coker over Z/b of (C^d - I)|,
+    |Z/bZ[X] / (lam, X^d - 1)| = |(Z/b)^n / span(X^(d+j) - X^j)|,
 
 and an element lies in the ideal exactly when its coordinate vector lies
 in that span.  The modulus may be composite, so polynomial GCDs are
 unavailable; sizes and memberships are decided through Smith normal
-forms of these n x n matrices (Elspas 1959; Lidl & Niederreiter, Finite
-Fields, ch. 8).  Matrices are lists of columns.
+forms over Z/b of these n generators (Elspas 1959; Lidl & Niederreiter,
+Finite Fields, ch. 8).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm, prod
 
 from .algebra import ModPoly, divisors, is_unit
 from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
@@ -31,79 +32,83 @@ ORDER_MAX_STEPS = 1 << 18
 
 
 def _span_quotient_size(rows: list[list[int]], width: int, b: int) -> int:
-    """|(Z/b)^width / span(rows)| via elementary divisors of the row lattice."""
-    if not rows:
-        return b ** width
-    divisors = smith_normal_form(rows)
-    divisors += [0] * (width - len(divisors))
-    size = 1
-    for e in divisors[:width]:
-        size *= gcd(e, b) if e else b
-    return size
+    """|(Z/b)^width / span(rows)| via elementary divisors over Z/b; each
+    of the width - len(divisors) columns no pivot reaches counts b."""
+    divisors = smith_normal_form(rows, b)
+    return b ** (width - len(divisors)) * prod(divisors)
 
 
-def _companion(lam: ModPoly) -> list[list[int]]:
-    """Columns of the companion matrix of lam made monic: column j is
-    X^(j+1) mod lam in the basis 1, X, ..., X^(n-1)."""
+def _tail(lam: ModPoly) -> list[int]:
+    """Coordinates of X^n mod lam, n = deg(lam), for lam made monic."""
     if lam.is_zero:
         raise ValueError("lam must be nonzero")
     b = lam.modulus
     if not is_unit(lam.leading, b):
         raise LeadingNotInvertible(
             f"leading coefficient {lam.leading} not invertible mod {b}")
-    n = lam.degree
-    if n == 0:
-        return []
-    cols = [[int(i == j + 1) for i in range(n)] for j in range(n - 1)]
-    cols.append([-c % b for c in lam.monic().coeffs[:n]])
-    return cols
+    return [-c % b for c in lam.monic().coeffs[:-1]]
 
 
-def _apply(cols: list[list[int]], v: list[int], b: int) -> list[int]:
-    """The matrix with columns `cols` times the vector v, mod b."""
-    out = [0] * len(v)
-    for x, col in zip(v, cols):
+def _shift(r: list[int], tail: list[int], b: int) -> list[int]:
+    """X*r mod lam: shift the coordinates up and fold the top one down."""
+    top = r[-1]
+    return [(x + top * y) % b for x, y in zip([0] + r[:-1], tail)]
+
+
+def _mulmod(p: list[int], q: list[int], tail: list[int], b: int) -> list[int]:
+    """p*q mod lam: the schoolbook product, its terms X^(n+i) folded
+    down from the top as X^i * tail."""
+    n = len(tail)
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(p):
         if x:
-            for i, y in enumerate(col):
-                out[i] += x * y
-    return [y % b for y in out]
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    for i in range(2 * n - 2, n - 1, -1):
+        top = out[i] % b
+        if top:
+            for j, y in enumerate(tail, i - n):
+                out[j] += top * y
+    return [x % b for x in out[:n]]
 
 
-def _compose(p, u, q, w, b):
-    """(C^i, U_i(C) e_0) and (C^j, U_j(C) e_0) give those of i + j."""
-    total = [(x + y) % b for x, y in zip(u, _apply(p, w, b))]
-    return [_apply(p, col, b) for col in q], total
+def _power_and_sum(tail: list[int], s: int, b: int):
+    """X^s and U_s = 1 + X + ... + X^(s-1) mod lam by repeated squaring."""
+    def compose(p, u, q, w):
+        # (X^i, U_i) and (X^j, U_j) give X^(i+j) and U_(i+j) = U_i + X^i U_j
+        pw = _mulmod(p, w, tail, b)
+        return _mulmod(p, q, tail, b), [(x + y) % b for x, y in zip(u, pw)]
 
-
-def _power_and_sum(comp: list[list[int]], s: int, b: int):
-    """C^s and (I + C + ... + C^(s-1)) e_0 by repeated squaring, where
-    the vector is the coordinates of U_s = 1 + X + ... + X^(s-1)."""
-    n = len(comp)
-    power = [[int(i == j) for i in range(n)] for j in range(n)]
-    total = [0] * n
-    base, base_sum = comp, [int(i == 0) for i in range(n)]
+    n = len(tail)
+    one = [int(i == 0) for i in range(n)]
+    power, total = one, [0] * n
+    base, base_sum = (tail if n == 1 else [int(i == 1) for i in range(n)]), one
     while s:
         if s & 1:
-            power, total = _compose(power, total, base, base_sum, b)
+            power, total = compose(power, total, base, base_sum)
         s >>= 1
         if s:
-            base, base_sum = _compose(base, base_sum, base, base_sum, b)
+            base, base_sum = compose(base, base_sum, base, base_sum)
     return power, total
 
 
-def _image_rows(power: list[list[int]], b: int) -> list[list[int]]:
-    """Columns of C^s - I, the generators of (lam, X^s - 1) mod lam."""
-    return [[(x - (i == j)) % b for i, x in enumerate(col)]
-            for j, col in enumerate(power)]
+def _image_rows(tail: list[int], power: list[int], b: int) -> list[list[int]]:
+    """X^(s+j) - X^j for j < n, given power = X^s: the generators of
+    (lam, X^s - 1) mod lam, each one shift step from the one before."""
+    rows = []
+    for j in range(len(tail)):
+        rows.append([(x - (i == j)) % b for i, x in enumerate(power)])
+        power = _shift(power, tail, b)
+    return rows
 
 
-def _in_image(power: list[list[int]], target: list[int], b: int) -> bool:
-    """Is target in the column span of C^s - I?  Adjoining it leaves the
+def _in_image(tail: list[int], power: list[int], target: list[int], b: int) -> bool:
+    """Is target in the span of X^(s+j) - X^j?  Adjoining it leaves the
     quotient size unchanged exactly when it already lies in the span."""
     n = len(target)
     if n == 0:  # deg(lam) = 0: lam is a unit and the ideal is everything
         return True
-    rows = _image_rows(power, b)
+    rows = _image_rows(tail, power, b)
     return _span_quotient_size(rows + [target], n, b) == _span_quotient_size(rows, n, b)
 
 
@@ -113,12 +118,14 @@ def ideal_quotient_size(lam: ModPoly, d: int) -> int:
 
     lam's leading coefficient must be a unit mod b.
     """
-    comp = _companion(lam)
+    tail = _tail(lam)
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not tail:  # deg(lam) = 0: the ideal is everything
+        return 1
     b = lam.modulus
-    return _span_quotient_size(_image_rows(_power_and_sum(comp, d, b)[0], b),
-                               len(comp), b)
+    return _span_quotient_size(_image_rows(tail, _power_and_sum(tail, d, b)[0], b),
+                               len(tail), b)
 
 
 def _require_affine_valid(lam: ModPoly):
@@ -135,9 +142,8 @@ def order_of_x(lam: ModPoly) -> int:
     """Least w >= 1 with X^w === 1 (mod lam).
 
     Needs both the constant and leading coefficients of lam invertible.
-    The scan steps the coordinates of X^w mod lam by the companion
-    matrix, one power per step: shift them up and add the top one times
-    the last column.  It refuses with BudgetExceeded after
+    The scan takes one shift-and-reduce step of the coordinates of
+    X^w mod lam per power.  It refuses with BudgetExceeded after
     ORDER_MAX_STEPS steps; it is also capped at b^deg(lam) steps, past
     which a failure would mean the premise is broken.
     """
@@ -145,13 +151,12 @@ def order_of_x(lam: ModPoly) -> int:
     b = lam.modulus
     if lam.degree == 0:
         return 1  # unit ideal: everything is congruent to 1
-    last = _companion(lam)[-1]
-    one = [1] + [0] * (len(last) - 1)
+    tail = _tail(lam)
+    one = [1] + [0] * (len(tail) - 1)
     cap = b ** lam.degree
     r = one
     for w in range(1, min(cap, ORDER_MAX_STEPS) + 1):
-        top = r[-1]
-        r = [(x + top * y) % b for x, y in zip([0] + r[:-1], last)]
+        r = _shift(r, tail, b)
         if r == one:
             return w
     if cap < ORDER_MAX_STEPS:
@@ -181,9 +186,9 @@ def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
     c %= b
     if c == 0:
         return k
-    comp = _companion(lam)
+    tail = _tail(lam)
     for d in divisors(lcm(k, b * omega) // k):
-        power, total = _power_and_sum(comp, k * d, b)
-        if _in_image(power, [c * x % b for x in total], b):
+        power, total = _power_and_sum(tail, k * d, b)
+        if _in_image(tail, power, [c * x % b for x in total], b):
             return k * d
     raise BudgetExceeded("no cycle length divides lcm(k, b*omega); internal error")

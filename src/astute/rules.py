@@ -14,7 +14,8 @@ from .algebra import ModPoly, is_unit, mod_inverse
 from .errors import BudgetExceeded, NotInvertible
 from .graph import Factor, GraphParams, word_sums
 
-DEFAULT_MAX_VERTICES = 1 << 22
+# the vertex (and word) budget of every route that walks all of G(n, k)
+MAX_VERTICES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -147,20 +148,19 @@ def successor_array(rule: AffineRule, k: int,
     return succ
 
 
-def check_vertex_budget(p: GraphParams, max_vertices: int):
-    """Refuse a G(n, k) with more than max_vertices vertices."""
-    if p.num_vertices > max_vertices:
-        raise BudgetExceeded(f"{p.num_vertices} vertices exceeds budget {max_vertices}")
+def check_vertex_budget(p: GraphParams):
+    """Refuse a G(n, k) with more than MAX_VERTICES vertices."""
+    if p.num_vertices > MAX_VERTICES:
+        raise BudgetExceeded(f"{p.num_vertices} vertices exceeds budget {MAX_VERTICES}")
 
 
-def enumerate_factor(rule: AffineRule, k: int,
-                     max_vertices: int = DEFAULT_MAX_VERTICES) -> Factor:
+def enumerate_factor(rule: AffineRule, k: int) -> Factor:
     """Partition the vertices of G(n, k) into orbits of the rule's action.
 
     Cycles come out in ascending order of their minimal packed vertex.
     """
     p = GraphParams(rule.b, rule.n, k)
-    check_vertex_budget(p, max_vertices)
+    check_vertex_budget(p)
     return Factor(p, successor_array(rule, k))
 
 
@@ -192,15 +192,14 @@ def power_cost(e: int) -> int:
     return e.bit_length() + bin(e).count("1") - 2
 
 
-def fix_count_bruteforce(rule: AffineRule, i: int,
-                         max_words: int = DEFAULT_MAX_VERTICES) -> int:
+def fix_count_bruteforce(rule: AffineRule, i: int) -> int:
     """|{words s : rule^i(s) = s}|, counted on the i-th power of the word
     permutation."""
     if i < 0:
         raise ValueError("i must be >= 0")
     total = rule.b ** rule.n
-    if total > max_words:
-        raise BudgetExceeded(f"{total} words exceeds budget {max_words}")
+    if total > MAX_VERTICES:
+        raise BudgetExceeded(f"{total} words exceeds budget {MAX_VERTICES}")
     if i == 0:
         return total
     return fixed_points(perm_power(word_permutation(rule), i))

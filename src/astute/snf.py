@@ -1,12 +1,19 @@
-"""Smith normal form of integer matrices, exact (arbitrary precision).
+"""Smith normal form over Z/b, exact.
 
-Matrices are plain rectangular list-of-lists of Python ints.  Only the
-elementary divisors are computed; no transform matrices are tracked.
+Matrices are plain rectangular list-of-lists of Python ints, read mod b.
+Only the elementary divisors are computed; no transform matrices are
+tracked.  Z/b splits into the local rings Z/p^a for p^a || b (Chinese
+remainder theorem), and over Z/p^a every element is a unit times a power
+of p, so an entry of least p-adic valuation divides all the others
+exactly: elimination needs no gcd steps and no entry exceeds p^a.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
+
+from .algebra import factorize
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -19,90 +26,47 @@ def _as_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return a
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(rows: Sequence[Sequence[int]], b: int) -> list[int]:
+    """Elementary divisors d_1 | d_2 | ... of a matrix over Z/b.
 
-    Returns min(r, c) nonnegative integers with the divisibility chain;
-    trailing zeros indicate rank deficiency.  The chain needs no repair:
-    a pivot is kept only once it divides the whole trailing submatrix,
-    and every later entry is an integer combination of that submatrix's
-    entries, so every later pivot is its multiple.
+    Returns min(r, c) divisors of b with the divisibility chain; a
+    missing pivot counts as b.  Each equals gcd(e_i, b) for the integer
+    matrix's elementary divisor e_i.
     """
     a = _as_matrix(rows)
-    nr, nc = len(a), len(a[0])
-    n = min(nr, nc)
-    divisors = []
-    t = 0
-    while t < n:
-        pivot = _find_pivot(a, t)
-        if pivot is None:
-            break
-        _move_pivot(a, t, pivot)
-        while not _reduce_at(a, t):
-            pass
-        divisors.append(abs(a[t][t]))
-        t += 1
-    divisors += [0] * (n - len(divisors))
+    if b < 2:
+        raise ValueError("modulus must be >= 2")
+    divisors = [1] * min(len(a), len(a[0]))
+    for p, e in factorize(b):
+        for i, g in enumerate(_local_divisors(a, p ** e)):
+            divisors[i] *= g
     return divisors
 
 
-def _find_pivot(a, t):
-    # smallest nonzero absolute value in the trailing submatrix
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            v = a[i][j]
-            if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def _local_divisors(rows: list[list[int]], q: int) -> list[int]:
+    """Elementary divisors over Z/q for a prime power q, ascending.
 
-
-def _move_pivot(a, t, pivot):
-    i, j = pivot
-    if i != t:
-        a[t], a[i] = a[i], a[t]
-    if j != t:
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-
-
-def _reduce_at(a, t) -> bool:
-    """One clearing pass at pivot (t, t); True when row+col are clear and
-    the pivot divides the rest of the submatrix."""
-    nr, nc = len(a), len(a[0])
-    # clear column t
-    for i in range(nr):
-        if i == t or not a[i][t]:
-            continue
-        q = a[i][t] // a[t][t]
-        if a[i][t] - q * a[t][t]:
-            # nonzero remainder: swap the smaller residue up and restart
-            for j in range(nc):
-                a[i][j] -= q * a[t][j]
-            a[t], a[i] = a[i], a[t]
-            return False
-        for j in range(nc):
-            a[i][j] -= q * a[t][j]
-    # clear row t
-    for j in range(nc):
-        if j == t or not a[t][j]:
-            continue
-        q = a[t][j] // a[t][t]
-        if a[t][j] - q * a[t][t]:
-            for i in range(nr):
-                a[i][j] -= q * a[i][t]
-            for i in range(nr):
-                a[i][t], a[i][j] = a[i][j], a[i][t]
-            return False
-        for i in range(nr):
-            a[i][j] -= q * a[i][t]
-    # pivot must divide every remaining entry; if not, fold that row in
-    p = a[t][t]
-    for i in range(t + 1, nr):
-        for j in range(t + 1, nc):
-            if a[i][j] % p:
-                for jj in range(nc):
-                    a[t][jj] += a[i][jj]
-                return False
-    return True
-
+    A pivot of least valuation is a unit u times g = gcd(pivot, q); it
+    clears its column with its own row, after which its row and column
+    drop out.  Every later entry is a combination of entries divisible
+    by g, so the pivots come out ascending."""
+    a = [[x % q for x in r] for r in rows]
+    out = []
+    while a and a[0]:
+        g = q
+        for i, r in enumerate(a):  # a row holding a unit ends the search
+            for j, x in enumerate(r):
+                if x and gcd(x, q) < g:
+                    g, pi, pj = gcd(x, q), i, j
+            if g == 1:
+                break
+        if g == q:
+            break
+        pivot = a.pop(pi)
+        inv = pow(pivot.pop(pj) // g, -1, q)
+        for r in a:
+            f = r.pop(pj) // g * inv % q
+            if f:
+                r[:] = [(x - f * y) % q for x, y in zip(r, pivot)]
+        out.append(g)
+    return out + [q] * (min(len(rows), len(rows[0])) - len(out))

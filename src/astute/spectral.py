@@ -38,46 +38,30 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_div_exact(num, list(cyclotomic(d)))
+            num, rem = _int_poly_divmod(num, cyclotomic(d))
+            if any(rem):
+                raise ArithmeticError("division was not exact")
     return tuple(num)
 
 
-def _int_poly_div_exact(p: list[int], q: list[int]) -> list[int]:
-    # exact division by a monic integer polynomial
-    p = list(p)
+def _int_poly_divmod(p, q) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending) by a
+    monic q."""
+    r = list(p)
     dq = len(q) - 1
-    out = [0] * (len(p) - dq)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        out[i - dq] = c
-        for j, qc in enumerate(q):
-            p[i - dq + j] -= c * qc
-    if any(p):
-        raise ArithmeticError("division was not exact")
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
-    phi = cyclotomic(n)
-    dq = len(phi) - 1
-    r = list(coeffs)
+    quot = [0] * (len(r) - dq)
     for i in range(len(r) - 1, dq - 1, -1):
         c = r[i]
-        if c == 0:
-            continue
-        r[i] = 0
-        for j, qc in enumerate(phi[:-1]):
-            r[i - dq + j] -= c * qc
-    return r[:dq]
+        if c:
+            quot[i - dq] = c
+            for j, qc in enumerate(q, i - dq):
+                r[j] -= c * qc
+    return quot, r[:dq]
 
 
 def evaluates_to_zero_exact(coeffs, n: int) -> bool:
     """Whether sum(coeffs[i] * mu^i) is exactly zero (integer coeffs)."""
-    return not any(_reduce_mod_cyclotomic(list(coeffs), n))
+    return not any(_int_poly_divmod(coeffs, cyclotomic(n))[1])
 
 
 def root_of_unity(n: int, j: int = 1) -> complex:

@@ -133,12 +133,13 @@ def test_report_validation():
         CountReport(4, "guesswork", "pcr", 2, 3, 1)
 
 
-def test_count_budgets():
-    from astute.errors import BudgetExceeded
+def test_count_budgets(monkeypatch):
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
     with pytest.raises(BudgetExceeded):
-        count_enumeration(pcr(3, 2), 2, max_vertices=8)
+        count_enumeration(pcr(3, 2), 2)
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 4)
     with pytest.raises(BudgetExceeded):
-        count_burnside_direct(pcr(3, 2), 1, max_vertices=4)
+        count_burnside_direct(pcr(3, 2), 1)
 
 
 def test_lattice_rules_shape():

@@ -133,6 +133,10 @@ def test_validate_factor_diagnostics():
     ([[["001", 0], ["010", 1], ["001", 0]]], "listed twice"),
     ([[]], "empty cycle"),
     ([[["002", 0]]], "symbols outside"),
+    ([[["000", "0"]]], "phase '0' out of range"),
+    ([[["000", True]]], "phase True out of range"),
+    ([[[0, 0]]], "word 0 is not a string"),
+    ([[5]], "entry 5 is not a"),
 ])
 def test_factor_from_doc_refusals(cycles, message):
     doc = {"schema": "astute/1", "b": 2, "n": 3, "k": 2, "cycles": cycles}

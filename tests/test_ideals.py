@@ -5,10 +5,10 @@ import pytest
 
 import astute.counting
 import astute.ideals
-from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
-from astute.counting import count_theorem2
+from astute.algebra import ModPoly, is_unit, poly_rem, u_poly, x_pow_minus_one
+from astute.counting import count_theorem2, count_theorem2_rule
 from astute.errors import LeadingNotInvertible, NotInvertible
-from astute.ideals import (_companion, _in_image, _power_and_sum,
+from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
                            ideal_quotient_size, order_of_x, smallest_cycle_length)
 from astute.rules import icr, parse_rule_spec
 
@@ -18,10 +18,10 @@ from oracles import ideal_quotient_size_oracle, membership_oracle
 def membership_cUs(lam, c, s):
     """Is c*(1 + X + ... + X^(s-1)) in (lam, X^s - 1)?  The membership
     test smallest_cycle_length makes, for any unit-leading lam."""
-    comp = _companion(lam)
+    tail = _tail(lam)
     b = lam.modulus
-    power, total = _power_and_sum(comp, s, b)
-    return _in_image(power, [c * x % b for x in total], b)
+    power, total = _power_and_sum(tail, s, b)
+    return _in_image(tail, power, [c * x % b for x in total], b)
 
 
 def test_quotient_size_examples():
@@ -32,6 +32,13 @@ def test_quotient_size_examples():
     # elements, so the quotient has 16 / 2 = 8
     assert ideal_quotient_size(u_poly(4, 2), 4) == 8
     assert ideal_quotient_size_oracle(u_poly(4, 2), 4) == 8
+
+
+def test_span_quotient_size_fewer_rows_than_width():
+    # (Z/4)^3 / span((2, 0, 0)) has 2 * 4 * 4 elements
+    assert _span_quotient_size([[2, 0, 0]], 3, 4) == 32
+    assert _span_quotient_size([[1, 2], [0, 3], [0, 2]], 2, 6) == 1
+    assert _span_quotient_size([[1, 2], [0, 3]], 2, 6) == 3
 
 
 def _random_poly(rng, b, max_deg):
@@ -87,7 +94,7 @@ def test_membership_against_closure_oracle():
 
 def test_companion_route_against_closure_oracle_composite():
     # unit-leading lam of degree <= 4 over composite and prime-power b,
-    # leading coefficient not always 1, so the companion matrix needs
+    # leading coefficient not always 1, so the tail X^deg mod lam needs
     # the monic rescaling
     rng = random.Random(11)
     compared = 0
@@ -104,6 +111,31 @@ def test_companion_route_against_closure_oracle_composite():
             (lam, d)
         assert membership_cUs(lam, c, d) == membership_oracle(lam, c, d), (lam, c, d)
         compared += 1
+
+
+def _coords(poly, n):
+    return list(poly.coeffs) + [0] * (n - len(poly.coeffs))
+
+
+def test_power_and_sum_against_polynomial_arithmetic():
+    # degrees and exponents far past the closure oracle's reach
+    rng = random.Random(12)
+    for _ in range(40):
+        b = rng.choice([2, 4, 6, 9])
+        n = rng.randrange(1, 13)
+        units = [u for u in range(1, b) if is_unit(u, b)]
+        lam = ModPoly.from_coeffs([rng.randrange(b) for _ in range(n)]
+                                  + [rng.choice(units)], b)
+        s = rng.randrange(1, 10 ** 4 + 1)
+        power, acc = ModPoly.from_coeffs([1], b), ModPoly.from_coeffs([0, 1], b)
+        e = s
+        while e:
+            if e & 1:
+                power = poly_rem(power * acc, lam)
+            acc = poly_rem(acc * acc, lam)
+            e >>= 1
+        assert _power_and_sum(_tail(lam), s, b) == (
+            _coords(power, n), _coords(poly_rem(u_poly(s, b), lam), n)), (lam, s)
 
 
 def test_order_of_x():
@@ -210,3 +242,14 @@ def test_theorem2_with_omega_scans_no_order(monkeypatch):
     assert count_theorem2(lam, 1, 2, omega=12).value == want
     with pytest.raises(ValueError, match="omega=6 is not a multiple"):
         count_theorem2(lam, 1, 2, omega=6)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_theorem2_primitive_trinomial_at_scale(c):
+    # X^20 + X^3 + 1 is primitive over Z/2: one word is fixed and the
+    # other 2^20 - 1 form one cycle, which splits into gcd(2^20 - 1, k)
+    # cycles of G(20, k)
+    rule = parse_rule_spec(f"affine:{c};1," + "0," * 16 + "1,0,0,1", 20, 2)
+    omega = 2 ** 20 - 1
+    assert count_theorem2_rule(rule, 1, omega=omega).value == 2
+    assert count_theorem2_rule(rule, 3, omega=omega).value == 4

@@ -2,6 +2,7 @@ from math import gcd, lcm
 
 import pytest
 
+import astute.rules
 from astute.algebra import u_poly, x_pow_minus_one
 from astute.errors import BudgetExceeded, NotInvertible
 from astute.graph import (GraphParams, Vertex, pack, unpack, validate_factor,
@@ -181,8 +182,10 @@ def test_successor_array_matches_vertex_definition(b, n):
                             for w in all_words(n, b) for ph in range(k)]
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
     with pytest.raises(BudgetExceeded):
-        enumerate_factor(pcr(3, 2), 2, max_vertices=8)
+        enumerate_factor(pcr(3, 2), 2)
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 4)
     with pytest.raises(BudgetExceeded):
-        fix_count_bruteforce(pcr(3, 2), 1, max_words=4)
+        fix_count_bruteforce(pcr(3, 2), 1)

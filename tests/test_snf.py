@@ -8,23 +8,33 @@ from astute.snf import smith_normal_form
 
 
 def test_known_forms():
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[2, 0], [0, 4]]) == [2, 4]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    # integer forms [1, 1], [2, 4] and [1, 6], restated mod b
+    assert smith_normal_form([[1, 0], [0, 1]], 6) == [1, 1]
+    assert smith_normal_form([[2, 0], [0, 4]], 8) == [2, 4]
+    assert smith_normal_form([[2, 0], [0, 4]], 6) == [2, 2]
+    assert smith_normal_form([[2, 0], [0, 3]], 12) == [1, 6]
+    assert smith_normal_form([[2, 0], [0, 3]], 4) == [1, 2]
+    assert smith_normal_form([[2, 0], [0, 3]], 5) == [1, 1]
 
 
 def test_rank_deficient_and_rectangular():
-    assert smith_normal_form([[1, 2], [2, 4]]) == [1, 0]
-    assert smith_normal_form([[2, 4]]) == [2]
-    assert smith_normal_form([[0], [-2]]) == [2]
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
+    # a missing pivot counts as b
+    assert smith_normal_form([[1, 2], [2, 4]], 6) == [1, 6]
+    assert smith_normal_form([[2, 4]], 4) == [2]
+    assert smith_normal_form([[2, 4]], 3) == [1]
+    assert smith_normal_form([[0], [-2]], 4) == [2]
+    assert smith_normal_form([[2], [3]], 6) == [1]
+    assert smith_normal_form([[0, 0], [0, 0]], 5) == [5, 5]
+    assert smith_normal_form([[6, 12, 18]], 36) == [6]
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
+        smith_normal_form([[1, 2], [3]], 6)
     with pytest.raises(ValueError):
-        smith_normal_form([])
+        smith_normal_form([], 6)
+    with pytest.raises(ValueError):
+        smith_normal_form([[1]], 1)
 
 
 def _minor_gcd(a, size):
@@ -45,16 +55,20 @@ def _det(m):
 
 
 def test_random_matrices_against_determinantal_divisors():
+    # over Z/b the i-th divisor is gcd(D_i / D_(i-1), b), with D_i the gcd
+    # of the i x i minors of the integer matrix; D_i = 0 gives b
     rng = random.Random(42)
-    for _ in range(120):
-        a = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        divisors = smith_normal_form(a)
-        # divisibility chain
+    for _ in range(240):
+        b = rng.choice([2, 3, 4, 8, 9, 6, 12, 36])
+        nr, nc = rng.choice([(3, 3), (3, 3), (2, 3), (3, 2), (4, 3)])
+        a = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        divisors = smith_normal_form(a, b)
+        want, prev = [], 1
+        for size in range(1, min(nr, nc) + 1):
+            d = _minor_gcd(a, size)
+            want.append(gcd(d // prev, b) if d else b)
+            prev = d
+        assert divisors == want, (a, b)
         for x, y in zip(divisors, divisors[1:]):
-            if y:
-                assert x and y % x == 0
-        # product of the first k divisors equals the gcd of k x k minors
-        prod = 1
-        for k, d in enumerate(divisors, start=1):
-            prod = prod * d
-            assert prod == _minor_gcd(a, k)
+            assert y % x == 0
+        assert all(b % x == 0 for x in divisors)
