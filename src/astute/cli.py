@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import gcd
 
@@ -37,13 +37,16 @@ EXIT_VERIFY = 5
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    # looked up on each call, so a cmd_* replaced on this module is the one run
+    command = {"factor": cmd_factor, "count": cmd_count, "extremal": cmd_extremal,
+               "verify": cmd_verify, "export": cmd_export}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (BudgetExceeded, Inconclusive) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -55,7 +58,10 @@ def main(argv=None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: it
+    depends on no input and holds no functions."""
     parser = argparse.ArgumentParser(
         prog="astute",
         description="Factors of de Bruijn-like graphs: enumerate, count, search.")
@@ -65,13 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_factor, rule=True)
     p_factor.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p_factor.add_argument("--out", help="write output to this path instead of stdout")
-    p_factor.set_defaults(func=cmd_factor)
 
     p_count = sub.add_parser("count", help="count factor cycles by one or all methods")
     _add_instance_flags(p_count, rule=True)
     p_count.add_argument("--method", default="all",
                          choices=("all", "enum", "burnside", "theorem2", "closed"))
-    p_count.set_defaults(func=cmd_count)
 
     p_ext = sub.add_parser("extremal", help="search for a maximum-cycle factor")
     _add_instance_flags(p_ext, rule=False)
@@ -79,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--time-cap", type=float, default=None)
     p_ext.add_argument("--emit-dot", metavar="PATH")
     p_ext.add_argument("--emit-json", metavar="PATH")
-    p_ext.set_defaults(func=cmd_extremal)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--suite", default="all",
@@ -91,14 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--csv", metavar="PATH",
                           help="dump the per-orbit transform table for the "
                                "--b/--n/--k instance")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="DOT rendering of the graph")
     _add_instance_flags(p_export, rule=False)
     p_export.add_argument("--rule", help="highlight this rule's factor")
     p_export.add_argument("--color", default="magenta")
     p_export.add_argument("--out", help="write output to this path instead of stdout")
-    p_export.set_defaults(func=cmd_export)
 
     return parser
 
@@ -175,27 +176,33 @@ def cmd_count(args) -> int:
         check_vertex_budget(_params(args))
         perm = word_permutation(rule)
         reports.append(counting.count_enumeration(rule, args.k, perm=perm))
-    # shared by Burnside and Theorem 2; computed only after the enumeration's
-    # vertex budget has passed, which also covers Burnside's word budget
-    order = None
+    # shared by Burnside and Theorem 2: the order of X, Burnside's ell
+    # (the smallest cycle length at k = 1) and Theorem 2's s, found from
+    # ell; computed only after the enumeration's vertex budget has
+    # passed, which also covers Burnside's word budget
+    order = ell = s = None
     if wanted == "all":
+        lam = rule.char_poly()
         try:
-            order = order_of_x(rule.char_poly())
+            order = order_of_x(lam)
         except BudgetExceeded as e:
             # the rows that did run are still printed and checked
             print(f"skipped burnside_direct, theorem2: {e}", file=sys.stderr)
             routes -= {"burnside", "theorem2"}
+        else:
+            ell = smallest_cycle_length(lam, rule.c, 1, order)
+            s = smallest_cycle_length(lam, rule.c, args.k, order, ell=ell)
     if "burnside" in routes:
         try:
             reports.append(counting.count_burnside_direct(rule, args.k, omega=order,
-                                                          perm=perm))
+                                                          perm=perm, ell=ell))
         except BudgetExceeded as e:
             if wanted != "all":
                 raise
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
     if "theorem2" in routes:
-        reports.append(counting.count_theorem2_rule(rule, args.k, omega=order))
+        reports.append(counting.count_theorem2_rule(rule, args.k, omega=order, s=s))
     if "closed" in routes:
         closed = counting.closed_form_for(rule, args.k)
         if closed is not None:

@@ -57,7 +57,8 @@ def count_enumeration(rule: AffineRule, k: int,
 
 def count_burnside_direct(rule: AffineRule, k: int,
                           omega: int | None = None,
-                          perm: list[int] | None = None) -> CountReport:
+                          perm: list[int] | None = None,
+                          ell: int | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
 
     The average runs over one period M = lcm(k, l, w) of
@@ -78,7 +79,9 @@ def count_burnside_direct(rule: AffineRule, k: int,
     is refused above BURNSIDE_MAX_STEPS.  A wrong omega is refused by
     smallest_cycle_length; past that, at e = top every word must be
     fixed, else M is not a period and ValueError is raised.  perm is the
-    rule's word permutation (built here by default, after the word budget).
+    rule's word permutation (built here by default, after the word budget)
+    and ell is l as smallest_cycle_length gives it for this omega (found
+    here by default).
     """
     n_words = rule.b ** rule.n
     if n_words > rules.MAX_VERTICES:
@@ -86,7 +89,8 @@ def count_burnside_direct(rule: AffineRule, k: int,
     lam = rule.char_poly()
     if omega is None:
         omega = order_of_x(lam)
-    ell = smallest_cycle_length(lam, rule.c, 1, omega)
+    if ell is None:
+        ell = smallest_cycle_length(lam, rule.c, 1, omega)
     m = lcm(k, ell, omega)
     top = m // k
     # largest primes first: their raises are the dearest and run least often
@@ -130,7 +134,8 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
 def count_theorem2(lam: ModPoly, c: int, k: int,
                    omega: int | None = None,
-                   rule_spec: str = "") -> CountReport:
+                   rule_spec: str = "",
+                   s: int | None = None) -> CountReport:
     """The general affine-rule count:
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
@@ -140,14 +145,16 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
     (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
     Z/bZ[X] / (lam, X^d - 1).  smallest_cycle_length checks w by
     Q(w) = b^deg(lam), which holds exactly when X^w === 1; the sum
-    reuses that cached size.
+    reuses that cached size.  A given s must be smallest_cycle_length's
+    for this omega, which has then checked it.
     """
     if omega is None:
         omega = order_of_x(lam)
-    s = smallest_cycle_length(lam, c, k, omega)
+    if s is None:
+        s = smallest_cycle_length(lam, c, k, omega)
     g = gcd(s, omega)
     terms = []
-    total = Fraction(0)
+    total = 0
     for d in divisors(omega):
         if d % g:
             continue
@@ -155,7 +162,7 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
         q = ideal_quotient_size(lam, d)
         terms.append((d, phi, q))
         total += phi * q
-    value = Fraction(k * g, s * omega) * total
+    value = Fraction(k * g * total, s * omega)
     if value.denominator != 1 or value < 1:
         raise NonIntegerResult(f"ideal-formula count {value} is not a positive integer")
     spec = rule_spec or f"affine:{c};(lambda={lam})"
@@ -165,9 +172,10 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
 
 
 def count_theorem2_rule(rule: AffineRule, k: int,
-                        omega: int | None = None) -> CountReport:
+                        omega: int | None = None,
+                        s: int | None = None) -> CountReport:
     return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
-                          rule_spec=rule.spec())
+                          rule_spec=rule.spec(), s=s)
 
 
 def _rotation_family(n: int, k: int, b: int, s: int) -> int:

@@ -32,6 +32,10 @@ class GraphParams:
     k: int
 
     def __post_init__(self):
+        for name in ("b", "n", "k"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.b < 2:
             raise ValueError("alphabet size b must be >= 2")
         if self.n < 1 or self.k < 1:
@@ -270,14 +274,19 @@ def factor_from_doc(doc: dict) -> Factor:
     """The factor a document describes; the one reader of outside input,
     kept for library users though no package code calls it.
 
-    Refuses an entry that is not a [word, phase] pair, a word that is
-    not a string of n symbols, a phase that is not an int in [0, k), a
-    vertex listed twice and an empty cycle with ValueError.  Arcs and
-    coverage are validate_factor's: a vertex no cycle lists keeps
-    successor -1."""
+    Refuses a b, n or k that is not an int (GraphParams), cycles or a
+    cycle that is not a list, an entry that is not a [word, phase] pair,
+    a word that is not a string of n symbols, a phase that is not an int
+    in [0, k), a vertex listed twice and an empty cycle with ValueError.
+    Arcs and coverage are validate_factor's: a vertex no cycle lists
+    keeps successor -1."""
     p = GraphParams(b=doc["b"], n=doc["n"], k=doc["k"])
     succ = [-1] * p.num_vertices
+    if not isinstance(doc["cycles"], (list, tuple)):
+        raise ValueError(f"cycles {doc['cycles']!r} is not a list")
     for cyc in doc["cycles"]:
+        if not isinstance(cyc, (list, tuple)):
+            raise ValueError(f"cycle {cyc!r} is not a list")
         if not cyc:
             raise ValueError("empty cycle")
         codes = []

@@ -4,24 +4,31 @@ For a polynomial lam with a unit leading coefficient, Z/b[X] / (lam) is
 free over Z/b with basis 1, X, ..., X^(n-1), n = deg(lam).  Residues mod
 lam are coordinate vectors in that basis, and all arithmetic on them
 needs only `tail`, the coordinates of X^n mod lam (lam made monic): one
-shift-and-reduce step multiplies by X.  The ideal (lam, X^d - 1) maps
-onto the span of X^(d+j) - X^j for j < n, so
+shift-and-reduce step multiplies by X.
 
-    |Z/bZ[X] / (lam, X^d - 1)| = |(Z/b)^n / span(X^(d+j) - X^j)|,
+Z/b is the product of the rings Z/p^a over p^a || b (Chinese remainder
+theorem), so the quotient Z/b[X] / (lam, X^d - 1) is the product of its
+reductions and an element lies in the ideal exactly when each reduction
+does.  Over a prime p with a = 1, Z/p[X] is a principal ideal domain:
+(lam, X^d - 1) = (g) with g = gcd(lam, X^d - 1), so the quotient has
+p^deg(g) elements and an element lies in the ideal exactly when g
+divides it (Elspas 1959; Lidl & Niederreiter, Finite Fields, ch. 8).
+The primes with a > 1 are taken together as one modulus r, where zero
+divisors rule out the gcd: there the ideal maps onto the span of
+X^(d+j) - X^j for j < n, so
 
-and an element lies in the ideal exactly when its coordinate vector lies
-in that span.  The modulus may be composite, so polynomial GCDs are
-unavailable; sizes and memberships are decided through Smith normal
-forms over Z/b of these n generators (Elspas 1959; Lidl & Niederreiter,
-Finite Fields, ch. 8).
+    |Z/r[X] / (lam, X^d - 1)| = |(Z/r)^n / span(X^(d+j) - X^j)|,
+
+decided by a Smith normal form over Z/r of these n generators, and an
+element lies in the ideal exactly when its coordinates lie in the span.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from .algebra import ModPoly, divisors, is_unit
+from .algebra import ModPoly, divisors, factorize, is_unit
 from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
 from .snf import smith_normal_form
 
@@ -72,6 +79,20 @@ def _mulmod(p: list[int], q: list[int], tail: list[int], b: int) -> list[int]:
     return [x % b for x in out[:n]]
 
 
+def _power(tail: list[int], s: int, b: int) -> list[int]:
+    """X^s mod lam by repeated squaring."""
+    n = len(tail)
+    power = [int(i == 0) for i in range(n)]
+    base = tail if n == 1 else [int(i == 1) for i in range(n)]
+    while s:
+        if s & 1:
+            power = _mulmod(power, base, tail, b)
+        s >>= 1
+        if s:
+            base = _mulmod(base, base, tail, b)
+    return power
+
+
 def _power_and_sum(tail: list[int], s: int, b: int):
     """X^s and U_s = 1 + X + ... + X^(s-1) mod lam by repeated squaring."""
     def compose(p, u, q, w):
@@ -102,19 +123,66 @@ def _image_rows(tail: list[int], power: list[int], b: int) -> list[list[int]]:
     return rows
 
 
+def _split(b: int) -> tuple[list[int], int]:
+    """The primes p with p || b, and r, the product of the p^a || b with
+    a > 1 (1 when b is squarefree)."""
+    primes, r = [], 1
+    for p, a in factorize(b):
+        if a == 1:
+            primes.append(p)
+        else:
+            r *= p ** a
+    return primes, r
+
+
+def _rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over Z/p, trailing zeros stripped; g's top coefficient is
+    nonzero mod p."""
+    f = [x % p for x in f]
+    inv = pow(g[-1], -1, p)
+    top = len(g) - 1
+    for i in range(len(f) - 1, top - 1, -1):
+        t = f[i] * inv % p
+        if t:
+            for j, y in enumerate(g, i - top):
+                f[j] = (f[j] - t * y) % p
+    del f[top:]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _ideal_gcd(tail: list[int], power: list[int], p: int) -> list[int]:
+    """gcd(lam, X^s - 1) over Z/p, given power = X^s mod lam: the monic
+    generator of (lam, X^s - 1) in Z/p[X]."""
+    f = [-t % p for t in tail] + [1]
+    g = _rem_mod_p([power[0] - 1] + power[1:], f, p)
+    while g:
+        f, g = g, _rem_mod_p(f, g, p)
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]
+
+
 def _in_image(tail: list[int], power: list[int], target: list[int], b: int) -> bool:
-    """Is target in the span of X^(s+j) - X^j?  Adjoining it leaves the
-    quotient size unchanged exactly when it already lies in the span."""
+    """Is target in (lam, X^s - 1) mod lam, given power = X^s?  Over each
+    prime p || b the ideal's generator must divide it; over r, adjoining
+    it to the span of X^(s+j) - X^j must leave the quotient size as is."""
     n = len(target)
     if n == 0:  # deg(lam) = 0: lam is a unit and the ideal is everything
         return True
-    rows = _image_rows(tail, power, b)
-    return _span_quotient_size(rows + [target], n, b) == _span_quotient_size(rows, n, b)
+    primes, r = _split(b)
+    if any(_rem_mod_p(target, _ideal_gcd(tail, power, p), p) for p in primes):
+        return False
+    if r == 1:
+        return True
+    rows = _image_rows(tail, power, r)
+    return _span_quotient_size(rows + [target], n, r) == _span_quotient_size(rows, n, r)
 
 
 @lru_cache(maxsize=4096)
 def ideal_quotient_size(lam: ModPoly, d: int) -> int:
-    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus.
+    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus: p^deg(gcd) over
+    each prime p || b, times the span quotient over r.
 
     lam's leading coefficient must be a unit mod b.
     """
@@ -124,8 +192,12 @@ def ideal_quotient_size(lam: ModPoly, d: int) -> int:
     if not tail:  # deg(lam) = 0: the ideal is everything
         return 1
     b = lam.modulus
-    return _span_quotient_size(_image_rows(tail, _power_and_sum(tail, d, b)[0], b),
-                               len(tail), b)
+    power = _power(tail, d, b)
+    primes, r = _split(b)
+    size = prod(p ** (len(_ideal_gcd(tail, power, p)) - 1) for p in primes)
+    if r > 1:
+        size *= _span_quotient_size(_image_rows(tail, power, r), len(tail), r)
+    return size
 
 
 def _require_affine_valid(lam: ModPoly):
@@ -165,17 +237,23 @@ def order_of_x(lam: ModPoly) -> int:
                          f"the step budget of its scan")
 
 
-def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
+def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int,
+                          ell: int | None = None) -> int:
     """Least multiple s of k with c*U_s in (lam, X^s - 1).
 
     omega is any multiple of the order of X mod lam, checked first by
     Q(omega) = b^deg(lam) (ValueError otherwise).  For the affine map A
     of lam and c on (Z/b)^deg(lam), A^omega is a translation, so
     A^(b*omega) is the identity and every orbit length L divides
-    b*omega.  c*U_s is in the ideal exactly when A^s fixes some point,
-    that is when some L divides s, so s = min over L of lcm(k, L), a
-    divisor of lcm(k, b*omega).  Those divisors that are multiples of k
-    are tried in ascending order; none passing signals a bug.
+    m = b*omega.  c*U_s is in the ideal exactly when A^s fixes some
+    point, that is when some L divides s, or gcd(s, m).  So s = min over
+    L of lcm(k, L), a divisor of lcm(k, m); those divisors that are
+    multiples of k are tried in ascending order, each by its gcd with m,
+    and no gcd is tested twice.  None passing signals a bug.
+
+    ell, this function's value at k = 1 when the caller has it, decides
+    a gcd without a test: it passes when ell divides it and fails below
+    ell, since ell is the least orbit length.  With ell | k, s = k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -184,11 +262,20 @@ def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
     if ideal_quotient_size(lam, omega) != b ** lam.degree:
         raise ValueError(f"omega={omega} is not a multiple of the order of X")
     c %= b
-    if c == 0:
+    if c == 0 or (ell is not None and k % ell == 0):
         return k
     tail = _tail(lam)
-    for d in divisors(lcm(k, b * omega) // k):
-        power, total = _power_and_sum(tail, k * d, b)
-        if _in_image(tail, power, [c * x % b for x in total], b):
+    m = b * omega
+    tested = {}
+    for d in divisors(lcm(k, m) // k):
+        g = gcd(k * d, m)
+        if ell is not None and (g % ell == 0 or g < ell):
+            passed = g % ell == 0
+        elif g in tested:
+            passed = tested[g]
+        else:
+            power, total = _power_and_sum(tail, g, b)
+            passed = tested[g] = _in_image(tail, power, [c * x % b for x in total], b)
+        if passed:
             return k * d
     raise BudgetExceeded("no cycle length divides lcm(k, b*omega); internal error")

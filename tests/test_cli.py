@@ -1,5 +1,8 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -12,6 +15,8 @@ from astute import cli, extremal, spectral
 from astute.algebra import ModPoly
 from astute.cli import main
 from astute.graph import factor_from_doc, validate_factor
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -503,3 +508,33 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extremal", "--b", "2", "--n", "3", "--k", "2", "--workers", "2"])
     assert exc.value.code == 2
+
+
+COUNT_ALL = ["count", "--rule", "affine:1;1,2,2", "--b", "3", "--n", "2", "--k", "2",
+             "--method", "all"]
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one process runs every call on the parser its first call built;
+    # each must print and exit as `python -m astute.cli` does alone
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the width
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in ([], ["count", "--b", "x"], COUNT_ALL, ["verify", "--suite", "lemmas"],
+                 ["count", "--rule", "pcr", "--b", "2", "--n", "4"]):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "astute.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_command_replaced_after_first_call_runs(capsys, monkeypatch):
+    assert run(capsys, *COUNT_ALL)[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_count", lambda args: calls.append(args.k) or 17)
+    assert run(capsys, *COUNT_ALL)[0] == 17
+    assert calls == [2]

@@ -144,6 +144,21 @@ def test_factor_from_doc_refusals(cycles, message):
         factor_from_doc(doc)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("k", True, "k must be an int, not True"),
+    ("b", "2", "b must be an int, not '2'"),
+    ("cycles", 5, "cycles 5 is not a list"),
+    ("cycles", [5], "cycle 5 is not a list"),
+])
+def test_factor_from_doc_refuses_malformed_fields(field, value, message):
+    doc = {"schema": "astute/1", "b": 2, "n": 1, "k": 1,
+           "cycles": [[["0", 0]], [["1", 0]]]}
+    assert len(factor_from_doc(doc)) == 2
+    doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        factor_from_doc(doc)
+
+
 def test_factor_holds_a_copy_of_succ():
     p = GraphParams(2, 1, 1)
     succ = [0, 1]
@@ -237,6 +252,9 @@ def test_dot_output():
 
 
 def test_params_validation():
+    for fields in ((2.0, 3, 1), (2, True, 1), (2, 3, False), (2, 3, "1")):
+        with pytest.raises(ValueError, match="must be an int"):
+            GraphParams(*fields)
     with pytest.raises(ValueError):
         GraphParams(1, 3, 1)
     with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from astute.counting import count_burnside_direct, count_theorem2_rule
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, count_cycles
-from astute.ideals import order_of_x, smallest_cycle_length
+from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from astute.rules import AffineRule
 
-from oracles import (permutation_cycles, random_factor, rule_orbit_count,
-                     smallest_cycle_length_oracle)
+from oracles import (ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
+                     random_factor, rule_orbit_count, smallest_cycle_length_oracle)
+from test_ideals import membership_cUs
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,3 +101,61 @@ def test_smallest_cycle_length_matches_word_cycle_oracle(b, n, k, data):
     for c in {rule.c, 0}:
         assert smallest_cycle_length(lam, c, k, omega) == \
             smallest_cycle_length_oracle(rule.lambdas, c, b, k), (rule.spec(), c)
+
+
+# Theorem 2's ideals split over the primes of b: primes, squarefree
+# composites (a gcd over each prime), and b with a square factor (a
+# Smith normal form over that part)
+IDEAL_MODULI = [2, 3, 5, 7, 6, 10, 15, 4, 8, 9, 12]
+
+
+def draw_lambda(data, b, max_degree):
+    """A lam of degree <= max_degree whose constant and leading
+    coefficients are units; half the time g^2 * f with deg g >= 1, so
+    not squarefree over any prime of b."""
+    def unit_ended(degree):
+        return draw_unit_leading_rule(data, b, degree).char_poly()
+
+    if max_degree >= 2 and data.draw(st.booleans()):
+        g = unit_ended(data.draw(st.integers(1, max_degree // 2)))
+        room = max_degree - 2 * g.degree
+        return g * g * (unit_ended(data.draw(st.integers(1, room))) if room else 1)
+    return unit_ended(data.draw(st.integers(1, max_degree)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b=st.sampled_from(IDEAL_MODULI), data=st.data())
+def test_ideal_quotient_size_matches_closure_oracle(b, data):
+    lam = draw_lambda(data, b, 5)
+    for d in range(1, 7):
+        if b ** d > 5000:
+            break
+        assert ideal_quotient_size(lam, d) == ideal_quotient_size_oracle(lam, d), (lam, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b=st.sampled_from(IDEAL_MODULI), data=st.data())
+def test_membership_matches_closure_oracle(b, data):
+    lam = draw_lambda(data, b, 5)
+    c = data.draw(st.integers(0, b - 1))
+    for s in range(1, 7):
+        if b ** s > 5000:
+            break
+        assert membership_cUs(lam, c, s) == membership_oracle(lam, c, s), (lam, c, s)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from(IDEAL_MODULI), data=st.data())
+def test_shared_cycle_lengths_match_word_cycle_oracle(b, data):
+    # the (ell, s) pair count --method all computes once and shares: ell
+    # at k = 1, then s at each k from ell
+    lam = draw_lambda(data, b, max(d for d in range(1, 5) if b ** d <= 729))
+    c = data.draw(st.integers(0, b - 1))
+    lambdas = tuple(reversed(lam.coeffs))
+    omega = order_of_x(lam)
+    ell = smallest_cycle_length(lam, c, 1, omega)
+    assert ell == smallest_cycle_length_oracle(lambdas, c, b, 1), (lam, c)
+    for k in range(1, 7):
+        s = smallest_cycle_length(lam, c, k, omega, ell=ell)
+        assert s == smallest_cycle_length_oracle(lambdas, c, b, k), (lam, c, k)
+        assert s == smallest_cycle_length(lam, c, k, omega), (lam, c, k)
