@@ -8,14 +8,13 @@ ideal identities, and finds true extremal factors by exhaustive search
 at small sizes.
 """
 
-from .algebra import (ModPoly, euler_phi, mod_inverse, poly_gcd_field,
-                      poly_rem, u_poly, x_pow_minus_one)
+from .algebra import ModPoly, euler_phi, poly_gcd, u_poly, x_pow_minus_one
 from .counting import (CountReport, base_divisor, closed_form_icr,
                        closed_form_pcr, closed_form_xor, count_burnside_direct,
                        count_enumeration, count_theorem2, count_theorem2_rule)
-from .errors import (AstuteError, BudgetExceeded, CompositeModulus,
-                     Inconclusive, LeadingNotInvertible, NonIntegerResult,
-                     NotInvertible, NotPcrOrbit, PreconditionViolated)
+from .errors import (AstuteError, BudgetExceeded, Inconclusive,
+                     LeadingNotInvertible, NonIntegerResult, NotInvertible,
+                     NotPcrOrbit, PreconditionViolated)
 from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
                        search_extremal, verify_theorem1)
 from .graph import (Cycle, Factor, GraphParams, Vertex, doc_to_json,

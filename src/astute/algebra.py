@@ -1,8 +1,13 @@
-"""Exact arithmetic over Z/bZ and polynomials with coefficients in Z/bZ.
+"""Exact arithmetic over Z/bZ: units, integer factorization, divisors and
+totients; polynomials over Z/bZ as values; and polynomial remainder and
+gcd over a prime field Z/p.
 
-Coefficients are plain ints reduced into [0, b).  Polynomials are stored
-with ascending degree and no trailing zeros; the zero polynomial has an
-empty coefficient tuple and no degree.
+Coefficients are plain ints reduced into [0, b), listed by ascending
+degree.  ModPoly is the polynomial as a hashable value (the cache key of
+ideals.ideal_quotient_size); it stores no trailing zeros, and the zero
+polynomial has an empty coefficient tuple and no degree.  Arithmetic runs
+on plain coefficient lists: _rem_mod_p and poly_gcd over Z/p here, and
+residues mod a polynomial over Z/b in ideals.
 """
 
 from __future__ import annotations
@@ -10,35 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CompositeModulus, LeadingNotInvertible, NotInvertible
-
-
-def mod_inverse(a: int, b: int) -> int:
-    """Inverse of a modulo b, via the extended Euclidean algorithm."""
-    a %= b
-    g, x = _egcd(a, b)
-    if g != 1:
-        raise NotInvertible(f"{a} is not invertible mod {b} (gcd {g})")
-    return x % b
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    # returns (g, x) with a*x === g (mod b)
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    return old_r, old_x
-
 
 def is_unit(a: int, b: int) -> bool:
     return gcd(a % b, b) == 1
-
-
-def is_prime(m: int) -> bool:
-    return m >= 2 and factorize(m) == [(m, 1)]
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -106,10 +85,6 @@ class ModPoly:
             cs.pop()
         return cls(tuple(cs), b)
 
-    @classmethod
-    def zero(cls, b: int) -> "ModPoly":
-        return cls((), b)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -127,31 +102,6 @@ class ModPoly:
     @property
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def _check(self, other: "ModPoly"):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ModPoly.from_coeffs([c * other for c in self.coeffs], self.modulus)
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return ModPoly.zero(self.modulus)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(other.coeffs):
-                    out[i + j] += a * c
-        return ModPoly.from_coeffs(out, self.modulus)
-
-    __rmul__ = __mul__
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero:
-            return self
-        inv = mod_inverse(self.leading, self.modulus)
-        return self * inv
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -183,43 +133,35 @@ def x_pow_minus_one(m: int, b: int) -> ModPoly:
     return ModPoly.from_coeffs([-1] + [0] * (m - 1) + [1], b)
 
 
-def poly_divmod(p: ModPoly, q: ModPoly) -> tuple[ModPoly, ModPoly]:
-    """Quotient and remainder of p by q; q's leading coefficient must be a unit."""
-    if q.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    b = p.modulus
-    if p.modulus != q.modulus:
-        raise ValueError("mixed moduli")
-    if not is_unit(q.leading, b):
-        raise LeadingNotInvertible(
-            f"leading coefficient {q.leading} not invertible mod {b}")
-    inv = mod_inverse(q.leading, b)
-    rem = list(p.coeffs)
-    dq = q.degree
-    quot = [0] * max(0, len(rem) - dq)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] % b
-        if not c:
-            continue
-        f = (c * inv) % b
-        quot[i - dq] = f
-        for j, qc in enumerate(q.coeffs):
-            rem[i - dq + j] = (rem[i - dq + j] - f * qc) % b
-    return ModPoly.from_coeffs(quot, b), ModPoly.from_coeffs(rem, b)
+def _rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over Z/p, trailing zeros stripped; g's top coefficient is
+    nonzero mod p."""
+    f = [x % p for x in f]
+    inv = pow(g[-1], -1, p)
+    top = len(g) - 1
+    for i in range(len(f) - 1, top - 1, -1):
+        t = f[i] * inv % p
+        if t:
+            for j, y in enumerate(g, i - top):
+                f[j] = (f[j] - t * y) % p
+    del f[top:]
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def poly_rem(p: ModPoly, q: ModPoly) -> ModPoly:
-    """Remainder of p modulo q (deg result < deg q)."""
-    return poly_divmod(p, q)[1]
+def poly_gcd(f, g, p: int) -> list[int]:
+    """Monic gcd of f and g over Z/p by Euclid's algorithm, as a
+    coefficient list ascending by degree.  f and g are int sequences in
+    the same order, trailing zeros mod p allowed.
 
-
-def poly_gcd_field(p: ModPoly, q: ModPoly) -> ModPoly:
-    """Monic GCD of p and q; requires a prime modulus."""
-    if p.modulus != q.modulus:
-        raise ValueError("mixed moduli")
-    if not is_prime(p.modulus):
-        raise CompositeModulus(f"modulus {p.modulus} is not prime")
-    a, c = p, q
-    while not c.is_zero:
-        a, c = c, poly_rem(a, c)
-    return a.monic()
+    p must be prime, and f and g must not both be zero mod p.
+    """
+    f, g = ([x % p for x in h] for h in (f, g))
+    for h in (f, g):
+        while h and not h[-1]:
+            h.pop()
+    while g:
+        f, g = g, _rem_mod_p(f, g, p)
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]

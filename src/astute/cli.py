@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 
 from . import counting, spectral
-from .algebra import u_poly, x_pow_minus_one, poly_gcd_field
+from .algebra import poly_gcd, u_poly, x_pow_minus_one
 from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
                      PreconditionViolated)
 from .extremal import SearchBudget, search_extremal, verify_theorem1
@@ -280,10 +280,11 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
 
 def _gcd_cases():
     """(b, n, m, gcd(n, m), us, xs) for n, m <= 12 over b = 2, 3, 5, with
-    us[i] = 1 + X + ... + X^(i-1) and xs[i] = X^i - 1 (index 0 unused)."""
+    us[i] and xs[i] the coefficient lists of 1 + X + ... + X^(i-1) and
+    X^i - 1, both monic (index 0 unused)."""
     for b in (2, 3, 5):
-        us = [None] + [u_poly(i, b) for i in range(1, 13)]
-        xs = [None] + [x_pow_minus_one(i, b) for i in range(1, 13)]
+        us = [None] + [list(u_poly(i, b).coeffs) for i in range(1, 13)]
+        xs = [None] + [list(x_pow_minus_one(i, b).coeffs) for i in range(1, 13)]
         for n in range(1, 13):
             for m in range(1, 13):
                 yield b, n, m, gcd(n, m), us, xs
@@ -291,14 +292,14 @@ def _gcd_cases():
 
 def check_gcd_repunit() -> dict:
     """gcd(U_n, U_m) = U_gcd(n, m) over each prime b."""
-    ok = all(poly_gcd_field(us[n], us[m]) == us[g].monic()
+    ok = all(poly_gcd(us[n], us[m], b) == us[g]
              for b, n, m, g, us, xs in _gcd_cases())
     return _check("gcd-repunit", ok, "n,m<=12 b in 2,3,5")
 
 
 def check_gcd_xn_minus_one() -> dict:
     """gcd(X^n - 1, X^m - 1) = X^gcd(n, m) - 1 over each prime b."""
-    ok = all(poly_gcd_field(xs[n], xs[m]) == xs[g].monic()
+    ok = all(poly_gcd(xs[n], xs[m], b) == xs[g]
              for b, n, m, g, us, xs in _gcd_cases())
     return _check("gcd-xn-minus-one", ok, "n,m<=12 b in 2,3,5")
 
@@ -306,8 +307,7 @@ def check_gcd_xn_minus_one() -> dict:
 def check_gcd_mixed() -> dict:
     """gcd(U_n, X^m - 1) is X^g - 1 when b divides n/g and U_g otherwise,
     g = gcd(n, m), over each prime b."""
-    ok = all(poly_gcd_field(us[n], xs[m])
-             == (xs[g] if (n // g) % b == 0 else us[g]).monic()
+    ok = all(poly_gcd(us[n], xs[m], b) == (xs[g] if (n // g) % b == 0 else us[g])
              for b, n, m, g, us, xs in _gcd_cases())
     return _check("gcd-mixed", ok, "both branches")
 

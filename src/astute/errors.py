@@ -13,10 +13,6 @@ class LeadingNotInvertible(AstuteError):
     """Polynomial division requires an invertible leading coefficient."""
 
 
-class CompositeModulus(AstuteError):
-    """Operation requires a prime modulus (field arithmetic)."""
-
-
 class BudgetExceeded(AstuteError):
     """A configured size/node/time budget was hit."""
 

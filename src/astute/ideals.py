@@ -13,6 +13,8 @@ does.  Over a prime p with a = 1, Z/p[X] is a principal ideal domain:
 (lam, X^d - 1) = (g) with g = gcd(lam, X^d - 1), so the quotient has
 p^deg(g) elements and an element lies in the ideal exactly when g
 divides it (Elspas 1959; Lidl & Niederreiter, Finite Fields, ch. 8).
+The gcd and the division are algebra.poly_gcd and algebra._rem_mod_p,
+the package's one polynomial gcd and remainder over Z/p.
 The primes with a > 1 are taken together as one modulus r, where zero
 divisors rule out the gcd: there the ideal maps onto the span of
 X^(d+j) - X^j for j < n, so
@@ -28,7 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .algebra import ModPoly, divisors, factorize, is_unit
+from .algebra import (ModPoly, _rem_mod_p, divisors, factorize, is_unit,
+                      poly_gcd)
 from .errors import BudgetExceeded, LeadingNotInvertible, NotInvertible
 from .snf import smith_normal_form
 
@@ -53,7 +56,8 @@ def _tail(lam: ModPoly) -> list[int]:
     if not is_unit(lam.leading, b):
         raise LeadingNotInvertible(
             f"leading coefficient {lam.leading} not invertible mod {b}")
-    return [-c % b for c in lam.monic().coeffs[:-1]]
+    inv = pow(lam.leading, -1, b)
+    return [-c * inv % b for c in lam.coeffs[:-1]]
 
 
 def _shift(r: list[int], tail: list[int], b: int) -> list[int]:
@@ -135,32 +139,10 @@ def _split(b: int) -> tuple[list[int], int]:
     return primes, r
 
 
-def _rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g over Z/p, trailing zeros stripped; g's top coefficient is
-    nonzero mod p."""
-    f = [x % p for x in f]
-    inv = pow(g[-1], -1, p)
-    top = len(g) - 1
-    for i in range(len(f) - 1, top - 1, -1):
-        t = f[i] * inv % p
-        if t:
-            for j, y in enumerate(g, i - top):
-                f[j] = (f[j] - t * y) % p
-    del f[top:]
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
 def _ideal_gcd(tail: list[int], power: list[int], p: int) -> list[int]:
     """gcd(lam, X^s - 1) over Z/p, given power = X^s mod lam: the monic
     generator of (lam, X^s - 1) in Z/p[X]."""
-    f = [-t % p for t in tail] + [1]
-    g = _rem_mod_p([power[0] - 1] + power[1:], f, p)
-    while g:
-        f, g = g, _rem_mod_p(f, g, p)
-    inv = pow(f[-1], -1, p)
-    return [x * inv % p for x in f]
+    return poly_gcd([-t % p for t in tail] + [1], [power[0] - 1] + power[1:], p)
 
 
 def _in_image(tail: list[int], power: list[int], target: list[int], b: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import eq
 
-from .algebra import ModPoly, is_unit, mod_inverse
+from .algebra import ModPoly, is_unit
 from .errors import BudgetExceeded, NotInvertible
 from .graph import Factor, GraphParams, word_sums
 
@@ -122,7 +122,7 @@ def word_permutation(rule: AffineRule) -> list[int]:
     over the sums.
     """
     b, n = rule.b, rule.n
-    inv = mod_inverse(rule.lambdas[-1], b)
+    inv = pow(rule.lambdas[-1], -1, b)
     sums = word_sums([[lam * a for a in range(b)] for lam in rule.lambdas[:-1]])
     appended = [inv * (rule.c - s) % b
                 for s in range(sum(rule.lambdas[:-1]) * (b - 1) + 1)]

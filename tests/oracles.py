@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here deliberately avoids the package's computation paths:
-ideals are enumerated as additive closures, necklaces counted by
-canonical rotations, factor counts taken over raw permutations, rule
-steps solved by trying every symbol, factors built from the arc rule.
+ideals are enumerated as additive closures, polynomial products and
+remainders taken by schoolbook rules, a gcd found by trying every monic
+divisor, necklaces counted by canonical rotations, factor counts taken
+over raw permutations, rule steps solved by trying every symbol, factors
+built from the arc rule.
 From the package they take only data types (ModPoly, Factor), the
 BudgetExceeded error and, to list the rules under test, the rule
 constructors.
@@ -64,6 +66,50 @@ def ideal_quotient_size_oracle(lam: ModPoly, d: int) -> int:
 def membership_oracle(lam: ModPoly, c: int, s: int) -> bool:
     target = tuple([c % lam.modulus] * s)
     return target in ideal_closure(lam, s)
+
+
+def _stripped(f, b: int) -> list:
+    out = [x % b for x in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_product(f, g, b: int) -> list:
+    """f*g over Z/b, coefficient lists ascending by degree, by the
+    schoolbook convolution; trailing zeros stripped."""
+    out = [0] * (len(f) + len(g))
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return _stripped(out, b)
+
+
+def poly_remainder(f, g, b: int) -> list:
+    """f mod g over Z/b by long division, trailing zeros stripped: the top
+    term of f is cancelled by a multiple of g until f is shorter than g.
+    g's top coefficient (after stripping) must be a unit mod b."""
+    g = _stripped(g, b)
+    inv = pow(g[-1], -1, b)
+    r = [x % b for x in f]
+    while len(r) >= len(g):
+        t = r.pop() * inv
+        shift = len(r) - len(g) + 1
+        for j, y in enumerate(g[:-1]):
+            r[shift + j] = (r[shift + j] - t * y) % b
+    return _stripped(r, b)
+
+
+def gcd_by_enumeration(f, g, p: int) -> list:
+    """The monic gcd of f and g over Z/p (p prime, f and g not both zero):
+    the highest-degree monic polynomial dividing both, found by trying
+    every monic polynomial of each degree from the top down."""
+    f, g = _stripped(f, p), _stripped(g, p)
+    for d in range(min(len(h) for h in (f, g) if h) - 1, -1, -1):
+        for low in all_words(d, p):
+            h = list(low) + [1]
+            if not poly_remainder(f, h, p) and not poly_remainder(g, h, p):
+                return h
 
 
 def necklace_count(n: int, b: int) -> int:

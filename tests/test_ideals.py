@@ -5,14 +5,15 @@ import pytest
 
 import astute.counting
 import astute.ideals
-from astute.algebra import ModPoly, is_unit, poly_rem, u_poly, x_pow_minus_one
+from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
 from astute.counting import count_theorem2, count_theorem2_rule
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
                            ideal_quotient_size, order_of_x, smallest_cycle_length)
 from astute.rules import icr, parse_rule_spec
 
-from oracles import ideal_quotient_size_oracle, membership_oracle
+from oracles import (ideal_quotient_size_oracle, membership_oracle, poly_product,
+                     poly_remainder)
 
 
 def membership_cUs(lam, c, s):
@@ -113,8 +114,8 @@ def test_companion_route_against_closure_oracle_composite():
         compared += 1
 
 
-def _coords(poly, n):
-    return list(poly.coeffs) + [0] * (n - len(poly.coeffs))
+def _coords(coeffs, n):
+    return coeffs + [0] * (n - len(coeffs))
 
 
 def test_power_and_sum_against_polynomial_arithmetic():
@@ -127,15 +128,16 @@ def test_power_and_sum_against_polynomial_arithmetic():
         lam = ModPoly.from_coeffs([rng.randrange(b) for _ in range(n)]
                                   + [rng.choice(units)], b)
         s = rng.randrange(1, 10 ** 4 + 1)
-        power, acc = ModPoly.from_coeffs([1], b), ModPoly.from_coeffs([0, 1], b)
+        power, acc = [1], [0, 1]
         e = s
         while e:
             if e & 1:
-                power = poly_rem(power * acc, lam)
-            acc = poly_rem(acc * acc, lam)
+                power = poly_remainder(poly_product(power, acc, b), lam.coeffs, b)
+            acc = poly_remainder(poly_product(acc, acc, b), lam.coeffs, b)
             e >>= 1
         assert _power_and_sum(_tail(lam), s, b) == (
-            _coords(power, n), _coords(poly_rem(u_poly(s, b), lam), n)), (lam, s)
+            _coords(power, n), _coords(poly_remainder([1] * s, lam.coeffs, b), n)), \
+            (lam, s)
 
 
 def test_order_of_x():
@@ -151,7 +153,6 @@ def test_order_of_x():
 def test_order_of_x_definition():
     # least positive exponent, over assorted valid polynomials
     rng = random.Random(8)
-    from astute.algebra import is_unit, poly_rem
     checked = 0
     while checked < 60:
         b = rng.choice([2, 3, 4, 5, 6])
@@ -161,11 +162,10 @@ def test_order_of_x_definition():
         if lam.degree == 0:
             continue
         w = order_of_x(lam)
-        x = ModPoly.from_coeffs([0, 1], b)
-        one = ModPoly.from_coeffs([1], b)
+        one = [1]
         acc = one
         for i in range(1, w + 1):
-            acc = poly_rem(acc * x, lam)
+            acc = poly_remainder(poly_product(acc, [0, 1], b), lam.coeffs, b)
             if i < w:
                 assert acc != one
         assert acc == one

@@ -9,14 +9,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
+from astute.algebra import ModPoly, _rem_mod_p, poly_gcd
 from astute.counting import count_burnside_direct, count_theorem2_rule
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, count_cycles
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from astute.rules import AffineRule
 
-from oracles import (ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
-                     random_factor, rule_orbit_count, smallest_cycle_length_oracle)
+from oracles import (gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
+                     permutation_cycles, poly_product, poly_remainder, random_factor,
+                     rule_orbit_count, smallest_cycle_length_oracle)
 from test_ideals import membership_cUs
 
 
@@ -33,6 +35,32 @@ def test_random_factor_cycles_within_feedback_vertex_set(b, n, k, seed):
     assume(p.num_vertices <= 512)
     factor = random_factor(p, random.Random(seed))
     assert count_cycles(factor.succ) <= fvs_size(p)
+
+
+# coefficient lists of degree <= 4, entries 0..4 reduced mod p by both sides,
+# so trailing zeros mod p occur
+small_polys = st.lists(st.integers(0, 4), max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5]), f=small_polys, g=small_polys)
+@example(p=2, f=[], g=[1, 0, 1])               # one argument zero
+@example(p=5, f=[0, 3, 0, 2], g=[0, 0])        # the other zero mod p
+@example(p=3, f=[1, 2, 1], g=[1, 2, 1])        # equal arguments
+@example(p=5, f=[2, 4, 1, 3], g=[2, 4, 1, 3])  # equal and not monic
+@example(p=3, f=[2], g=[1, 1, 0, 2])           # a constant argument
+@example(p=5, f=[4], g=[3])                    # both constant
+def test_poly_gcd_matches_enumeration_oracle(p, f, g):
+    assume(any(x % p for x in f + g))
+    assert poly_gcd(f, g, p) == gcd_by_enumeration(f, g, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7]), f=st.lists(st.integers(0, 6), max_size=9),
+       g=small_polys)
+def test_rem_mod_p_matches_long_division_oracle(p, f, g):
+    assume(g and g[-1] % p)
+    assert _rem_mod_p(f, g, p) == poly_remainder(f, g, p)
 
 
 @st.composite
@@ -119,7 +147,8 @@ def draw_lambda(data, b, max_degree):
     if max_degree >= 2 and data.draw(st.booleans()):
         g = unit_ended(data.draw(st.integers(1, max_degree // 2)))
         room = max_degree - 2 * g.degree
-        return g * g * (unit_ended(data.draw(st.integers(1, room))) if room else 1)
+        f = unit_ended(data.draw(st.integers(1, room))).coeffs if room else [1]
+        return ModPoly.from_coeffs(poly_product(poly_product(g.coeffs, g.coeffs, b), f, b), b)
     return unit_ended(data.draw(st.integers(1, max_degree)))
 
 
