@@ -17,9 +17,9 @@ from typing import Optional
 from .algebra import ModPoly, divisors, euler_phi, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from .graph import GraphParams, count_cycles
+from .graph import GraphParams, cycle_lengths
 from . import rules
-from .rules import AffineRule, check_vertex_budget, successor_array
+from .rules import AffineRule, check_vertex_budget
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
@@ -48,10 +48,19 @@ class CountReport:
 
 def count_enumeration(rule: AffineRule, k: int,
                       perm: list[int] | None = None) -> CountReport:
-    """Count orbits by walking the rule's successor permutation on G(n, k),
-    built from perm, the rule's word permutation (built here by default)."""
+    """Count the orbits of the rule's action on G(n, k) from the cycles of
+    perm, the rule's word permutation (built here by default).
+
+    The action is perm on the word and +1 on the phase, so a word cycle
+    of length L carries its L*k vertices in gcd(L, k) factor cycles of
+    length lcm(L, k): one walk over the b^n words, none over the b^n*k
+    vertices.  The vertex budget is still checked on b^n*k, as for every
+    route that enumerates G(n, k).
+    """
     check_vertex_budget(GraphParams(rule.b, rule.n, k))
-    return CountReport(count_cycles(successor_array(rule, k, perm)), "enumeration",
+    if perm is None:
+        perm = rules.word_permutation(rule)
+    return CountReport(sum([gcd(ell, k) for ell in cycle_lengths(perm)]), "enumeration",
                        rule.spec(), rule.b, rule.n, k)
 
 

@@ -40,7 +40,7 @@ from typing import Optional
 from .counting import closed_form_pcr
 from .errors import (AstuteError, BudgetExceeded, Inconclusive,
                      PreconditionViolated)
-from .graph import Factor, GraphParams, count_cycles, successor_codes
+from .graph import Factor, GraphParams, cycle_lengths, successor_codes
 from .rules import pcr, successor_array
 
 
@@ -302,7 +302,7 @@ def search_extremal(p: GraphParams,
     # incumbent: the rotation-rule factor, so a run that finds nothing
     # strictly better still certificates with a valid factor
     pcr_succ = successor_array(pcr(p.n, p.b), p.k)
-    searcher = _Searcher(p, budget, count_cycles(pcr_succ), pcr_succ)
+    searcher = _Searcher(p, budget, len(cycle_lengths(pcr_succ)), pcr_succ)
     searcher.run()
     return SearchResult(searcher.best, Factor(p, searcher.best_succ),
                         not searcher.stopped, searcher.nodes)

@@ -202,19 +202,28 @@ def word_names(p: GraphParams) -> list[str]:
     return word_sums([_DIGITS[:p.b]] * p.n)
 
 
-def count_cycles(succ_of) -> int:
-    """Number of cycles of a packed successor permutation."""
+def cycle_lengths(succ_of) -> list[int]:
+    """Length of each cycle of a packed successor permutation, in
+    ascending order of the cycle's least member.
+
+    Each walk marks slots in a bytearray, stops at the first marked one
+    and counts the slots it marked; the next walk starts at the first
+    unmarked slot.  So succ_of need not be a permutation: the walks and
+    their number are those of Factor.cycles on the same list.
+    """
     visited = bytearray(len(succ_of))
-    count = 0
+    lengths = []
     start = visited.find(0)
     while start != -1:
-        count += 1
+        length = 0
         c = start
         while not visited[c]:
             visited[c] = 1
             c = succ_of[c]
+            length += 1
+        lengths.append(length)
         start = visited.find(0, start)
-    return count
+    return lengths
 
 
 def word_str(word: tuple[int, ...]) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
-from .errors import NotPcrOrbit, PreconditionViolated
+from .errors import Inconclusive, NotPcrOrbit, PreconditionViolated
 from .graph import Cycle, Factor, GraphParams
 from .rules import enumerate_factor, pcr
 
@@ -143,7 +143,9 @@ def distinguished_code(cycle: Cycle, p: GraphParams) -> int:
     imaginary part first crosses from >= 0 to < 0 along the orbit;
     among several crossings (orbits that wrap the circle more than
     once) the minimal packed one is taken so each orbit still yields
-    exactly one vertex.
+    exactly one vertex.  A nonzero imaginary part smaller than the
+    rounding bound n * (b - 1) * 2^-50 of transform's sum raises
+    Inconclusive instead of trusting its float sign.
     """
     vs = cycle.vertices
     for i, v in enumerate(vs):
@@ -155,9 +157,16 @@ def distinguished_code(cycle: Cycle, p: GraphParams) -> int:
     reals = [is_real_exact(v.word, n) for v in vs]
     if all(reals):
         return min(cycle.codes)
-    # exact screening first; floats only for the sign of nonzero parts
+    # exact screening first; floats only for the sign of nonzero parts,
+    # and only where rounding cannot have flipped it
     ims = [0.0 if reals[i] else transform(v.word, n).imag
            for i, v in enumerate(vs)]
+    bound = n * (p.b - 1) * 2.0 ** -50
+    for real, im, v in zip(reals, ims, vs):
+        if not real and abs(im) < bound:
+            raise Inconclusive(
+                f"Im C({v.word}) = {im!r} is nonzero but within the rounding "
+                f"bound {bound!r}, so its sign cannot be read")
     descents = [cycle.codes[i] for i in range(len(vs))
                 if (not reals[i] and ims[i] < 0)
                 and (reals[i - 1] or ims[i - 1] > 0)]

@@ -13,7 +13,7 @@ from astute.counting import (CountReport, base_divisor, closed_form_for,
                              count_burnside_direct, count_enumeration,
                              count_theorem2, count_theorem2_rule)
 from astute.errors import BudgetExceeded
-from astute.graph import count_cycles
+from astute.graph import cycle_lengths
 from astute.ideals import order_of_x, smallest_cycle_length
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, pcr, successor_array, xor_rule)
@@ -149,10 +149,24 @@ def test_lattice_rules_shape():
     assert specs.count("pcr") == 8 and specs.count("xor") == 5
 
 
-def test_count_cycles_matches_enumerated_factor():
+def test_cycle_lengths_match_enumerated_factor():
+    # the word walk lifted by gcd(L, k), the vertex walk and the literal
+    # factor agree on the number of cycles
     for rule, k in PACKED_INSTANCES:
-        assert count_cycles(successor_array(rule, k)) == \
-            len(enumerate_factor(rule, k).cycles), (rule.spec(), rule.b, k)
+        want = len(enumerate_factor(rule, k).cycles)
+        assert len(cycle_lengths(successor_array(rule, k))) == want, (rule.spec(), rule.b, k)
+        assert count_enumeration(rule, k).value == want, (rule.spec(), rule.b, k)
+
+
+def test_enumeration_builds_no_successor_array(monkeypatch):
+    # icr(16, 2) at k = 48 has 2^16 * 48 (about 2^21.6) vertices; the count
+    # walks the 2^16 words only, so no vertex array may be built
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_enumeration built a successor array")
+
+    monkeypatch.setattr(astute.rules, "successor_array", refuse)
+    monkeypatch.setattr(astute.counting, "successor_array", refuse, raising=False)
+    assert count_enumeration(icr(16, 2), 48).value == closed_form_icr(16, 48, 2).value
 
 
 def test_burnside_steps_by_rule_power():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from astute.graph import (Factor, GraphParams, Vertex, count_cycles, doc_to_json,
+from astute.graph import (Factor, GraphParams, Vertex, cycle_lengths, doc_to_json,
                           factor_from_doc, factor_to_doc, pack, parse_word,
                           successor_codes, to_dot, unpack, validate_factor,
                           word_names, word_str)
@@ -202,16 +202,18 @@ def test_cycle_walks_return_on_non_permutations():
     # a walk stops at the first visited vertex, so succ need not be a
     # permutation: [1, 1] is one cycle, and a -1 left by an uncovered
     # vertex indexes the last vertex, as on any Python list
-    assert count_cycles([1, 1]) == 1
+    assert len(cycle_lengths([1, 1])) == 1
+    assert cycle_lengths([1, 1]) == [2]
     assert [c.codes for c in Factor(GraphParams(2, 1, 1), [1, 1]).cycles] == [(0, 1)]
     f = factor_from_doc({"b": 2, "n": 1, "k": 1, "cycles": [[["0", 0]]]})
     assert f.succ == (0, -1)
-    assert count_cycles(f.succ) == 2
+    assert len(cycle_lengths(f.succ)) == 2
     assert [c.codes for c in f.cycles] == [(0,), (1,)]
     f = factor_from_doc({"b": 2, "n": 2, "k": 1, "cycles": [[["01", 0], ["10", 0]]]})
     assert f.succ == (-1, 2, 1, -1)
-    assert count_cycles(f.succ) == 2
+    assert len(cycle_lengths(f.succ)) == 2
     assert [c.codes for c in f.cycles] == [(0, -1), (1, 2)]
+    assert cycle_lengths(f.succ) == [len(c) for c in f.cycles]
 
 
 def test_factor_json_roundtrip():

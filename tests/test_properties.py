@@ -10,9 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from astute.algebra import ModPoly, _rem_mod_p, poly_gcd
-from astute.counting import count_burnside_direct, count_theorem2_rule
+from astute.counting import count_burnside_direct, count_enumeration, count_theorem2_rule
 from astute.extremal import feedback_vertex_set
-from astute.graph import Factor, GraphParams, count_cycles
+from astute.graph import Factor, GraphParams, cycle_lengths
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from astute.rules import AffineRule
 
@@ -34,7 +34,7 @@ def test_random_factor_cycles_within_feedback_vertex_set(b, n, k, seed):
     p = GraphParams(b, n, k)
     assume(p.num_vertices <= 512)
     factor = random_factor(p, random.Random(seed))
-    assert count_cycles(factor.succ) <= fvs_size(p)
+    assert len(cycle_lengths(factor.succ)) <= fvs_size(p)
 
 
 # coefficient lists of degree <= 4, entries 0..4 reduced mod p by both sides,
@@ -78,7 +78,8 @@ def graph_permutations(draw):
 def test_cycle_walks_match_permutation_oracle(case):
     p, perm = case
     want = permutation_cycles(perm)
-    assert count_cycles(perm) == len(want)
+    assert len(cycle_lengths(perm)) == len(want)
+    assert cycle_lengths(perm) == [len(c) for c in want]
     assert [c.codes for c in Factor(p, perm).cycles] == want
 
 
@@ -90,6 +91,18 @@ def draw_unit_leading_rule(data, b, n):
                                     max_size=n - 1))
                + [data.draw(st.sampled_from(units))])
     return AffineRule(tuple(lambdas), data.draw(st.integers(0, b - 1)), b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), n=st.integers(1, 3),
+       k=st.integers(1, 6), data=st.data())
+def test_enumeration_matches_orbit_oracle(b, n, k, data):
+    # word cycles lifted to gcd(L, k) factor cycles each, against the
+    # oracle's walk over every (word, phase) vertex
+    assume(b ** n <= 729)
+    rule = draw_unit_leading_rule(data, b, n)
+    assert count_enumeration(rule, k).value == \
+        rule_orbit_count(rule.lambdas, rule.c, b, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,9 +1,11 @@
 import cmath
+import math
 import struct
 
 import pytest
 
-from astute.errors import NotPcrOrbit, PreconditionViolated
+import astute.spectral
+from astute.errors import Inconclusive, NotPcrOrbit, PreconditionViolated
 from astute.extremal import search_extremal
 from astute.graph import GraphParams, Vertex, parse_word, unpack, word_str
 from astute.rules import enumerate_factor, icr, pcr, xor_rule
@@ -170,6 +172,22 @@ def test_distinguished_rejects_non_rotation_cycle():
     four = next(c for c in f.cycles if len(c) == 4)
     with pytest.raises(NotPcrOrbit):
         distinguished_code(four, p)
+
+
+def test_distinguished_refuses_sign_within_rounding(monkeypatch):
+    # 001's orbit has no exactly real word; at 1e-17, under the bound
+    # n * (b - 1) * 2^-50 = 2.7e-15, each imaginary part keeps its true
+    # sign, which an unguarded read would take, but rounding could have
+    # flipped it, so the read is refused
+    p = GraphParams(2, 3, 1)
+    orbit = next(c for c in enumerate_factor(pcr(3, 2), 1).cycles
+                 if (0, 0, 1) in [v.word for v in c.vertices])
+    assert unpack(distinguished_code(orbit, p), p).word == (0, 0, 1)
+    exact = astute.spectral.transform
+    monkeypatch.setattr(astute.spectral, "transform", lambda word, n=None: complex(
+        0.0, math.copysign(1e-17, exact(word, n).imag)))
+    with pytest.raises(Inconclusive, match="rounding bound"):
+        distinguished_code(orbit, p)
 
 
 def test_non_real_orbits_have_length_n_and_unique_descent():
