@@ -1,18 +1,12 @@
 """Finite Fourier transform of words and the distinguished-vertex
 machinery used to certify that rotation-rule factors are extremal.
 
-C(a_0..a_{n-1}) = sum a_i mu^i with mu = exp(2*pi*i/n).  Realness and
-equality of transforms are decided exactly over the integers (reduction
-mod the n-th cyclotomic polynomial); only the sign of a provably
-nonzero imaginary part is read off in floating point.
-
-rotation_identity_holds checks C(rot s) = mu^(-1) C(s) on all b^n words
-at once.  It tabulates the partial sums of the first n - 1 symbols by
-packed value, digit by digit, and adds the last term: the same products
-summed in the same order as transform, so every value is bit-identical
-to transform(word) and each verdict is the per-word one.  As elsewhere,
-the floats are only compared against a tolerance.
-"""
+C(a_0..a_{n-1}) = sum a_i mu^i with mu = exp(2*pi*i/n).  Realness,
+equality of transforms and the two transform lemmas (scaling under
+rotation, zero sum along a cycle) are decided exactly over the integers
+(reduction mod the n-th cyclotomic polynomial).  Floats remain only in
+transform, for the CSV dump and for reading the sign of a provably
+nonzero imaginary part."""
 
 from __future__ import annotations
 
@@ -22,8 +16,6 @@ from functools import lru_cache
 from .errors import Inconclusive, NotPcrOrbit, PreconditionViolated
 from .graph import Cycle, Factor, GraphParams
 from .rules import enumerate_factor, pcr
-
-REAL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -64,26 +56,27 @@ def evaluates_to_zero_exact(coeffs, n: int) -> bool:
     return not any(_int_poly_divmod(coeffs, cyclotomic(n))[1])
 
 
-def root_of_unity(n: int, j: int = 1) -> complex:
-    return cmath.exp(2j * cmath.pi * j / n)
-
-
 @lru_cache(maxsize=None)
 def _roots(n: int) -> tuple[complex, ...]:
-    """root_of_unity(n, i) for i < n, so a transform costs no exp per term."""
-    return tuple(root_of_unity(n, i) for i in range(n))
+    """mu^i for i < n, so a transform costs no exp per term."""
+    return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(n))
+
+
+def _length(word, n: int | None) -> int:
+    """n, defaulting to len(word); a word of another length is refused."""
+    if n is None:
+        n = len(word)
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != n = {n}")
+    return n
 
 
 def transform(word, n: int | None = None) -> complex:
     """C(word) = sum a_i mu^i for a sequence of integers, summed left to
     right over the root table: the terms and their order are those of a
     per-term exp, so every float is bit-identical to one."""
-    if n is None:
-        n = len(word)
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != n = {n}")
     total = 0j
-    for a, r in zip(word, _roots(n)):
+    for a, r in zip(word, _roots(_length(word, n))):
         total += a * r
     return total
 
@@ -95,8 +88,7 @@ def is_real_exact(word, n: int | None = None) -> bool:
     vanishes iff the cyclotomic polynomial divides that difference.
     """
     coeffs = [int(a) for a in word]
-    if n is None:
-        n = len(coeffs)
+    n = _length(coeffs, n)
     diff = [coeffs[i] - coeffs[(n - i) % n] for i in range(n)]
     return evaluates_to_zero_exact(diff, n)
 
@@ -109,30 +101,28 @@ def rotate_right(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[-1:] + word[:-1]
 
 
-def rotation_identity_holds(b: int, n: int, tol: float = REAL_TOL) -> bool:
-    """Whether |C(rotate_left(s)) - mu^(-1) * C(s)| < tol for every word s
-    of length n over b symbols, read from a packed prefix table (see the
-    module docstring)."""
-    roots = _roots(n)
-    prefix = [0j]
-    for r in roots[:-1]:
-        terms = [a * r for a in range(b)]
-        prefix = [t + x for t in prefix for x in terms]
-    last = [a * roots[-1] for a in range(b)]
-    mu_inv = root_of_unity(n, -1)
-    head = b ** (n - 1)
-    return all(abs(prefix[v % head] + last[v // head]
-                   - mu_inv * (prefix[v // b] + last[v % b])) < tol
-               for v in range(b ** n))
+def rotation_identity_holds(n: int) -> bool:
+    """Whether mu * C(rotate_left(s)) = C(s) for every integer word s of
+    length n, hence for every word over every b.
+
+    X * C(rot s) - C(s), an integer polynomial of degree <= n (it is
+    a_0 * (X^n - 1)), is Z-linear in s, so deciding it exactly on the unit
+    words e_0 .. e_(n-1) decides it on every integer vector.
+    """
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        diff = [0, *rotate_left(unit)]
+        diff[j] -= 1
+        if not evaluates_to_zero_exact(diff, n):
+            return False
+    return True
 
 
-def cycle_sum_check(cycle: Cycle, tol_per_vertex: float = 1e-6) -> bool:
-    """Transforms along any graph cycle must sum to zero."""
-    total = 0j
-    n = cycle.params.n
-    for v in cycle.vertices:
-        total += transform(v.word, n)
-    return abs(total) < tol_per_vertex * len(cycle)
+def cycle_sum_check(cycle: Cycle) -> bool:
+    """Transforms along any graph cycle must sum to zero: with S_i the sum
+    of symbol i over the cycle's words, sum S_i mu^i = 0 exactly."""
+    sums = [sum(col) for col in zip(*(v.word for v in cycle.vertices))]
+    return evaluates_to_zero_exact(sums, cycle.params.n)
 
 
 def distinguished_code(cycle: Cycle, p: GraphParams) -> int:

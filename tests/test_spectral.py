@@ -7,29 +7,16 @@ import pytest
 import astute.spectral
 from astute.errors import Inconclusive, NotPcrOrbit, PreconditionViolated
 from astute.extremal import search_extremal
-from astute.graph import GraphParams, Vertex, parse_word, unpack, word_str
+from astute.graph import (Cycle, GraphParams, Vertex, pack, parse_word, unpack,
+                          word_str)
 from astute.rules import enumerate_factor, icr, pcr, xor_rule
-from astute.spectral import (REAL_TOL, covering_check, cycle_sum_check,
-                             cyclotomic, distinguished_code,
-                             evaluates_to_zero_exact, is_real_exact,
-                             orbit_transform_table, pcr_distinguished_codes,
-                             rotate_left, rotate_right, root_of_unity,
+from astute.spectral import (covering_check, cycle_sum_check, cyclotomic,
+                             distinguished_code, evaluates_to_zero_exact,
+                             is_real_exact, orbit_transform_table,
+                             pcr_distinguished_codes, rotate_left, rotate_right,
                              rotation_identity_holds, transform)
 
 from oracles import all_words, exhaustive_factors, transform_reference
-
-
-def rotation_identity_check(word, n=None, tol=REAL_TOL) -> bool:
-    """C(rotate_left(word)) = mu^(-1) * C(word) within tol, for one word.
-    It uses the package's transform, so its floats are bit-identical to
-    those rotation_identity_holds tabulates and a tol = 0.0 verdict can
-    be compared."""
-    word = tuple(map(int, word))
-    if n is None:
-        n = len(word)
-    lhs = transform(rotate_left(word), n)
-    rhs = root_of_unity(n, -1) * transform(word, n)
-    return abs(lhs - rhs) < tol
 
 
 def test_transform_examples():
@@ -91,20 +78,49 @@ def test_is_real_exact():
             assert is_real_exact(w) == want
 
 
+@pytest.mark.parametrize("word,n", [((1, 2, 3), 2), ((1, 2), 3)],
+                         ids=["longer", "shorter"])
+def test_is_real_exact_refuses_length_mismatch(word, n):
+    # the same refusal as transform: no symbol is dropped or read past
+    for fn in (transform, is_real_exact):
+        with pytest.raises(ValueError, match=f"word length {len(word)} != n = {n}"):
+            fn(word, n)
+
+
 def test_rotation_identity():
-    assert rotation_identity_check((0, 1))
-    assert rotation_identity_check(parse_word("123351", 6))
+    # X * C(rot s) - C(s) is a_0 * (X^n - 1), which vanishes at mu
+    for word in [(0, 1), parse_word("123351", 6)]:
+        n = len(word)
+        diff = [x - y for x, y in zip((0, *rotate_left(word)), (*word, 0))]
+        assert diff == [-word[0]] + [0] * (n - 1) + [word[0]]
+        assert evaluates_to_zero_exact(diff, n)
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-15, 4e-16, 0.0])
-def test_rotation_identity_holds_matches_per_word_check(tol):
-    # the table's floats are bit-identical to transform's, so the batch
-    # verdict equals the per-word one even where the identity fails at tol
-    shapes = ([(b, n) for b in (2, 3, 4) for n in range(1, 9)]
-              + [(6, n) for n in range(1, 5)])
-    for b, n in shapes:
-        want = all(rotation_identity_check(w, n, tol) for w in all_words(n, b))
-        assert rotation_identity_holds(b, n, tol) == want, (b, n)
+def test_rotation_identity_holds_exact(monkeypatch):
+    for n in range(1, 13):
+        assert rotation_identity_holds(n)
+    # mu * C(rot^-1 s) = C(s) fails as soon as mu^2 != 1
+    monkeypatch.setattr(astute.spectral, "rotate_left", rotate_right)
+    for n in range(3, 13):
+        assert not rotation_identity_holds(n)
+
+
+def test_cycle_sum_matches_float_criterion():
+    for p in [GraphParams(2, 2, 1), GraphParams(2, 3, 1), GraphParams(2, 2, 2)]:
+        for f in exhaustive_factors(p):
+            for c in f.cycles:
+                total = sum(transform(v.word) for v in c.vertices)
+                assert cycle_sum_check(c) == (abs(total) < 1e-6 * len(c)), c
+
+
+def test_cycle_sum_refuses_non_cycles():
+    p = GraphParams(2, 2, 1)
+    # the lone vertex 01 (transform -1) is not a cycle of G(2, 1)
+    lone = Cycle((pack(Vertex((0, 1), 0), p),), p)
+    assert not cycle_sum_check(lone)
+    # 01 -> 11 is an arc, but 11 -> 01 is not
+    path = Cycle(tuple(pack(Vertex(w, 0), p) for w in [(0, 1), (1, 1)]), p)
+    assert not cycle_sum_check(path)
 
 
 def test_cycle_sum_vanishes_on_rule_factors():
