@@ -105,6 +105,28 @@ def test_rotation_identity_holds_exact(monkeypatch):
         assert not rotation_identity_holds(n)
 
 
+def rotation_identity_check(word, n, tol, rotate=rotate_left) -> bool:
+    """mu * C(rotate(word)) = C(word) within tol, in floats, for one word."""
+    mu = cmath.exp(2j * cmath.pi / n)
+    return abs(mu * transform(rotate(word), n) - transform(word, n)) < tol
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-15, 4e-16, 0.0])
+def test_rotation_identity_holds_matches_per_word_check(tol, monkeypatch):
+    # the exact verdict is the per-word float one at any tolerance between
+    # transform's rounding bound n * (b - 1) * 2^-50 and the gap |mu^2 - 1|
+    # a wrong rotation leaves; below that bound the float verdict is noise
+    shapes = ([(b, n) for b in (2, 3, 4) for n in range(1, 9)]
+              + [(6, n) for n in range(1, 5)])
+    for rotate in (rotate_left, rotate_right):
+        monkeypatch.setattr(astute.spectral, "rotate_left", rotate)
+        for b, n in shapes:
+            slack = max(tol, n * (b - 1) * 2.0 ** -50)
+            want = all(rotation_identity_check(w, n, slack, rotate)
+                       for w in all_words(n, b))
+            assert rotation_identity_holds(n) == want, (rotate.__name__, b, n)
+
+
 def test_cycle_sum_matches_float_criterion():
     for p in [GraphParams(2, 2, 1), GraphParams(2, 3, 1), GraphParams(2, 2, 2)]:
         for f in exhaustive_factors(p):
