@@ -17,6 +17,7 @@ import sys
 from functools import cache, partial
 from itertools import product
 from math import gcd
+from operator import sub
 
 from . import counting, spectral
 from .algebra import poly_gcd, u_poly, x_pow_minus_one
@@ -334,16 +335,24 @@ def check_cycle_sum_zero(rules=None) -> dict:
 
 def check_arc_difference_real() -> dict:
     """On every arc s -> t of b <= 3, n <= 6, C(s) - C(rot^-1(t)) is
-    exactly real, and exactly zero iff s = rot^-1(t)."""
+    exactly real, and exactly zero iff s = rot^-1(t).
+
+    Every arc is enumerated, but the verdict depends on the difference
+    alone (s = rot^-1(t) exactly when it is all zero), so each distinct
+    difference of a (b, n) is decided once."""
     ok = True
     for b in (2, 3):
         for n in range(1, 7):
+            diffs = set()
             for s in product(range(b), repeat=n):
                 for x in range(b):
                     r_inv_t = spectral.rotate_right(s[1:] + (x,))
-                    diff = [a - c for a, c in zip(s, r_inv_t)]
-                    ok &= spectral.is_real_exact(diff, n) and (
-                        spectral.evaluates_to_zero_exact(diff, n) == (s == r_inv_t))
+                    # tuple() of a list, not of the unsized map: that one
+                    # over-allocates and resizes, which costs peak memory
+                    diffs.add(tuple(list(map(sub, s, r_inv_t))))
+            for diff in diffs:
+                ok &= spectral.is_real_exact(diff, n) and (
+                    spectral.evaluates_to_zero_exact(diff, n) == (not any(diff)))
     return _check("arc-difference-real", ok, "all arcs b<=3 n<=6")
 
 
@@ -351,15 +360,17 @@ def check_fix_count_ideal(rules=None, exponents=None) -> dict:
     """Brute-force fixed counts of rule^i match the ideal-quotient
     prediction: |Z/b[X] / (lam, X^gcd(i, w) - 1)| when the smallest
     word-cycle length divides i, else 0.  Rules default to LEMMA_RULES
-    and exponents to 1..24."""
+    and exponents to 1..24; each rule's word permutation is built once."""
     ok = True
     for rule in rules or LEMMA_RULES:
         lam = rule.char_poly()
         omega = order_of_x(lam)
         ell = smallest_cycle_length(lam, rule.c, 1, omega)
+        check_vertex_budget(GraphParams(rule.b, rule.n, 1))
+        perm = word_permutation(rule)
         for i in exponents or range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
-            ok &= fix_count_bruteforce(rule, i) == want
+            ok &= fix_count_bruteforce(rule, i, perm) == want
     return _check("fix-count-ideal", ok,
                   "" if rules or exponents else "b<=3 n<=4 i<=24")
 

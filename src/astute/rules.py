@@ -192,9 +192,11 @@ def power_cost(e: int) -> int:
     return e.bit_length() + bin(e).count("1") - 2
 
 
-def fix_count_bruteforce(rule: AffineRule, i: int) -> int:
-    """|{words s : rule^i(s) = s}|, counted on the i-th power of the word
-    permutation."""
+def fix_count_bruteforce(rule: AffineRule, i: int,
+                         perm: list[int] | None = None) -> int:
+    """|{words s : rule^i(s) = s}|, counted on the i-th power of perm, the
+    rule's word permutation (built here by default, after the word budget;
+    callers counting several powers of one rule pass it once)."""
     if i < 0:
         raise ValueError("i must be >= 0")
     total = rule.b ** rule.n
@@ -202,4 +204,6 @@ def fix_count_bruteforce(rule: AffineRule, i: int) -> int:
         raise BudgetExceeded(f"{total} words exceeds budget {MAX_VERTICES}")
     if i == 0:
         return total
-    return fixed_points(perm_power(word_permutation(rule), i))
+    if perm is None:
+        perm = word_permutation(rule)
+    return fixed_points(perm_power(perm, i))

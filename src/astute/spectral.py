@@ -120,9 +120,14 @@ def rotation_identity_holds(n: int) -> bool:
 
 def cycle_sum_check(cycle: Cycle) -> bool:
     """Transforms along any graph cycle must sum to zero: with S_i the sum
-    of symbol i over the cycle's words, sum S_i mu^i = 0 exactly."""
-    sums = [sum(col) for col in zip(*(v.word for v in cycle.vertices))]
-    return evaluates_to_zero_exact(sums, cycle.params.n)
+    of symbol i over the cycle's words, sum S_i mu^i = 0 exactly.
+
+    Symbol i of packed vertex c is c // (k * b^(n-1-i)) % b, so the S_i
+    come from the codes by arithmetic and no vertex is decoded."""
+    b, n, k = cycle.params.b, cycle.params.n, cycle.params.k
+    weights = [k * b ** (n - 1 - i) for i in range(n)]
+    sums = [sum([c // w % b for c in cycle.codes]) for w in weights]
+    return evaluates_to_zero_exact(sums, n)
 
 
 def distinguished_code(cycle: Cycle, p: GraphParams) -> int:

@@ -302,6 +302,19 @@ def transform_reference(word) -> complex:
                for i in range(n - 1, -1, -1))
 
 
+def cycle_sum_vanishes(codes, b: int, n: int, k: int) -> bool:
+    """Whether sum S_i mu^i = 0, with S_i symbol i summed over the words of
+    the packed vertices (word value * k + phase), each word looked up in
+    the all_words list.  For n <= 4 and n = 6 every nonzero value has
+    modulus >= 1 (an integer of Z[i] or Z[exp(2 pi i / 3)]), so a float
+    sum decides it."""
+    if n not in (1, 2, 3, 4, 6):
+        raise ValueError("the float decision needs n in 1, 2, 3, 4, 6")
+    words = list(all_words(n, b))
+    sums = [sum(words[c // k][i] for c in codes) for i in range(n)]
+    return abs(transform_reference(sums)) < 0.5
+
+
 def fixed_affine_rules(b: int, n: int, count: int = 5):
     """The deterministic custom-rule set used across the test lattice."""
     import random

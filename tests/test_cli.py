@@ -13,7 +13,10 @@ import astute.ideals
 import astute.rules
 from astute import cli, extremal, spectral
 from astute.cli import main
+from astute.errors import BudgetExceeded
 from astute.graph import factor_from_doc, validate_factor
+
+from oracles import all_words
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -413,6 +416,40 @@ def test_no_check_row_passes_vacuously(monkeypatch, names, module, subject, wron
     hit = [row for row in rows if row["name"].split()[0] in names.split()]
     assert {row["name"].split()[0] for row in hit} == set(names.split())
     assert not any(row["pass"] for row in hit), hit
+
+
+def test_arc_row_decides_every_distinct_gap(monkeypatch):
+    # the row decides each distinct gap once, so it must still meet every
+    # one: the gaps are exactly (d, 0, ..., 0) for -b < d < b
+    for b in (2, 3):
+        for n in range(1, 7):
+            gaps = {tuple(a - c for a, c in zip(s, t[-1:] + t[:-1]))
+                    for s in all_words(n, b) for t in (s[1:] + (x,) for x in range(b))}
+            assert gaps == {(d,) + (0,) * (n - 1) for d in range(1 - b, b)}, (b, n)
+    # a zero test wrong on one single nonzero gap, any one, fails the row
+    exact = spectral.evaluates_to_zero_exact
+    for n in range(1, 7):
+        for d in (-2, -1, 1, 2):
+            wrong = (d,) + (0,) * (n - 1)
+            monkeypatch.setattr(spectral, "evaluates_to_zero_exact", lambda coeffs, m: (
+                exact(coeffs, m) != (tuple(coeffs) == wrong)))
+            assert not cli.check_arc_difference_real()["pass"], wrong
+
+
+def test_fix_count_row_builds_one_permutation_per_rule(monkeypatch):
+    # fix_count_bruteforce must not build its own: it is handed the one
+    # the row built
+    built, build = [], astute.rules.word_permutation
+    monkeypatch.setattr(cli, "word_permutation", lambda rule: built.append(rule) or build(rule))
+    monkeypatch.setattr(astute.rules, "word_permutation", None)
+    assert cli.check_fix_count_ideal()["pass"]
+    assert built == list(cli.LEMMA_RULES)
+    # and builds none past the word budget
+    built.clear()
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
+    with pytest.raises(BudgetExceeded):
+        cli.check_fix_count_ideal([astute.rules.pcr(4, 2)])
+    assert built == []
 
 
 def test_verify_csv_needs_instance(capsys):

@@ -12,7 +12,7 @@ from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
-from oracles import all_words, fixed_affine_rules, rule_step
+from oracles import all_words, fixed_affine_rules, lattice_rules, rule_step
 
 
 def apply(rule, word):
@@ -138,6 +138,14 @@ def test_fix_count_matches_ideal_prediction_sample():
             assert fix_count_bruteforce(rule, i) == want, (rule.spec(), i)
 
 
+def test_fix_count_with_given_permutation():
+    for rule in lattice_rules():
+        perm = word_permutation(rule)
+        for i in range(25):
+            assert fix_count_bruteforce(rule, i, perm) == fix_count_bruteforce(rule, i), (
+                rule.spec(), i)
+
+
 def test_word_permutation_agrees_with_apply():
     from astute.graph import word_value
     rules = [pcr(3, 2), icr(2, 5), xor_rule(4), AffineRule((1, 2, 2), 1, 3),
@@ -189,3 +197,5 @@ def test_budget_exceeded(monkeypatch):
     monkeypatch.setattr(astute.rules, "MAX_VERTICES", 4)
     with pytest.raises(BudgetExceeded):
         fix_count_bruteforce(pcr(3, 2), 1)
+    with pytest.raises(BudgetExceeded):  # a given permutation skips no budget
+        fix_count_bruteforce(pcr(3, 2), 1, word_permutation(pcr(3, 2)))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import struct
 
 import pytest
@@ -16,7 +17,8 @@ from astute.spectral import (covering_check, cycle_sum_check, cyclotomic,
                              pcr_distinguished_codes, rotate_left, rotate_right,
                              rotation_identity_holds, transform)
 
-from oracles import all_words, exhaustive_factors, transform_reference
+from oracles import (all_words, cycle_sum_vanishes, exhaustive_factors,
+                     transform_reference)
 
 
 def test_transform_examples():
@@ -143,6 +145,22 @@ def test_cycle_sum_refuses_non_cycles():
     # 01 -> 11 is an arc, but 11 -> 01 is not
     path = Cycle(tuple(pack(Vertex(w, 0), p) for w in [(0, 1), (1, 1)]), p)
     assert not cycle_sum_check(path)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cycle_sum_matches_oracle_on_arbitrary_codes(k):
+    # code tuples need not be cycles: the check must read each symbol from
+    # its own digit of the packed code, past the phase
+    rng = random.Random(k)
+    verdicts = []
+    for n in (1, 2, 3, 4, 6):
+        p = GraphParams(3, n, k)
+        for _ in range(300):
+            codes = tuple(rng.randrange(p.num_vertices) for _ in range(rng.randint(1, 9)))
+            want = cycle_sum_vanishes(codes, 3, n, k)
+            assert cycle_sum_check(Cycle(codes, p)) == want, (n, codes)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_cycle_sum_vanishes_on_rule_factors():
