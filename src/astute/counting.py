@@ -12,20 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq
 from typing import Optional
 
 from .algebra import ModPoly, divisors, euler_phi, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from .graph import GraphParams, cycle_lengths
+from .graph import GraphParams, cycle_lengths, value_word, word_str
 from . import rules
 from .rules import AffineRule, check_vertex_budget
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
 # Burnside composes and counts permutations of b^n words, one pass over
-# the words each.  Above this many word steps (about 5 s on a 2-vCPU VM)
-# it refuses instead of running for minutes.
+# the words each, and walks the few words that can be fixed elsewhere.
+# Above this many word steps (about 5 s on a 2-vCPU VM) it refuses
+# instead of running for minutes.
 BURNSIDE_MAX_STEPS = 1 << 25
 
 
@@ -80,65 +82,148 @@ def count_burnside_direct(rule: AffineRule, k: int,
         sum over j < top of |Fix(sigma^j)|
             = sum over e | top of phi(top/e) * |Fix(sigma^e)|.
 
-    The divisors are walked depth first over the primes of top, each
-    power raised from a smaller divisor's power by one prime, so one
-    brute-force count per divisor replaces one per power.  The estimate
-    counts the compositions (rule^k, then one prime power per divisor
-    past the first) plus one count per divisor, b^n word steps each; it
-    is refused above BURNSIDE_MAX_STEPS.  A wrong omega is refused by
-    smallest_cycle_length; past that, at e = top every word must be
-    fixed, else M is not a period and ValueError is raised.  perm is the
-    rule's word permutation (built here by default, after the word budget)
-    and ell is l as smallest_cycle_length gives it for this omega (found
-    here by default).
+    fixed_point_counts finds each |Fix(sigma^e)| on the word permutation
+    and checks that M is a period; it refuses above BURNSIDE_MAX_STEPS.
+    The route reads neither cycle lengths nor ideal sizes: l and w only
+    form M, and a wrong M fails the period check.  A wrong omega is
+    refused by smallest_cycle_length.  perm is the rule's word
+    permutation (built after the word budget and the step estimate by
+    default) and ell is l as smallest_cycle_length gives it for this
+    omega (found here by default).
     """
     n_words = rule.b ** rule.n
     if n_words > rules.MAX_VERTICES:
         raise BudgetExceeded(f"{n_words} words exceeds budget {rules.MAX_VERTICES}")
-    lam = rule.char_poly()
     if omega is None:
-        omega = order_of_x(lam)
+        omega = order_of_x(rule.char_poly())
     if ell is None:
-        ell = smallest_cycle_length(lam, rule.c, 1, omega)
+        ell = smallest_cycle_length(rule.char_poly(), rule.c, 1, omega)
     m = lcm(k, ell, omega)
+    top = m // k
+    counts = fixed_point_counts(rule, k, m, perm)
+    total = k * sum([euler_phi(top // e) * fixed for e, fixed in counts.items()])
+    value, rem = divmod(total, m)
+    if rem:
+        raise NonIntegerResult(f"Burnside average {Fraction(total, m)} is not an integer")
+    return CountReport(value, "burnside_direct", rule.spec(), rule.b, rule.n, k,
+                       witnesses={"M": m, "ell": ell, "omega": omega})
+
+
+def fixed_point_counts(rule: AffineRule, k: int, m: int,
+                       perm: list[int] | None = None) -> dict[int, int]:
+    """|Fix(rule^(k*e))| for every divisor e of top = m/k, where m, a
+    multiple of k, must be a period of the rule (ValueError otherwise).
+
+    Only the words that can be fixed are walked.  Two shift-register
+    facts (Golomb, Shift Register Sequences, 1967) say which:
+
+    - for j = k*e < n, a word that rule^j fixes equals its j-shift, so it
+      is the j-periodic extension of its first j symbols: only those b^j
+      words are counted;
+    - rule^m is affine over Z/b (composite b included), so it is the
+      identity exactly when it fixes the zero word and the n unit words:
+      at e = top only those n + 1 are checked.
+
+    At every other e, k*e >= n, all b^n words are counted on the list of
+    rule^(k*e).  The lists are raised depth first over the primes of top,
+    each from a smaller divisor's list by one prime (sigma = rule^k from
+    perm), and only the ones these full counts need are built.  A count
+    on few words reads the list of its power when the walk builds that
+    list anyway, else walks perm j steps per word; the n + 1 words at
+    e = top raise the list when that takes fewer word steps than walking
+    them m steps.  Word steps are estimated first: b^n per composition
+    and per full count, and the words times the steps per word for
+    every other count.  Above BURNSIDE_MAX_STEPS the walk is refused.
+    perm is the rule's word permutation (built after the estimate by
+    default).
+    """
+    b, n = rule.b, rule.n
+    n_words = b ** n
     top = m // k
     # largest primes first: their raises are the dearest and run least often
     primes = sorted(factorize(top), reverse=True)
-    compositions, n_divisors = rules.power_cost(k), 1
+    basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
+    # parent[e] = (d, c): _walk_divisors raises sigma^e from sigma^d by the
+    # last of primes to divide e, in c compositions; sigma itself is raised
+    # from perm by k, written d = 0
+    parent = {1: (0, rules.power_cost(k))}
     for p, a in primes:
-        compositions += n_divisors * a * rules.power_cost(p)
-        n_divisors *= a + 1
-    steps = (compositions + n_divisors) * n_words
+        cost = rules.power_cost(p)
+        for d in list(parent):
+            for _ in range(a):
+                parent[d * p] = (d, cost)
+                d *= p
+    # the lists the walk builds: those the full counts (k*e >= n, e < top)
+    # need and the ones they are raised from; the other e count few words
+    built, few, steps = {0}, [], 0
+    for e in parent:
+        if k * e < n or e == top:
+            few.append(e)
+            continue
+        steps += n_words
+        while e not in built:
+            built.add(e)
+            e, cost = parent[e]
+            steps += cost * n_words
+    # the basis reads the list of sigma^top instead of walking m steps
+    # when raising that list takes fewer word steps
+    chain, raised, e = [], 0, top
+    while e not in built:
+        chain.append(e)
+        e, cost = parent[e]
+        raised += cost * n_words
+    if raised + len(basis) < len(basis) * m:
+        built.update(chain)
+        steps += raised
+    for e in few:
+        size = len(basis) if e == top else b ** (k * e)
+        steps += size if e in built else size * k * e
     if steps > BURNSIDE_MAX_STEPS:
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
             f"over budget {BURNSIDE_MAX_STEPS}")
-
-    def walk(i: int, power: list[int], e: int) -> int:
-        # sum of phi(top/d) * |Fix(sigma^d)| over d = e * (divisors of the
-        # part of top made of primes[i:]); power is sigma^e
-        if i == len(primes):
-            fixed = rules.fixed_points(power)
-            if e == top and fixed != n_words:
-                raise ValueError(f"M={m} is not a period of the rule: "
-                                 f"rule^{m} fixes {fixed} of {n_words} words")
-            return euler_phi(top // e) * fixed
-        p, a = primes[i]
-        total = walk(i + 1, power, e)
-        for _ in range(a):
-            power, e = rules.perm_power(power, p), e * p
-            total += walk(i + 1, power, e)
-        return total
-
-    # each fixed-point count matches fix_count_bruteforce(rule, k * e)
     if perm is None:
         perm = rules.word_permutation(rule)
-    total = walk(0, rules.perm_power(perm, k), 1)
-    value = Fraction(k * total, m)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"Burnside average {value} is not an integer")
-    return CountReport(int(value), "burnside_direct", rule.spec(), rule.b, rule.n, k,
-                       witnesses={"M": m, "ell": ell, "omega": omega})
+    counts = {}
+
+    def count(e: int, power: list[int] | None):
+        # |Fix(sigma^e)|; power is sigma^e when the walk builds it, else None
+        j = k * e
+        if e < top and j >= n:
+            counts[e] = rules.fixed_points(power)
+            return
+        words = basis if e == top else rules.periodic_words(b, n, j)
+        after = (rules.advance(perm, words, j) if power is None
+                 else rules.advance(power, words, 1))
+        counts[e] = sum(map(eq, after, words))
+        if e == top:
+            if counts[e] < len(words):
+                moved = next(w for w, v in zip(words, after) if w != v)
+                raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
+                                 f"moves word {word_str(value_word(moved, n, b))}")
+            counts[e] = n_words
+
+    _walk_divisors(primes, built, 1, rules.perm_power(perm, k) if 1 in built else None, count)
+    return counts
+
+
+def _walk_divisors(primes: list[tuple[int, int]], built: set[int], e: int,
+                   power: list[int] | None, visit):
+    """visit(d, sigma^d) for d = e * (each divisor of the product of
+    primes), depth first, with power = sigma^e: sigma^(d*p) is raised from
+    sigma^d by p when d*p is in built, else passed as None.  At most one
+    list per prime is alive.  Module level rather than a recursive closure,
+    which would sit in a reference cycle with the word permutation and
+    keep it alive until the next garbage collection."""
+    if not primes:
+        visit(e, power)
+        return
+    (p, a), rest = primes[0], primes[1:]
+    _walk_divisors(rest, built, e, power, visit)
+    for _ in range(a):
+        e *= p
+        power = rules.perm_power(power, p) if e in built else None
+        _walk_divisors(rest, built, e, power, visit)
 
 
 def count_theorem2(lam: ModPoly, c: int, k: int,

@@ -192,6 +192,33 @@ def power_cost(e: int) -> int:
     return e.bit_length() + bin(e).count("1") - 2
 
 
+def advance(perm: list[int], words: list[int], steps: int) -> list[int]:
+    """Each of words after `steps` applications of perm, one lookup per word
+    and step: word by word when the words are fewer than the steps, else
+    in passes over all the words."""
+    if len(words) < steps:
+        out = []
+        for w in words:
+            for _ in range(steps):
+                w = perm[w]
+            out.append(w)
+        return out
+    for _ in range(steps):
+        words = [perm[w] for w in words]
+    return words
+
+
+def periodic_words(b: int, n: int, j: int) -> list[int]:
+    """The b^j packed words of length n > j whose symbols repeat with
+    period j, in the order of their first j symbols u: u repeated q times
+    then u's first r symbols, with q, r = divmod(n, j)."""
+    q, r = divmod(n, j)
+    block = b ** j
+    scale = (block ** q - 1) // (block - 1) * b ** r  # sum of b^(r + t*j), t < q
+    cut = b ** (j - r)
+    return [u * scale + u // cut for u in range(block)]
+
+
 def fix_count_bruteforce(rule: AffineRule, i: int,
                          perm: list[int] | None = None) -> int:
     """|{words s : rule^i(s) = s}|, counted on the i-th power of perm, the

@@ -5,14 +5,15 @@ ideals are enumerated as additive closures, polynomial products and
 remainders taken by schoolbook rules, a gcd found by trying every monic
 divisor, necklaces counted by canonical rotations, factor counts taken
 over raw permutations, rule steps solved by trying every symbol, factors
-built from the arc rule.
+built from the arc rule, fixed words found by applying a rule to every
+word.
 From the package they take only data types (ModPoly, Factor), the
 BudgetExceeded error and, to list the rules under test, the rule
 constructors.
 """
 
-from itertools import permutations
-from math import lcm
+from itertools import permutations, product
+from math import gcd, lcm
 
 from astute.algebra import ModPoly
 from astute.errors import BudgetExceeded
@@ -202,6 +203,70 @@ def smallest_cycle_length_oracle(lambdas, c: int, b: int, k: int) -> int:
             length += 1
         best = lcm(k, length) if best is None else min(best, lcm(k, length))
     return best
+
+
+def affine_rules(b: int, n: int):
+    """(lambdas, c) for every affine rule over Z/b on words of length n:
+    lambdas[0] and lambdas[n] units, the rest and c anything."""
+    units = [u for u in range(1, b) if gcd(u, b) == 1]
+    for first in units:
+        for middle in product(range(b), repeat=n - 1):
+            for last in units:
+                for c in range(b):
+                    yield (first, *middle, last), c
+
+
+def affine_rule_permutation(lambdas, c: int, b: int) -> list:
+    """The rule on packed words (a_0 the most significant digit): each word
+    shifted left with the x appended that solves lambdas[0]*a_0 + ... +
+    lambdas[n]*x = c (mod b), found for each residue of the partial sum by
+    trying every symbol."""
+    n = len(lambdas) - 1
+    partial = [0]  # sum of lambdas[i] * a_i mod b, words in packed order
+    for lam in lambdas[:-1]:
+        partial = [(s + lam * a) % b for s in partial for a in range(b)]
+    solve = [[x for x in range(b) if (r + lambdas[n] * x - c) % b == 0][0]
+             for r in range(b)]
+    head = b ** (n - 1)
+    return [(w % head) * b + solve[s] for w, s in enumerate(partial)]
+
+
+def periodic_extensions(n: int, b: int, j: int) -> set:
+    """Packed values of the words a_0..a_(n-1) with a_i = u_(i mod j), one
+    for each word u of length j."""
+    out = set()
+    for u in all_words(j, b):
+        value = 0
+        for i in range(n):
+            value = value * b + u[i % j]
+        out.add(value)
+    return out
+
+
+def permutation_power(perm, m: int) -> list:
+    """perm applied m >= 0 times, as a list, by repeated squaring."""
+    power = list(range(len(perm)))
+    while m:
+        if m & 1:
+            power = [perm[v] for v in power]
+        perm = [perm[v] for v in perm]
+        m >>= 1
+    return power
+
+
+def permutation_order(perm) -> int:
+    """lcm of the cycle lengths of perm, each cycle walked once."""
+    seen = bytearray(len(perm))
+    order = 1
+    for start in range(len(perm)):
+        length, w = 0, start
+        while not seen[w]:
+            seen[w] = 1
+            w = perm[w]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 def _vertex_successors(b: int, n: int, k: int) -> list:

@@ -135,7 +135,7 @@ LONG_PERIOD_RULES = [
     ("affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1", 16, 16383, "6"),
 ]
 
-# under the estimate of both rules above (524288 and 2883584 steps)
+# under the estimate of both rules above (442365 and 2555947 steps)
 LOW_BURNSIDE_BUDGET = 1 << 18
 
 
@@ -250,7 +250,8 @@ def test_count_all_skips_burnside_over_budget(capsys, monkeypatch, rule, n, m, v
 
 @pytest.mark.parametrize("rule, n, m, value", LONG_PERIOD_RULES)
 def test_count_all_long_period_rules_answer(capsys, rule, n, m, value):
-    # one fixed-point count per divisor of M brings Burnside under budget
+    # at the default budget Burnside answers: a full count only where
+    # k*e >= n, and the period decided on the zero and unit words
     with within(10):
         code, out, err = run(capsys, "count", "--rule", rule, "--b", "2",
                              "--n", str(n), "--method", "all")
@@ -258,6 +259,18 @@ def test_count_all_long_period_rules_answer(capsys, rule, n, m, value):
     assert [line.split()[:2] for line in out.splitlines()] == [
         ["enumeration", value], ["burnside_direct", value], ["theorem2", value]]
     assert f"M={m} " in out
+
+
+def test_count_all_icr_b6_n8_runs_burnside(capsys):
+    # Burnside used to refuse this one (33592320 estimated steps, just over
+    # BURNSIDE_MAX_STEPS); counting only the words that can be fixed brings
+    # it to 21883650
+    with within(30):
+        code, out, err = run(capsys, "count", "--rule", "icr", "--b", "6", "--n", "8",
+                             "--method", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "burnside_direct  34992  M=48 ell=48 omega=8"
+    assert {line.split()[1] for line in out.splitlines()} == {"34992"}
 
 
 def test_count_closed_unavailable_for_custom(capsys):

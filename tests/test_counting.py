@@ -18,7 +18,9 @@ from astute.ideals import order_of_x, smallest_cycle_length
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, pcr, successor_array, xor_rule)
 
-from oracles import lattice_rules, necklace_count
+from oracles import (affine_rule_permutation, affine_rules, all_words, lattice_rules,
+                     necklace_count, periodic_extensions, permutation_order,
+                     permutation_power, rule_step)
 
 # first terms at k=1, b=2, frozen from the orbit-enumeration oracle
 ROTATION_COUNTS = [2, 3, 4, 6, 8, 14, 20, 36]
@@ -181,23 +183,48 @@ def test_burnside_steps_by_rule_power():
 
 
 def test_burnside_step_budget(monkeypatch):
-    # pcr(3, 2) at k = 1: M = 3 and 8 words; cubing takes 2 compositions
-    # and the divisors 1, 3 one count each, so (2 + 2) * 8 = 32 steps
+    # pcr(3, 2) at k = 1: M = 3 and 8 words.  rule^1 can fix only its b = 2
+    # constant words, walked 1 step each; the period is decided by walking
+    # the zero word and the 3 unit words 3 steps each (12 steps, fewer than
+    # cubing the list: 2 compositions of 8 words), so 2 + 12 = 14 steps
     rule = pcr(3, 2)
-    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 32)
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 14)
     assert count_burnside_direct(rule, 1).value == 4
-    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 31)
-    with pytest.raises(BudgetExceeded, match="about 32 steps"):
+    monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 13)
+    with pytest.raises(BudgetExceeded, match="about 14 steps"):
         count_burnside_direct(rule, 1)
 
 
+def period_check_walks(monkeypatch, rule, omega, ell):
+    # the (words, steps) of every advance call of a Burnside count whose
+    # period check must fail
+    calls = []
+    advance = astute.rules.advance
+    monkeypatch.setattr(astute.rules, "advance", lambda perm, words, steps:
+                        calls.append((len(words), steps)) or advance(perm, words, steps))
+    with pytest.raises(ValueError) as refusal:
+        count_burnside_direct(rule, 1, omega=omega, ell=ell)
+    return str(refusal.value), calls
+
+
 def test_burnside_period_check(monkeypatch):
-    # icr(2, 2) is one cycle of its 4 words and X has order 2; a wrong
-    # ell = 1 makes M = 2, which is no period: rule^2 moves words
-    monkeypatch.setattr(astute.counting, "smallest_cycle_length",
-                        lambda lam, c, k, omega: 1)
-    with pytest.raises(ValueError, match="M=2 is not a period"):
-        count_burnside_direct(icr(2, 2), 1, omega=2)
+    # icr(2, 2) is one cycle of its 4 words and X has order 2.  A wrong
+    # ell = 1 makes M = 2, no period: walking the zero word and the 2 unit
+    # words 2 steps each (6 steps) beats squaring the list (4 + 3), and
+    # rule^2 moves 00 to 11
+    message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 1)
+    assert message == "M=2 is not a period of the rule: rule^2 moves word 00"
+    assert (3, 2) in calls
+    # a wrong ell = 3 makes M = 6: the lists of rule^2 and rule^3 are built
+    # for their full counts, so one more composition (4 steps) and 3
+    # lookups beat walking the 3 words 6 steps each; rule^6 = rule^2
+    message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 3)
+    assert message == "M=6 is not a period of the rule: rule^6 moves word 00"
+    assert (3, 1) in calls and (3, 6) not in calls
+    # a_1 = 2*a_0 + 4 over Z/5 fixes the unit word 1 and moves 0 on a
+    # 4-cycle: a wrong M = 1 is caught by the zero word alone
+    message, _ = period_check_walks(monkeypatch, AffineRule((3, 1), 4, 5), 1, 1)
+    assert message == "M=1 is not a period of the rule: rule^1 moves word 0"
 
 
 def test_wrong_omega_refused():
@@ -215,25 +242,116 @@ def test_wrong_omega_refused():
         count_burnside_direct(rule, 1, omega=2)
 
 
+def count_burnside_work(monkeypatch) -> dict:
+    # word steps of the Burnside walk, by kind: compositions and full
+    # counts (b^n each) and walks over few words (words times steps)
+    work = {"compose": [], "fixed_points": [], "advance": []}
+    compose, fixed, advance = (astute.rules.compose, astute.rules.fixed_points,
+                               astute.rules.advance)
+    monkeypatch.setattr(astute.rules, "compose", lambda p, q:
+                        work["compose"].append(len(q)) or compose(p, q))
+    monkeypatch.setattr(astute.rules, "fixed_points", lambda perm:
+                        work["fixed_points"].append(len(perm)) or fixed(perm))
+    monkeypatch.setattr(astute.rules, "advance", lambda perm, words, steps:
+                        work["advance"].append(len(words) * steps)
+                        or advance(perm, words, steps))
+    return work
+
+
+LONG_PERIOD_N16 = AffineRule((1,) + (0,) * 11 + (1, 0, 1, 1, 1), 1, 2)
+
+
 def test_burnside_estimate_covers_work(monkeypatch):
-    # the refusal's estimate bounds the compositions and fixed-point
-    # counts the walk then makes, b^n word steps each
-    made = []
-    compose, fixed = astute.rules.compose, astute.rules.fixed_points
-    monkeypatch.setattr(astute.rules, "compose",
-                        lambda p, q: made.append(len(q)) or compose(p, q))
-    monkeypatch.setattr(astute.rules, "fixed_points",
-                        lambda perm: made.append(len(perm)) or fixed(perm))
+    # the refusal's estimate counts exactly the word steps the walk then
+    # makes: compositions, full counts, candidate walks (by perm or through
+    # a list the walk builds anyway) and the basis check (walked or read
+    # from a raised list)
+    work = count_burnside_work(monkeypatch)
     for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
-                                       (icr(6, 2), 1)]:
+                                       (icr(6, 2), 1), (pcr(3, 2), 1),
+                                       (icr(16, 2), 3), (LONG_PERIOD_N16, 1)]:
         monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 0)
         with pytest.raises(BudgetExceeded) as refusal:
             count_burnside_direct(rule, k)
         estimate = int(str(refusal.value).split()[3])
         monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 1 << 25)
-        made.clear()
+        for made in work.values():
+            made.clear()
         count_burnside_direct(rule, k)
-        assert made and sum(made) <= estimate, (rule.spec(), rule.b, k)
+        assert work["advance"], (rule.spec(), rule.b, k)
+        assert sum(map(sum, work.values())) == estimate, (rule.spec(), rule.b, k)
+
+
+def test_burnside_work_on_the_orbit_rules(monkeypatch):
+    # pcr and xor at n = 16 (M = 16, 17) have every divisor of M below n
+    # but M itself, so no list is raised and no count runs over all 2^16
+    # words; icr at k = 3 (M = 96) builds rule^3, rule^6, rule^12 and
+    # rule^24 (2 + 3 compositions) for the full count at j = 24, and
+    # rule^48 (1 more) for the one at j = 48
+    work = count_burnside_work(monkeypatch)
+    for rule, k, closed, compositions, full in [
+            (pcr(16, 2), 1, closed_form_pcr(16, 1, 2), 0, 0),
+            (xor_rule(16), 1, closed_form_xor(16, 1), 0, 0),
+            (icr(16, 2), 3, closed_form_icr(16, 3, 2), 6, 2)]:
+        for made in work.values():
+            made.clear()
+        assert count_burnside_direct(rule, k).value == closed.value
+        assert len(work["compose"]) == compositions, rule.spec()
+        assert len(work["fixed_points"]) == full, rule.spec()
+
+
+def lemma_rules(max_words: int, stride: int = 0):
+    """(b, n, lambdas, c, perm) for every affine rule over b in 2..6 with
+    n <= 4 and b^n <= max_words; of the larger shapes, every stride-th rule
+    (none for stride 0)."""
+    for b in range(2, 7):
+        for n in range(1, 5):
+            step = 1 if b ** n <= max_words else stride
+            if not step:
+                continue
+            for i, (lambdas, c) in enumerate(affine_rules(b, n)):
+                if i % step == 0:
+                    yield b, n, lambdas, c, affine_rule_permutation(lambdas, c, b)
+
+
+def test_affine_rule_permutation_matches_rule_step():
+    # the oracle's packed permutations against its own symbol-by-symbol step
+    for b, n, lambdas, c, perm in lemma_rules(27):
+        words = list(all_words(n, b))
+        assert [words[v] for v in perm] == \
+            [rule_step(lambdas, c, b, w) for w in words], (lambdas, c, b)
+
+
+def test_fixed_words_below_n_are_periodic_extensions():
+    # the lemma behind Burnside's counts at j < n: brute force over all b^n
+    # words finds exactly the j-periodic extensions that rule^j fixes; every
+    # rule up to 256 words, every 16th of the 15,184 at b = 5, 6 and n = 4
+    periodic = {}
+    for b, n, lambdas, c, perm in lemma_rules(256, stride=16):
+        power = perm
+        for j in range(1, n):
+            if j > 1:
+                power = [perm[v] for v in power]
+            if (b, n, j) not in periodic:
+                periodic[b, n, j] = periodic_extensions(n, b, j)
+            fixed = {w for w, v in enumerate(power) if v == w}
+            assert fixed == {w for w in periodic[b, n, j] if power[w] == w}, \
+                (lambdas, c, b, j)
+
+
+def test_power_is_identity_iff_it_fixes_zero_and_unit_words():
+    # the lemma behind Burnside's period check, at the rule's order (a
+    # true period) and at the order over each of its primes (non-periods)
+    for b, n, lambdas, c, perm in lemma_rules(256):
+        order = permutation_order(perm)
+        basis = [0] + [b ** i for i in range(n)]
+        primes = [p for p in range(2, order + 1)
+                  if order % p == 0 and all(p % q for q in range(2, p))]
+        for m in [order] + [order // p for p in primes]:
+            power = permutation_power(perm, m)
+            identity = power == list(range(len(perm)))
+            assert identity == (m == order), (lambdas, c, b, m)
+            assert all(power[w] == w for w in basis) == identity, (lambdas, c, b, m)
 
 
 def test_divisors_match_naive_list():

@@ -9,12 +9,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from astute.algebra import ModPoly, _rem_mod_p, poly_gcd
-from astute.counting import count_burnside_direct, count_enumeration, count_theorem2_rule
+from astute.algebra import ModPoly, _rem_mod_p, divisors, poly_gcd
+from astute.counting import (count_burnside_direct, count_enumeration, count_theorem2_rule,
+                             fixed_point_counts)
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, cycle_lengths
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import AffineRule
+from astute.rules import AffineRule, fix_count_bruteforce
 
 from oracles import (gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
                      permutation_cycles, poly_product, poly_remainder, random_factor,
@@ -103,6 +104,25 @@ def test_enumeration_matches_orbit_oracle(b, n, k, data):
     rule = draw_unit_leading_rule(data, b, n)
     assert count_enumeration(rule, k).value == \
         rule_orbit_count(rule.lambdas, rule.c, b, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), n=st.integers(1, 4),
+       k=st.integers(1, 6), data=st.data())
+@example(b=6, n=3, k=2, data=None)
+@example(b=4, n=4, k=3, data=None)
+def test_burnside_counts_match_bruteforce(b, n, k, data):
+    # every per-divisor count of the walk (on periodic words below n, on the
+    # zero and unit words at M, on all words otherwise) is the brute-force
+    # count of the same power; j = k*e need not divide n
+    assume(b ** n <= 729)
+    rule = (AffineRule((1,) + (0,) * (n - 1) + (b - 1,), 1, b) if data is None
+            else draw_unit_leading_rule(data, b, n))
+    m = count_burnside_direct(rule, k).witnesses["M"]
+    counts = fixed_point_counts(rule, k, m)
+    assert sorted(counts) == divisors(m // k)
+    for e, fixed in counts.items():
+        assert fixed == fix_count_bruteforce(rule, k * e), (rule.spec(), b, k, e)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
