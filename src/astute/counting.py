@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import eq
 from typing import Optional
 
@@ -124,60 +124,38 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
       identity exactly when it fixes the zero word and the n unit words:
       at e = top only those n + 1 are checked.
 
-    At every other e, k*e >= n, all b^n words are counted on the list of
-    rule^(k*e).  The lists are raised depth first over the primes of top,
-    each from a smaller divisor's list by one prime (sigma = rule^k from
-    perm), and only the ones these full counts need are built.  A count
-    on few words reads the list of its power when the walk builds that
-    list anyway, else walks perm j steps per word; the n + 1 words at
-    e = top raise the list when that takes fewer word steps than walking
-    them m steps.  Word steps are estimated first: b^n per composition
-    and per full count, and the words times the steps per word for
-    every other count.  Above BURNSIDE_MAX_STEPS the walk is refused.
-    perm is the rule's word permutation (built after the estimate by
-    default).
+    At every other e (k*e >= n, e < top) all b^n words are counted on the
+    list of sigma^e, sigma = rule^k.  The divisors are walked depth first
+    over the primes of top, and each sigma^e is either a list, raised
+    from its parent divisor's list by one prime (sigma from perm by k),
+    or walked: its few words take e/d steps of the list of its nearest
+    listed divisor d, or k*e steps of perm.  A full count needs its list;
+    any other list is raised only where that takes no more word steps
+    than walking the words at and below it, decided children first
+    (_plan_divisors).  The word steps are counted before any work: b^n
+    per composition and per full count, and the words times the steps
+    per word for every other count.  Above BURNSIDE_MAX_STEPS the walk is
+    refused.  perm is the rule's word permutation (built after the
+    estimate by default).
     """
     b, n = rule.b, rule.n
     n_words = b ** n
     top = m // k
-    # largest primes first: their raises are the dearest and run least often
-    primes = sorted(factorize(top), reverse=True)
+    # (p, a, c) for each prime power p^a of top, c the word steps of
+    # raising a list by p; largest primes first: their raises are the
+    # dearest and run least often
+    levels = [(p, a, rules.power_cost(p) * n_words)
+              for p, a in sorted(factorize(top), reverse=True)]
     basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
-    # parent[e] = (d, c): _walk_divisors raises sigma^e from sigma^d by the
-    # last of primes to divide e, in c compositions; sigma itself is raised
-    # from perm by k, written d = 0
-    parent = {1: (0, rules.power_cost(k))}
-    for p, a in primes:
-        cost = rules.power_cost(p)
-        for d in list(parent):
-            for _ in range(a):
-                parent[d * p] = (d, cost)
-                d *= p
-    # the lists the walk builds: those the full counts (k*e >= n, e < top)
-    # need and the ones they are raised from; the other e count few words
-    built, few, steps = {0}, [], 0
-    for e in parent:
-        if k * e < n or e == top:
-            few.append(e)
-            continue
-        steps += n_words
-        while e not in built:
-            built.add(e)
-            e, cost = parent[e]
-            steps += cost * n_words
-    # the basis reads the list of sigma^top instead of walking m steps
-    # when raising that list takes fewer word steps
-    chain, raised, e = [], 0, top
-    while e not in built:
-        chain.append(e)
-        e, cost = parent[e]
-        raised += cost * n_words
-    if raised + len(basis) < len(basis) * m:
-        built.update(chain)
-        steps += raised
-    for e in few:
-        size = len(basis) if e == top else b ** (k * e)
-        steps += size if e in built else size * k * e
+    raised = set()
+    if levels:
+        listed, walked = _plan_divisors(levels, 0, 1, k, n, b, top, raised)
+    else:
+        listed = walked = n + 1  # top = 1: only the period is checked
+    here, there = rules.power_cost(k) * n_words + listed, k * walked
+    if here <= there:
+        raised.add(1)
+    steps = min(here, there)
     if steps > BURNSIDE_MAX_STEPS:
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
@@ -186,15 +164,14 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
         perm = rules.word_permutation(rule)
     counts = {}
 
-    def count(e: int, power: list[int] | None):
-        # |Fix(sigma^e)|; power is sigma^e when the walk builds it, else None
+    def count(e: int, power: list[int], walk: int):
+        # |Fix(sigma^e)|, sigma^e = power^walk
         j = k * e
         if e < top and j >= n:
             counts[e] = rules.fixed_points(power)
             return
         words = basis if e == top else rules.periodic_words(b, n, j)
-        after = (rules.advance(perm, words, j) if power is None
-                 else rules.advance(power, words, 1))
+        after = rules.advance(power, words, walk)
         counts[e] = sum(map(eq, after, words))
         if e == top:
             if counts[e] < len(words):
@@ -203,27 +180,74 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
                                  f"moves word {word_str(value_word(moved, n, b))}")
             counts[e] = n_words
 
-    _walk_divisors(primes, built, 1, rules.perm_power(perm, k) if 1 in built else None, count)
+    power, walk = (rules.perm_power(perm, k), 1) if 1 in raised else (perm, k)
+    if levels:
+        _walk_divisors(levels, 0, raised, 1, power, walk, count)
+    else:
+        count(1, power, walk)
     return counts
 
 
-def _walk_divisors(primes: list[tuple[int, int]], built: set[int], e: int,
-                   power: list[int] | None, visit):
-    """visit(d, sigma^d) for d = e * (each divisor of the product of
-    primes), depth first, with power = sigma^e: sigma^(d*p) is raised from
-    sigma^d by p when d*p is in built, else passed as None.  At most one
-    list per prime is alive.  Module level rather than a recursive closure,
+def _plan_divisors(levels: list[tuple[int, int, int]], i: int, e: int, k: int,
+                   n: int, b: int, top: int, raised: set[int]) -> tuple[int, float]:
+    """(listed, walked) over d = e * (each divisor of the product of the
+    prime powers of levels[i:]), the divisors _walk_divisors visits from
+    e: the word steps of their raises and counts when sigma^e is a list,
+    and, when it is not, the steps per step of sigma^e that walking their
+    words takes (inf when some d < top with k*d >= n needs a full count,
+    hence a list).  Each d*p whose list takes no more steps raised from
+    sigma^d's than walked goes in raised."""
+    p, a, cost = levels[i]
+    i += 1
+    below = i < len(levels)
+    # the chain e*p^a, ..., e*p, e, each raised from the next, children first
+    d = e * p ** a
+    listed = walked = 0
+    while True:
+        if below:
+            here, there = _plan_divisors(levels, i, d, k, n, b, top, raised)
+        elif d == top:
+            here = there = n + 1  # the zero word and the n unit words
+        elif k * d < n:
+            here = there = b ** (k * d)  # the periodic words
+        else:
+            here, there = b ** n, inf
+        if d == e:
+            return here + listed, there + walked
+        here += cost + listed
+        there = p * (there + walked)
+        if here <= there:
+            raised.add(d)
+        listed, walked = min(here, there), there
+        d //= p
+
+
+def _walk_divisors(levels: list[tuple[int, int, int]], i: int, raised: set[int],
+                   e: int, power: list[int], walk: int, visit):
+    """visit(d, power_d, walk_d), with sigma^d = power_d^walk_d, for
+    d = e * (each divisor of the product of the prime powers of
+    levels[i:]), depth first, where sigma^e = power^walk.  sigma^(d*p) is
+    raised from the list of sigma^d by p when sigma^d is a list (walk 1)
+    and d*p is in raised, else walked p times as far.  At most one list
+    per prime is alive.  Module level rather than a recursive closure,
     which would sit in a reference cycle with the word permutation and
     keep it alive until the next garbage collection."""
-    if not primes:
-        visit(e, power)
-        return
-    (p, a), rest = primes[0], primes[1:]
-    _walk_divisors(rest, built, e, power, visit)
-    for _ in range(a):
+    p, a, _ = levels[i]
+    i += 1
+    below = i < len(levels)
+    while True:  # e, e*p, ..., e*p^a
+        if below:
+            _walk_divisors(levels, i, raised, e, power, walk, visit)
+        else:
+            visit(e, power, walk)
+        if not a:
+            return
+        a -= 1
         e *= p
-        power = rules.perm_power(power, p) if e in built else None
-        _walk_divisors(rest, built, e, power, visit)
+        if walk == 1 and e in raised:
+            power = rules.perm_power(power, p)
+        else:
+            walk *= p
 
 
 def count_theorem2(lam: ModPoly, c: int, k: int,
@@ -256,11 +280,12 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
         q = ideal_quotient_size(lam, d)
         terms.append((d, phi, q))
         total += phi * q
-    value = Fraction(k * g * total, s * omega)
-    if value.denominator != 1 or value < 1:
-        raise NonIntegerResult(f"ideal-formula count {value} is not a positive integer")
+    value, rem = divmod(k * g * total, s * omega)
+    if rem or value < 1:
+        raise NonIntegerResult(f"ideal-formula count {Fraction(k * g * total, s * omega)} "
+                               "is not a positive integer")
     spec = rule_spec or f"affine:{c};(lambda={lam})"
-    return CountReport(int(value), "theorem2", spec, lam.modulus,
+    return CountReport(value, "theorem2", spec, lam.modulus,
                        lam.degree if not lam.is_zero else 0, k,
                        witnesses={"omega": omega, "s": s, "terms": terms})
 

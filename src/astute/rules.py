@@ -193,16 +193,8 @@ def power_cost(e: int) -> int:
 
 
 def advance(perm: list[int], words: list[int], steps: int) -> list[int]:
-    """Each of words after `steps` applications of perm, one lookup per word
-    and step: word by word when the words are fewer than the steps, else
-    in passes over all the words."""
-    if len(words) < steps:
-        out = []
-        for w in words:
-            for _ in range(steps):
-                w = perm[w]
-            out.append(w)
-        return out
+    """Each of words after `steps` applications of perm: one pass over the
+    words per step."""
     for _ in range(steps):
         words = [perm[w] for w in words]
     return words

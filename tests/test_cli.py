@@ -135,7 +135,7 @@ LONG_PERIOD_RULES = [
     ("affine:1;1,0,0,0,0,0,0,0,0,0,0,0,1,0,1,1,1", 16, 16383, "6"),
 ]
 
-# under the estimate of both rules above (442365 and 2555947 steps)
+# under the estimate of both rules above (361095 and 2424909 steps)
 LOW_BURNSIDE_BUDGET = 1 << 18
 
 
@@ -264,7 +264,7 @@ def test_count_all_long_period_rules_answer(capsys, rule, n, m, value):
 def test_count_all_icr_b6_n8_runs_burnside(capsys):
     # Burnside used to refuse this one (33592320 estimated steps, just over
     # BURNSIDE_MAX_STEPS); counting only the words that can be fixed brings
-    # it to 21883650
+    # it to 21883236
     with within(30):
         code, out, err = run(capsys, "count", "--rule", "icr", "--b", "6", "--n", "8",
                              "--method", "all")

@@ -6,17 +6,17 @@ import astute.cli
 import astute.counting
 import astute.ideals
 import astute.rules
-from astute.algebra import divisors, u_poly, x_pow_minus_one
+from astute.algebra import divisors, factorize, u_poly, x_pow_minus_one
 from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
                              count_theorem2, count_theorem2_rule)
-from astute.errors import BudgetExceeded
+from astute.errors import BudgetExceeded, NonIntegerResult
 from astute.graph import cycle_lengths
 from astute.ideals import order_of_x, smallest_cycle_length
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
-                          icr, pcr, successor_array, xor_rule)
+                          icr, pcr, power_cost, successor_array, xor_rule)
 
 from oracles import (affine_rule_permutation, affine_rules, all_words, lattice_rules,
                      necklace_count, periodic_extensions, permutation_order,
@@ -184,9 +184,10 @@ def test_burnside_steps_by_rule_power():
 
 def test_burnside_step_budget(monkeypatch):
     # pcr(3, 2) at k = 1: M = 3 and 8 words.  rule^1 can fix only its b = 2
-    # constant words, walked 1 step each; the period is decided by walking
-    # the zero word and the 3 unit words 3 steps each (12 steps, fewer than
-    # cubing the list: 2 compositions of 8 words), so 2 + 12 = 14 steps
+    # constant words, read once each on the word permutation; the period is
+    # decided by walking the zero word and the 3 unit words 3 steps each
+    # (12 steps, fewer than cubing the list: 2 compositions of 8 words and
+    # 4 lookups), so 2 + 12 = 14 steps
     rule = pcr(3, 2)
     monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 14)
     assert count_burnside_direct(rule, 1).value == 4
@@ -216,11 +217,18 @@ def test_burnside_period_check(monkeypatch):
     assert message == "M=2 is not a period of the rule: rule^2 moves word 00"
     assert (3, 2) in calls
     # a wrong ell = 3 makes M = 6: the lists of rule^2 and rule^3 are built
-    # for their full counts, so one more composition (4 steps) and 3
-    # lookups beat walking the 3 words 6 steps each; rule^6 = rule^2
+    # for their full counts, so the 3 words walk 2 steps of the list of
+    # rule^3 (6 steps), not 6 of the rule's (18) nor a squared list (4 + 3);
+    # rule^6 = rule^2
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 3)
     assert message == "M=6 is not a period of the rule: rule^6 moves word 00"
-    assert (3, 1) in calls and (3, 6) not in calls
+    assert (3, 2) in calls and (3, 6) not in calls
+    # a wrong omega = ell = 7 makes M = 7: raising the list to the 7th
+    # power (4 compositions, 16 steps) and reading the 3 words on it (3)
+    # beats walking them 7 steps each (21); rule^7 = rule^3
+    message, calls = period_check_walks(monkeypatch, icr(2, 2), 7, 7)
+    assert message == "M=7 is not a period of the rule: rule^7 moves word 00"
+    assert (3, 1) in calls and (3, 7) not in calls
     # a_1 = 2*a_0 + 4 over Z/5 fixes the unit word 1 and moves 0 on a
     # 4-cycle: a wrong M = 1 is caught by the zero word alone
     message, _ = period_check_walks(monkeypatch, AffineRule((3, 1), 4, 5), 1, 1)
@@ -242,6 +250,13 @@ def test_wrong_omega_refused():
         count_burnside_direct(rule, 1, omega=2)
 
 
+def test_theorem2_refuses_non_integer_count():
+    # a wrong s = 3 for pcr(3, 2) (its s is 1) gives 8/3, not a count
+    with pytest.raises(NonIntegerResult,
+                       match="^ideal-formula count 8/3 is not a positive integer$"):
+        count_theorem2(pcr(3, 2).char_poly(), 1, 1, s=3)
+
+
 def count_burnside_work(monkeypatch) -> dict:
     # word steps of the Burnside walk, by kind: compositions and full
     # counts (b^n each) and walks over few words (words times steps)
@@ -261,15 +276,30 @@ def count_burnside_work(monkeypatch) -> dict:
 LONG_PERIOD_N16 = AffineRule((1,) + (0,) * 11 + (1, 0, 1, 1, 1), 1, 2)
 
 
+def all_lists_steps(rule: AffineRule, k: int, m: int) -> int:
+    # the word steps of raising the list of every sigma^e, e | m/k, and
+    # counting all b^n words on it: sigma = rule^k from the rule's list,
+    # each other divisor from a smaller one by one prime, largest primes
+    # first
+    compositions, n_divisors = power_cost(k), 1
+    for p, a in sorted(factorize(m // k), reverse=True):
+        compositions += n_divisors * a * power_cost(p)
+        n_divisors *= a + 1
+    return (compositions + n_divisors) * rule.b ** rule.n
+
+
 def test_burnside_estimate_covers_work(monkeypatch):
     # the refusal's estimate counts exactly the word steps the walk then
-    # makes: compositions, full counts, candidate walks (by perm or through
-    # a list the walk builds anyway) and the basis check (walked or read
-    # from a raised list)
+    # makes: compositions, full counts, and walks over few words (through
+    # their own list, a list above them or the rule's); and it is never
+    # above raising and counting every list, which icr(11, 2) at k = 5 and
+    # icr(15, 2) at k = 7 exceeded when words below n always walked the
+    # rule's list
     work = count_burnside_work(monkeypatch)
     for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
                                        (icr(6, 2), 1), (pcr(3, 2), 1),
-                                       (icr(16, 2), 3), (LONG_PERIOD_N16, 1)]:
+                                       (icr(16, 2), 3), (LONG_PERIOD_N16, 1),
+                                       (icr(11, 2), 5), (icr(15, 2), 7)]:
         monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 0)
         with pytest.raises(BudgetExceeded) as refusal:
             count_burnside_direct(rule, k)
@@ -277,9 +307,10 @@ def test_burnside_estimate_covers_work(monkeypatch):
         monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 1 << 25)
         for made in work.values():
             made.clear()
-        count_burnside_direct(rule, k)
+        m = count_burnside_direct(rule, k).witnesses["M"]
         assert work["advance"], (rule.spec(), rule.b, k)
         assert sum(map(sum, work.values())) == estimate, (rule.spec(), rule.b, k)
+        assert estimate <= all_lists_steps(rule, k, m), (rule.spec(), rule.b, k)
 
 
 def test_burnside_work_on_the_orbit_rules(monkeypatch):
