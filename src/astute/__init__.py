@@ -11,7 +11,7 @@ at small sizes.
 from .algebra import ModPoly, euler_phi, poly_gcd, u_poly, x_pow_minus_one
 from .counting import (CountReport, base_divisor, closed_form_icr,
                        closed_form_pcr, closed_form_xor, count_burnside_direct,
-                       count_enumeration, count_theorem2, count_theorem2_rule)
+                       count_enumeration, count_theorem2)
 from .errors import (AstuteError, BudgetExceeded, Inconclusive,
                      LeadingNotInvertible, NonIntegerResult, NotInvertible,
                      NotPcrOrbit, PreconditionViolated)

@@ -180,10 +180,11 @@ def cmd_count(args) -> int:
     # shared by Burnside and Theorem 2: the order of X, Burnside's ell
     # (the smallest cycle length at k = 1) and Theorem 2's s, found from
     # ell; computed only after the enumeration's vertex budget has
-    # passed, which also covers Burnside's word budget
+    # passed, which also covers Burnside's word budget; the polynomial
+    # is built once for them and Theorem 2
     order = ell = s = None
+    lam = rule.char_poly() if wanted in ("all", "theorem2") else None
     if wanted == "all":
-        lam = rule.char_poly()
         try:
             order = order_of_x(lam)
         except BudgetExceeded as e:
@@ -203,7 +204,8 @@ def cmd_count(args) -> int:
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
     if "theorem2" in routes:
-        reports.append(counting.count_theorem2_rule(rule, args.k, omega=order, s=s))
+        reports.append(counting.count_theorem2(lam, rule.c, args.k, omega=order,
+                                               rule_spec=rule.spec(), s=s))
     if "closed" in routes:
         closed = counting.closed_form_for(rule, args.k)
         if closed is not None:

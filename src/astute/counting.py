@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import eq
 from typing import Optional
 
@@ -91,13 +91,13 @@ def count_burnside_direct(rule: AffineRule, k: int,
     default) and ell is l as smallest_cycle_length gives it for this
     omega (found here by default).
     """
-    n_words = rule.b ** rule.n
-    if n_words > rules.MAX_VERTICES:
-        raise BudgetExceeded(f"{n_words} words exceeds budget {rules.MAX_VERTICES}")
-    if omega is None:
-        omega = order_of_x(rule.char_poly())
-    if ell is None:
-        ell = smallest_cycle_length(rule.char_poly(), rule.c, 1, omega)
+    rules.check_word_budget(rule.b ** rule.n)
+    if omega is None or ell is None:
+        lam = rule.char_poly()
+        if omega is None:
+            omega = order_of_x(lam)
+        if ell is None:
+            ell = smallest_cycle_length(lam, rule.c, 1, omega)
     m = lcm(k, ell, omega)
     top = m // k
     counts = fixed_point_counts(rule, k, m, perm)
@@ -125,129 +125,117 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
       at e = top only those n + 1 are checked.
 
     At every other e (k*e >= n, e < top) all b^n words are counted on the
-    list of sigma^e, sigma = rule^k.  The divisors are walked depth first
-    over the primes of top, and each sigma^e is either a list, raised
-    from its parent divisor's list by one prime (sigma from perm by k),
-    or walked: its few words take e/d steps of the list of its nearest
-    listed divisor d, or k*e steps of perm.  A full count needs its list;
-    any other list is raised only where that takes no more word steps
-    than walking the words at and below it, decided children first
-    (_plan_divisors).  The word steps are counted before any work: b^n
-    per composition and per full count, and the words times the steps
-    per word for every other count.  Above BURNSIDE_MAX_STEPS the walk is
-    refused.  perm is the rule's word permutation (built after the
-    estimate by default).
+    list of sigma^e, sigma = rule^k.  The divisors form a tree: sigma^e
+    comes from sigma^(e/p), p the least prime of e, and sigma from perm.
+    One pass over them, children first, sums the word steps at and above
+    each e when sigma^e is a list and when it is not; a second, parents
+    first, makes one row (e, d, hops, is_list) per divisor: sigma^e is
+    (the list of sigma^d)^hops, d = 0 standing for perm, and is raised as
+    a list or walked by four rules:
+
+    1. a full count needs its list, and so does every divisor below it
+       in the tree, down to sigma;
+    2. any other sigma^e is raised from its parent's list, by one prime
+       (sigma from perm by k), exactly where that takes no more word
+       steps than walking the words at and above e;
+    3. a divisor that is no list walks its few words e/d steps on the
+       list of its nearest listed divisor d below it (k*e steps of perm
+       if there is none);
+    4. a list is dropped after its last reader; the rows run depth first,
+       so only lists on one path of the tree wait for readers.
+
+    The estimate is summed over the rows before any work: b^n per
+    composition and per full count, and the words times the steps per
+    word for every other count.  Above BURNSIDE_MAX_STEPS the walk is
+    refused; otherwise the same rows are executed.  perm is the rule's
+    word permutation (built after the estimate by default).
     """
     b, n = rule.b, rule.n
     n_words = b ** n
     top = m // k
-    # (p, a, c) for each prime power p^a of top, c the word steps of
-    # raising a list by p; largest primes first: their raises are the
-    # dearest and run least often
-    levels = [(p, a, rules.power_cost(p) * n_words)
-              for p, a in sorted(factorize(top), reverse=True)]
-    basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
+    # The divisors depth first: each after its parent e/p, p the least
+    # prime of e, with the largest primes outermost, so top comes last.
+    # up[e] = (the parent, the hops from it, the word steps of raising
+    # sigma^e from the parent's list); sigma's parent is perm (0).
+    divs, up = [1], {1: (0, k, rules.power_cost(k) * n_words)}
+    for p, a in factorize(top):
+        # a more blocks, each the previous block times p
+        size = len(divs)
+        raising = rules.power_cost(p) * n_words
+        for i in range(size, size * (a + 1)):
+            e = divs[i - size]
+            d, hops, cost = up[e]
+            divs.append(e * p)
+            up[e * p] = (e, p, raising) if i % size == 0 else (d * p, hops, cost)
+    # Children first: the few words sigma^e can fix (0 when all are
+    # counted on its list), and the word steps at and above e when
+    # sigma^e is a list (listed) and, per step of sigma^e, when it is
+    # not (walked; None when a full count needs the list).  raised: the
+    # divisors listed when their parent is.
+    few = {}
+    listed = dict.fromkeys([0, *divs], 0)
+    walked = listed.copy()
     raised = set()
-    if levels:
-        listed, walked = _plan_divisors(levels, 0, 1, k, n, b, top, raised)
-    else:
-        listed = walked = n + 1  # top = 1: only the period is checked
-    here, there = rules.power_cost(k) * n_words + listed, k * walked
-    if here <= there:
-        raised.add(1)
-    steps = min(here, there)
+    for e in reversed(divs):
+        d, hops, raising = up[e]
+        few[e] = w = n + 1 if e == top else b ** (k * e) if k * e < n else 0
+        here = raising + (w or n_words) + listed[e]
+        if w and walked[e] is not None:
+            there = hops * (walked[e] + w)
+            if walked[d] is not None:
+                walked[d] += there
+            if there < here:
+                listed[d] += there
+                continue
+        else:
+            walked[d] = None
+        raised.add(e)
+        listed[d] += here
+    # Parents first: a row (e, d, hops, is_list) per divisor, sigma^e
+    # being (the list of sigma^d, or perm)^hops, and the step estimate.
+    via = {0: (0, 1)}
+    rows, last, steps = [], {}, 0
+    for e in divs:
+        parent, step, raising = up[e]
+        d, hops = via[parent]
+        hops *= step
+        is_list = d == parent and e in raised
+        if is_list:
+            via[e] = e, 1
+            steps += raising + (few[e] or n_words)
+        else:
+            via[e] = d, hops
+            steps += few[e] * hops
+        rows.append((e, d, hops, is_list))
+        last[d] = e  # the list's last reader
     if steps > BURNSIDE_MAX_STEPS:
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
             f"over budget {BURNSIDE_MAX_STEPS}")
     if perm is None:
         perm = rules.word_permutation(rule)
+    basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
+    lists = {0: perm}
     counts = {}
-
-    def count(e: int, power: list[int], walk: int):
-        # |Fix(sigma^e)|, sigma^e = power^walk
-        j = k * e
-        if e < top and j >= n:
+    for e, d, hops, is_list in rows:
+        power = lists.pop(d) if last[d] == e else lists[d]
+        if is_list:
+            power, hops = rules.perm_power(power, hops), 1
+            if e in last:
+                lists[e] = power
+        if not few[e]:
             counts[e] = rules.fixed_points(power)
-            return
-        words = basis if e == top else rules.periodic_words(b, n, j)
-        after = rules.advance(power, words, walk)
+            continue
+        words = basis if e == top else rules.periodic_words(b, n, k * e)
+        after = rules.advance(power, words, hops)
         counts[e] = sum(map(eq, after, words))
-        if e == top:
-            if counts[e] < len(words):
-                moved = next(w for w, v in zip(words, after) if w != v)
-                raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
-                                 f"moves word {word_str(value_word(moved, n, b))}")
-            counts[e] = n_words
-
-    power, walk = (rules.perm_power(perm, k), 1) if 1 in raised else (perm, k)
-    if levels:
-        _walk_divisors(levels, 0, raised, 1, power, walk, count)
-    else:
-        count(1, power, walk)
+        if e == top and counts[e] < n + 1:
+            moved = next(w for w, v in zip(words, after) if w != v)
+            raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
+                             f"moves word {word_str(value_word(moved, n, b))}")
+        del words, after  # up to b^(n-1) words, freed before the next raise
+    counts[top] = n_words
     return counts
-
-
-def _plan_divisors(levels: list[tuple[int, int, int]], i: int, e: int, k: int,
-                   n: int, b: int, top: int, raised: set[int]) -> tuple[int, float]:
-    """(listed, walked) over d = e * (each divisor of the product of the
-    prime powers of levels[i:]), the divisors _walk_divisors visits from
-    e: the word steps of their raises and counts when sigma^e is a list,
-    and, when it is not, the steps per step of sigma^e that walking their
-    words takes (inf when some d < top with k*d >= n needs a full count,
-    hence a list).  Each d*p whose list takes no more steps raised from
-    sigma^d's than walked goes in raised."""
-    p, a, cost = levels[i]
-    i += 1
-    below = i < len(levels)
-    # the chain e*p^a, ..., e*p, e, each raised from the next, children first
-    d = e * p ** a
-    listed = walked = 0
-    while True:
-        if below:
-            here, there = _plan_divisors(levels, i, d, k, n, b, top, raised)
-        elif d == top:
-            here = there = n + 1  # the zero word and the n unit words
-        elif k * d < n:
-            here = there = b ** (k * d)  # the periodic words
-        else:
-            here, there = b ** n, inf
-        if d == e:
-            return here + listed, there + walked
-        here += cost + listed
-        there = p * (there + walked)
-        if here <= there:
-            raised.add(d)
-        listed, walked = min(here, there), there
-        d //= p
-
-
-def _walk_divisors(levels: list[tuple[int, int, int]], i: int, raised: set[int],
-                   e: int, power: list[int], walk: int, visit):
-    """visit(d, power_d, walk_d), with sigma^d = power_d^walk_d, for
-    d = e * (each divisor of the product of the prime powers of
-    levels[i:]), depth first, where sigma^e = power^walk.  sigma^(d*p) is
-    raised from the list of sigma^d by p when sigma^d is a list (walk 1)
-    and d*p is in raised, else walked p times as far.  At most one list
-    per prime is alive.  Module level rather than a recursive closure,
-    which would sit in a reference cycle with the word permutation and
-    keep it alive until the next garbage collection."""
-    p, a, _ = levels[i]
-    i += 1
-    below = i < len(levels)
-    while True:  # e, e*p, ..., e*p^a
-        if below:
-            _walk_divisors(levels, i, raised, e, power, walk, visit)
-        else:
-            visit(e, power, walk)
-        if not a:
-            return
-        a -= 1
-        e *= p
-        if walk == 1 and e in raised:
-            power = rules.perm_power(power, p)
-        else:
-            walk *= p
 
 
 def count_theorem2(lam: ModPoly, c: int, k: int,
@@ -290,23 +278,16 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
                        witnesses={"omega": omega, "s": s, "terms": terms})
 
 
-def count_theorem2_rule(rule: AffineRule, k: int,
-                        omega: int | None = None,
-                        s: int | None = None) -> CountReport:
-    return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
-                          rule_spec=rule.spec(), s=s)
-
-
 def _rotation_family(n: int, k: int, b: int, s: int) -> int:
     """(k * g) / (s * n) * sum over g | d | n of phi(n/d) * b^d, g = gcd(s, n):
     the general formula for a rule with polynomial X^n - 1 and smallest
     factor-cycle length s."""
     g = gcd(s, n)
     total = sum(euler_phi(n // d) * b ** d for d in divisors(n) if d % g == 0)
-    value = Fraction(k * g * total, s * n)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"closed form gave {value}")
-    return int(value)
+    value, rem = divmod(k * g * total, s * n)
+    if rem:
+        raise NonIntegerResult(f"closed form gave {Fraction(k * g * total, s * n)}")
+    return value
 
 
 def closed_form_pcr(n: int, k: int, b: int) -> CountReport:
@@ -348,10 +329,10 @@ def closed_form_xor(n: int, k: int) -> CountReport:
     w = n + 1
     g = gcd(k, w)
     total = sum(euler_phi(2 * e) * 2 ** (w // e) for e in divisors(w // g))
-    value = Fraction(g * total, 2 * w)
-    if value.denominator != 1:
-        raise NonIntegerResult(f"closed form gave {value}")
-    return CountReport(int(value), "closed_form", "xor", 2, n, k)
+    value, rem = divmod(g * total, 2 * w)
+    if rem:
+        raise NonIntegerResult(f"closed form gave {Fraction(g * total, 2 * w)}")
+    return CountReport(value, "closed_form", "xor", 2, n, k)
 
 
 def closed_form_for(rule: AffineRule, k: int) -> CountReport | None:

@@ -154,6 +154,13 @@ def check_vertex_budget(p: GraphParams):
         raise BudgetExceeded(f"{p.num_vertices} vertices exceeds budget {MAX_VERTICES}")
 
 
+def check_word_budget(n_words: int):
+    """Refuse a route that walks all n_words words of a rule when they are
+    more than MAX_VERTICES."""
+    if n_words > MAX_VERTICES:
+        raise BudgetExceeded(f"{n_words} words exceeds budget {MAX_VERTICES}")
+
+
 def enumerate_factor(rule: AffineRule, k: int) -> Factor:
     """Partition the vertices of G(n, k) into orbits of the rule's action.
 
@@ -219,8 +226,7 @@ def fix_count_bruteforce(rule: AffineRule, i: int,
     if i < 0:
         raise ValueError("i must be >= 0")
     total = rule.b ** rule.n
-    if total > MAX_VERTICES:
-        raise BudgetExceeded(f"{total} words exceeds budget {MAX_VERTICES}")
+    check_word_budget(total)
     if i == 0:
         return total
     if perm is None:

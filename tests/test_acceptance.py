@@ -11,8 +11,7 @@ import time
 from astute import cli
 from astute.cli import THEOREM1_INSTANCES as EXTREMALITY_INSTANCES
 from astute.counting import (closed_form_for, count_burnside_direct,
-                             count_enumeration, count_theorem2,
-                             count_theorem2_rule)
+                             count_enumeration, count_theorem2)
 from astute.extremal import search_extremal
 from astute.graph import GraphParams, validate_factor
 from astute.ideals import order_of_x
@@ -20,6 +19,7 @@ from astute.rules import icr, pcr, xor_rule
 from astute.spectral import covering_check
 
 from oracles import exhaustive_factors, lattice_rules, random_factor
+from test_counting import count_theorem2_rule
 
 
 def _report(num, name):

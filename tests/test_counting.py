@@ -11,7 +11,7 @@ from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
-                             count_theorem2, count_theorem2_rule)
+                             count_theorem2)
 from astute.errors import BudgetExceeded, NonIntegerResult
 from astute.graph import cycle_lengths
 from astute.ideals import order_of_x, smallest_cycle_length
@@ -21,6 +21,14 @@ from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
 from oracles import (affine_rule_permutation, affine_rules, all_words, lattice_rules,
                      necklace_count, periodic_extensions, permutation_order,
                      permutation_power, rule_step)
+
+
+def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None,
+                        s: int | None = None) -> CountReport:
+    """Theorem 2's count of an affine rule, from its polynomial."""
+    return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
+                          rule_spec=rule.spec(), s=s)
+
 
 # first terms at k=1, b=2, frozen from the orbit-enumeration oracle
 ROTATION_COUNTS = [2, 3, 4, 6, 8, 14, 20, 36]
@@ -255,6 +263,12 @@ def test_theorem2_refuses_non_integer_count():
     with pytest.raises(NonIntegerResult,
                        match="^ideal-formula count 8/3 is not a positive integer$"):
         count_theorem2(pcr(3, 2).char_poly(), 1, 1, s=3)
+
+
+def test_closed_form_refuses_non_integer_count():
+    # a wrong s = 5 for the rotation family at n = 3, b = 2 gives 12/15
+    with pytest.raises(NonIntegerResult, match="^closed form gave 4/5$"):
+        astute.counting._rotation_family(3, 1, 2, 5)
 
 
 def count_burnside_work(monkeypatch) -> dict:

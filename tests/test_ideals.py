@@ -6,7 +6,7 @@ import pytest
 import astute.counting
 import astute.ideals
 from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
-from astute.counting import count_theorem2, count_theorem2_rule
+from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
                            ideal_quotient_size, order_of_x, smallest_cycle_length)
@@ -14,6 +14,7 @@ from astute.rules import icr, parse_rule_spec
 
 from oracles import (ideal_quotient_size_oracle, membership_oracle, poly_product,
                      poly_remainder)
+from test_counting import count_theorem2_rule
 
 
 def membership_cUs(lam, c, s):

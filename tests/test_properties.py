@@ -6,20 +6,23 @@ from math import gcd
 
 import pytest
 
+import astute.counting
+
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from astute.algebra import ModPoly, _rem_mod_p, divisors, poly_gcd
-from astute.counting import (count_burnside_direct, count_enumeration, count_theorem2_rule,
-                             fixed_point_counts)
+from astute.counting import count_burnside_direct, count_enumeration, fixed_point_counts
+from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, cycle_lengths
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import AffineRule, fix_count_bruteforce
+from astute.rules import AffineRule, fix_count_bruteforce, icr, parse_rule_spec
 
 from oracles import (gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
                      permutation_cycles, poly_product, poly_remainder, random_factor,
                      rule_orbit_count, smallest_cycle_length_oracle)
+from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
 from test_ideals import membership_cUs
 
 
@@ -133,6 +136,39 @@ def test_burnside_matches_orbit_oracle(b, n, k, data):
     rule = draw_unit_leading_rule(data, b, n)
     assert count_burnside_direct(rule, k).value == \
         rule_orbit_count(rule.lambdas, rule.c, b, k)
+
+
+@st.composite
+def burnside_instances(draw):
+    """(rule, k): an affine rule over b with b^n <= 2048, and k <= 12."""
+    b = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if b ** n <= 2048)))
+    return draw_unit_leading_rule(draw(st.data()), b, n), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=burnside_instances())
+# pinned where simpler plans went above raising every list: the affine
+# rule at k = 4 has no full count, and without sigma's list it takes 390
+# steps against 384 (this plan takes 266); icr(11, 2) at k = 5 takes
+# 20,536 against 28,672
+@example(case=(parse_rule_spec("affine:0;1,1,1,1,0,1", 5, 2), 4))
+@example(case=(icr(11, 2), 5))
+def test_burnside_estimate_is_its_work(case):
+    # the refusal's estimate is the word steps the walk then makes, and
+    # never above raising and counting every list; the fixture-free
+    # MonkeyPatch context undoes the hooks after each example
+    rule, k = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        work = count_burnside_work(monkeypatch)
+        monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 0)
+        with pytest.raises(BudgetExceeded) as refusal:
+            count_burnside_direct(rule, k)
+        estimate = int(str(refusal.value).split()[3])
+        monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 1 << 25)
+        m = count_burnside_direct(rule, k).witnesses["M"]
+    assert sum(map(sum, work.values())) == estimate, (rule.spec(), rule.b, k)
+    assert estimate <= all_lists_steps(rule, k, m), (rule.spec(), rule.b, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
