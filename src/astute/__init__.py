@@ -8,7 +8,7 @@ ideal identities, and finds true extremal factors by exhaustive search
 at small sizes.
 """
 
-from .algebra import ModPoly, euler_phi, poly_gcd, u_poly, x_pow_minus_one
+from .algebra import ModPoly, divisor_phis, poly_gcd, u_poly, x_pow_minus_one
 from .counting import (CountReport, base_divisor, closed_form_icr,
                        closed_form_pcr, closed_form_xor, count_burnside_direct,
                        count_enumeration, count_theorem2)

@@ -1,6 +1,6 @@
-"""Exact arithmetic over Z/bZ: units, integer factorization, divisors and
-totients; polynomials over Z/bZ as values; and polynomial remainder and
-gcd over a prime field Z/p.
+"""Exact arithmetic over Z/bZ: units, integer factorization, divisors with
+their totients; polynomials over Z/bZ as values; and polynomial remainder
+and gcd over a prime field Z/p.
 
 Coefficients are plain ints reduced into [0, b), listed by ascending
 degree.  ModPoly is the polynomial as a hashable value (the cache key of
@@ -48,14 +48,19 @@ def divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-def euler_phi(m: int) -> int:
-    """Count of integers in [1, m] coprime to m."""
-    if m < 1:
-        raise ValueError("euler_phi requires m >= 1")
-    result = m
-    for p, _ in factorize(m):
-        result -= result // p
-    return result
+def divisor_phis(m: int) -> dict[int, int]:
+    """Euler's phi of every divisor of m >= 1, keyed by the divisor (in
+    no set order), from one factorization: for d prime to p,
+    phi(d * p^i) = phi(d) * (p - 1) * p^(i - 1)."""
+    out = {1: 1}
+    for p, a in factorize(m):
+        for d, phi in list(out.items()):
+            phi *= p - 1
+            for _ in range(a):
+                d *= p
+                out[d] = phi
+                phi *= p
+    return out
 
 
 @dataclass(frozen=True)

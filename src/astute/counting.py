@@ -10,12 +10,11 @@ must agree; the CLI's `count --method all` asserts that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import eq
 from typing import Optional
 
-from .algebra import ModPoly, divisors, euler_phi, factorize
+from .algebra import ModPoly, divisor_phis, divisors, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
 from .graph import GraphParams, cycle_lengths, value_word, word_str
@@ -75,21 +74,30 @@ def count_burnside_direct(rule: AffineRule, k: int,
     The average runs over one period M = lcm(k, l, w) of
     i -> [k | i] * |Fix(rule^i)|, with l the rule's smallest word-cycle
     length and w = `omega`, any multiple of the order of X modulo its
-    polynomial (the order itself by default).  With
-    sigma = rule^k and top = M/k, sigma^top is the identity, so
-    Fix(sigma^j) = Fix(sigma^gcd(j, top)) and
+    polynomial (the order itself by default).  With top = M/k,
 
-        sum over j < top of |Fix(sigma^j)|
-            = sum over e | top of phi(top/e) * |Fix(sigma^e)|.
+        sum over j < top of |Fix(rule^(k*j))|
+            = sum over e | top of phi(top/e) * |Fix(rule^(k*e))|.
 
-    fixed_point_counts finds each |Fix(sigma^e)| on the word permutation
-    and checks that M is a period; it refuses above BURNSIDE_MAX_STEPS.
-    The route reads neither cycle lengths nor ideal sizes: l and w only
-    form M, and a wrong M fails the period check.  A wrong omega is
-    refused by smallest_cycle_length.  perm is the rule's word
-    permutation (built after the word budget and the step estimate by
-    default) and ell is l as smallest_cycle_length gives it for this
-    omega (found here by default).
+    The powers are read modulo P = lcm(l, w), a period of the rule:
+
+    - w | P, so rule^P is a translation x -> x + t (X^P = 1 mod the
+      polynomial);
+    - some word is fixed by rule^l (it lies on a cycle of length l), and
+      l | P, so that word is fixed by rule^P;
+    - hence t = 0 and rule^P is the identity.
+
+    So |Fix(rule^(k*e))| = |Fix(rule^gcd(k*e, P))|, and with g = gcd(k, P)
+    (top = P/g, gcd(k/g, top) = 1) that is |Fix(rule^(g*e))| for every
+    e | top.  fixed_point_counts finds those on the powers of rule^g,
+    whatever k is, checks that P is a period and refuses above
+    BURNSIDE_MAX_STEPS.  The route reads neither cycle lengths nor ideal
+    sizes: l and w only form P, and a wrong one fails the period check at
+    P.  A wrong omega is refused by smallest_cycle_length.  perm is the
+    rule's word permutation (built after the word budget and the step
+    estimate by default) and ell is l as smallest_cycle_length gives it
+    for this omega (found here by default).  The witness M is
+    lcm(k, l, w) = k*P/g.
     """
     rules.check_word_budget(rule.b ** rule.n)
     if omega is None or ell is None:
@@ -98,21 +106,26 @@ def count_burnside_direct(rule: AffineRule, k: int,
             omega = order_of_x(lam)
         if ell is None:
             ell = smallest_cycle_length(lam, rule.c, 1, omega)
-    m = lcm(k, ell, omega)
-    top = m // k
-    counts = fixed_point_counts(rule, k, m, perm)
-    total = k * sum([euler_phi(top // e) * fixed for e, fixed in counts.items()])
-    value, rem = divmod(total, m)
+    period = lcm(ell, omega)
+    g = gcd(k, period)
+    top = period // g
+    counts = fixed_point_counts(rule, g, period, perm)
+    phis = divisor_phis(top)
+    total = sum([phis[top // e] * fixed for e, fixed in counts.items()])
+    value, rem = divmod(total, top)
     if rem:
-        raise NonIntegerResult(f"Burnside average {Fraction(total, m)} is not an integer")
+        raise NonIntegerResult(f"Burnside average {_ratio(total, top)} is not an integer")
     return CountReport(value, "burnside_direct", rule.spec(), rule.b, rule.n, k,
-                       witnesses={"M": m, "ell": ell, "omega": omega})
+                       witnesses={"M": k * top, "ell": ell, "omega": omega})
 
 
 def fixed_point_counts(rule: AffineRule, k: int, m: int,
                        perm: list[int] | None = None) -> dict[int, int]:
     """|Fix(rule^(k*e))| for every divisor e of top = m/k, where m, a
-    multiple of k, must be a period of the rule (ValueError otherwise).
+    multiple of k, must be a period of the rule (ValueError otherwise,
+    naming m as M).  count_burnside_direct passes k = gcd(its k, P) and
+    m = P = lcm(ell, omega), so the period is checked at P and the work
+    depends on its k only through that gcd.
 
     Only the words that can be fixed are walked.  Two shift-register
     facts (Golomb, Shift Register Sequences, 1967) say which:
@@ -259,18 +272,19 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
     if s is None:
         s = smallest_cycle_length(lam, c, k, omega)
     g = gcd(s, omega)
+    phis = divisor_phis(omega)
     terms = []
     total = 0
-    for d in divisors(omega):
+    for d in sorted(phis):
         if d % g:
             continue
-        phi = euler_phi(omega // d)
+        phi = phis[omega // d]
         q = ideal_quotient_size(lam, d)
         terms.append((d, phi, q))
         total += phi * q
     value, rem = divmod(k * g * total, s * omega)
     if rem or value < 1:
-        raise NonIntegerResult(f"ideal-formula count {Fraction(k * g * total, s * omega)} "
+        raise NonIntegerResult(f"ideal-formula count {_ratio(k * g * total, s * omega)} "
                                "is not a positive integer")
     spec = rule_spec or f"affine:{c};(lambda={lam})"
     return CountReport(value, "theorem2", spec, lam.modulus,
@@ -283,10 +297,11 @@ def _rotation_family(n: int, k: int, b: int, s: int) -> int:
     the general formula for a rule with polynomial X^n - 1 and smallest
     factor-cycle length s."""
     g = gcd(s, n)
-    total = sum(euler_phi(n // d) * b ** d for d in divisors(n) if d % g == 0)
+    phis = divisor_phis(n)
+    total = sum(phis[n // d] * b ** d for d in phis if d % g == 0)
     value, rem = divmod(k * g * total, s * n)
     if rem:
-        raise NonIntegerResult(f"closed form gave {Fraction(k * g * total, s * n)}")
+        raise NonIntegerResult(f"closed form gave {_ratio(k * g * total, s * n)}")
     return value
 
 
@@ -328,10 +343,12 @@ def closed_form_xor(n: int, k: int) -> CountReport:
     _check_nkb(n, k, 2)
     w = n + 1
     g = gcd(k, w)
-    total = sum(euler_phi(2 * e) * 2 ** (w // e) for e in divisors(w // g))
+    # the even divisors d = 2e of 2w/g are the e | w/g, and 2^(w/e) = 2^(2w/d)
+    total = sum(phi * 2 ** (2 * w // d) for d, phi in divisor_phis(2 * w // g).items()
+                if d % 2 == 0)
     value, rem = divmod(g * total, 2 * w)
     if rem:
-        raise NonIntegerResult(f"closed form gave {Fraction(g * total, 2 * w)}")
+        raise NonIntegerResult(f"closed form gave {_ratio(g * total, 2 * w)}")
     return CountReport(value, "closed_form", "xor", 2, n, k)
 
 
@@ -344,6 +361,12 @@ def closed_form_for(rule: AffineRule, k: int) -> CountReport | None:
     if rule.name == "xor":
         return closed_form_xor(rule.n, k)
     return None
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, as "p/q", or "p" when it is an integer."""
+    d = gcd(p, q)
+    return f"{p // d}/{q // d}" if q != d else str(p // d)
 
 
 def _check_nkb(n: int, k: int, b: int):

@@ -12,7 +12,7 @@ from operator import eq
 
 from .algebra import ModPoly, is_unit
 from .errors import BudgetExceeded, NotInvertible
-from .graph import Factor, GraphParams, word_sums
+from .graph import Factor, GraphParams
 
 # the vertex (and word) budget of every route that walks all of G(n, k)
 MAX_VERTICES = 1 << 22
@@ -115,20 +115,38 @@ def parse_rule_spec(spec: str, n: int, b: int) -> AffineRule:
 
 
 def word_permutation(rule: AffineRule) -> list[int]:
-    """The rule as a permutation of packed word values.
+    """The rule as a permutation of packed word values, from b residue rows.
 
-    The sums of lambda_i * a_i over each word, listed in packed order,
-    come from word_sums, and the appended symbol is read from a table
-    over the sums.
+    The appended symbol solves c = sum(lambda_i * a_i) for a_n: with
+    inv = 1/lambda_n mod b it is (inv*c - inv * S) mod b, S the sum over
+    i < n of lambda_i * a_i, so it depends only on a residue mod b.
+    Split the n positions into a head, the first ceil(n/2), and a tail,
+    with H(h) = inv*c - inv * S_head(h) and T(u) = -inv * S_tail(u): the
+    symbol is (H + T) mod b.  Row r lists, for every tail word u, u
+    shifted up one symbol plus the symbol appended when H = r (mod b):
+
+        row_r[u] = u * b + (r + T(u)) mod b.
+
+    A word with head h and tail u goes to row_(H(h) mod b)[u] plus h
+    without its leading symbol, shifted past the tail and the appended
+    symbol: (h mod b^(head - 1)) * b^(tail + 1).  So each word costs one
+    addition; the rows take b * b^tail cells and the half tables
+    b^head + b^tail.
     """
-    b, n = rule.b, rule.n
-    inv = pow(rule.lambdas[-1], -1, b)
-    sums = word_sums([[lam * a for a in range(b)] for lam in rule.lambdas[:-1]])
-    appended = [inv * (rule.c - s) % b
-                for s in range(sum(rule.lambdas[:-1]) * (b - 1) + 1)]
-    # shifting value left drops its leading symbol: (value % b^(n-1)) * b
-    shifted = list(range(0, b ** n, b)) * b
-    return [t + appended[s] for t, s in zip(shifted, sums)]
+    b, n, lams = rule.b, rule.n, rule.lambdas
+    inv = pow(lams[-1], -1, b)
+    half = (n + 1) // 2
+    heads, tails = [inv * rule.c], [0]  # H and T of every half word, packed order
+    for lam in lams[:half]:
+        lam *= -inv
+        heads = [s + lam * a for s in heads for a in range(b)]
+    for lam in lams[half:-1]:
+        lam *= -inv
+        tails = [s + lam * a for s in tails for a in range(b)]
+    step = b * len(tails)  # b^(tail + 1)
+    rows = [[u + (r + t) % b for u, t in zip(range(0, step, b), tails)] for r in range(b)]
+    return [o + x for o, s in zip(list(range(0, b ** n, step)) * b, heads)
+            for x in rows[s % b]]
 
 
 def successor_array(rule: AffineRule, k: int,

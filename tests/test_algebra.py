@@ -2,17 +2,23 @@ from math import gcd
 
 import pytest
 
-from astute.algebra import (ModPoly, _rem_mod_p, euler_phi, factorize, poly_gcd,
+from astute.algebra import (ModPoly, _rem_mod_p, divisor_phis, factorize, poly_gcd,
                             u_poly, x_pow_minus_one)
 
 
 def test_euler_phi():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
+    # phi of every divisor, from one factorization, against counting
+    assert divisor_phis(1) == {1: 1}
+    assert divisor_phis(12) == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
     for p in (2, 3, 5, 7, 11, 13):
-        assert euler_phi(p) == p - 1
-    for m in range(1, 61):
-        assert euler_phi(m) == sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+        assert divisor_phis(p) == {1: 1, p: p - 1}
+    for m in range(1, 361):
+        phis = divisor_phis(m)
+        assert sorted(phis) == [d for d in range(1, m + 1) if m % d == 0], m
+        for d, phi in phis.items():
+            assert phi == sum(1 for a in range(1, d + 1) if gcd(a, d) == 1), (m, d)
+    with pytest.raises(ValueError):
+        divisor_phis(0)
 
 
 def test_factorize():

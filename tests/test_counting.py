@@ -1,4 +1,5 @@
 import time
+from math import lcm
 
 import pytest
 
@@ -330,19 +331,45 @@ def test_burnside_estimate_covers_work(monkeypatch):
 def test_burnside_work_on_the_orbit_rules(monkeypatch):
     # pcr and xor at n = 16 (M = 16, 17) have every divisor of M below n
     # but M itself, so no list is raised and no count runs over all 2^16
-    # words; icr at k = 3 (M = 96) builds rule^3, rule^6, rule^12 and
-    # rule^24 (2 + 3 compositions) for the full count at j = 24, and
-    # rule^48 (1 more) for the one at j = 48
+    # words; icr at k = 3 has M = 96 but P = lcm(ell, omega) = 32 and
+    # g = gcd(3, 32) = 1, so it counts the powers of the rule itself: the
+    # rule's list squared 4 times to rule^16 for the one full count, at
+    # j = 16
     work = count_burnside_work(monkeypatch)
     for rule, k, closed, compositions, full in [
             (pcr(16, 2), 1, closed_form_pcr(16, 1, 2), 0, 0),
             (xor_rule(16), 1, closed_form_xor(16, 1), 0, 0),
-            (icr(16, 2), 3, closed_form_icr(16, 3, 2), 6, 2)]:
+            (icr(16, 2), 3, closed_form_icr(16, 3, 2), 4, 1)]:
         for made in work.values():
             made.clear()
         assert count_burnside_direct(rule, k).value == closed.value
         assert len(work["compose"]) == compositions, rule.spec()
         assert len(work["fixed_points"]) == full, rule.spec()
+
+
+def test_burnside_work_does_not_grow_with_k(monkeypatch):
+    # icr(16, 2) has P = 32, and every odd k has g = gcd(k, 32) = 1: the
+    # same powers of the rule are counted by the same calls, k = 999
+    # (M = 31968) included
+    work = count_burnside_work(monkeypatch)
+    made = []
+    for k in (1, 3, 5, 7, 999):
+        for calls in work.values():
+            calls.clear()
+        rep = count_burnside_direct(icr(16, 2), k)
+        assert rep.value == closed_form_icr(16, k, 2).value, k
+        assert rep.witnesses["M"] == lcm(k, 32), k
+        made.append({kind: list(calls) for kind, calls in work.items()})
+    assert all(calls == made[0] for calls in made), made
+
+
+def test_burnside_refuses_a_wrong_ell_at_p():
+    # icr(2, 2) is one 4-cycle with omega = 2.  A wrong ell = 1 at k = 4
+    # gives M = 4, a true period, but P = lcm(1, 2) = 2 is none: the
+    # period is checked at P, which the message names
+    with pytest.raises(ValueError,
+                       match="^M=2 is not a period of the rule: rule\\^2 moves word 00$"):
+        count_burnside_direct(icr(2, 2), 4, omega=2, ell=1)
 
 
 def lemma_rules(max_words: int, stride: int = 0):

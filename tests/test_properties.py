@@ -17,11 +17,13 @@ from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
 from astute.graph import Factor, GraphParams, cycle_lengths
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import AffineRule, fix_count_bruteforce, icr, parse_rule_spec
+from astute.rules import (AffineRule, fix_count_bruteforce, icr, parse_rule_spec,
+                          word_permutation)
 
-from oracles import (gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
-                     permutation_cycles, poly_product, poly_remainder, random_factor,
-                     rule_orbit_count, smallest_cycle_length_oracle)
+from oracles import (affine_rule_permutation, gcd_by_enumeration,
+                     ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
+                     poly_product, poly_remainder, random_factor, rule_orbit_count,
+                     smallest_cycle_length_oracle)
 from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
 from test_ideals import membership_cUs
 
@@ -95,6 +97,26 @@ def draw_unit_leading_rule(data, b, n):
                                     max_size=n - 1))
                + [data.draw(st.sampled_from(units))])
     return AffineRule(tuple(lambdas), data.draw(st.integers(0, b - 1)), b)
+
+
+@st.composite
+def word_permutation_rules(draw):
+    """An affine rule over b with unit ends, n >= 1 and b^n <= 4096: odd
+    and even n, so heads one symbol longer than the tail and heads as long
+    as it both occur."""
+    b = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]))
+    n = draw(st.integers(1, max(n for n in range(1, 13) if b ** n <= 4096)))
+    return draw_unit_leading_rule(draw(st.data()), b, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rule=word_permutation_rules())
+@example(rule=AffineRule((5, 7), 3, 12))  # n = 1: an empty tail
+@example(rule=icr(11, 2))                 # head 6, tail 5
+@example(rule=icr(12, 2))                 # head 6, tail 6
+def test_word_permutation_matches_oracle(rule):
+    # the residue rows against the oracle's symbol solved per partial sum
+    assert word_permutation(rule) == affine_rule_permutation(rule.lambdas, rule.c, rule.b)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
