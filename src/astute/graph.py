@@ -11,7 +11,8 @@ the word value places symbol 0 in the most significant base-b digit so
 the shift is plain arithmetic.  A factor is stored as one thing only:
 its packed successor permutation.  Cycles are walked from it on demand
 and decode to Vertex objects only for the spectral checks; the text,
-JSON and DOT renderings read word names from one table (word_names).
+JSON and DOT renderings each read one string per vertex from a table
+made by vertex_names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -196,10 +196,14 @@ def word_sums(columns: list) -> list:
     return [h + t for h in head for t in tail]
 
 
-def word_names(p: GraphParams) -> list[str]:
-    """word_str of every word, indexed by its packed value."""
+def vertex_names(p: GraphParams, first: str = "", last: str = "@{}") -> list[str]:
+    """first + word_str(word) + last.format(phase) for every vertex,
+    indexed by its packed code: one word_sums call, with first glued to
+    the first digit column and a last column of phase strings."""
     check_renderable(p.b)
-    return word_sums([_DIGITS[:p.b]] * p.n)
+    digits = _DIGITS[:p.b]
+    return word_sums([[first + d for d in digits]] + [digits] * (p.n - 1)
+                     + [[last.format(ph) for ph in range(p.k)]])
 
 
 def cycle_lengths(succ_of) -> list[int]:
@@ -240,42 +244,27 @@ def parse_word(s: str, b: int) -> tuple[int, ...]:
     return word
 
 
-def factor_to_doc(f: Factor, optimal: bool | None = None, extra: dict | None = None) -> dict:
-    """JSON document for a factor (schema astute/1)."""
-    p, k = f.params, f.params.k
-    names = word_names(p)
-    doc = {
-        "schema": "astute/1",
-        "b": p.b,
-        "n": p.n,
-        "k": k,
-        "count": len(f.cycles),
-        "cycles": [[[names[c // k], c % k] for c in cyc.codes] for cyc in f.cycles],
-    }
+def factor_json(f: Factor, optimal: bool | None = None, extra: dict | None = None) -> str:
+    """The factor's JSON document (schema astute/1), written as
+    json.dumps(doc, indent=2) would write it, byte for byte.
+
+    Each vertex's [word, phase] entry comes from one vertex_names table,
+    and each cycle joins its entries; the words use 0-9a-z only, so need
+    no escaping.  The other keys go through json.dumps with a placeholder
+    standing in for the cycles.  The document as a dict is
+    json.loads(factor_json(f)).
+    """
+    p = f.params
+    entries = vertex_names(p, '      [\n        "', '",\n        {}\n      ]')
+    cycles = ",\n".join(["    [\n" + ",\n".join(map(entries.__getitem__, cyc.codes))
+                         + "\n    ]" for cyc in f.cycles])
+    doc = {"schema": "astute/1", "b": p.b, "n": p.n, "k": p.k,
+           "count": len(f.cycles), "cycles": None}
     if optimal is not None:
         doc["optimal"] = optimal
     if extra:
         doc.update(extra)
-    return doc
-
-
-def doc_to_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) of a factor document, byte for byte.
-
-    With an indent, json.dumps runs its pure-Python encoder, one call per
-    value; here the "cycles" list, nearly all of the document, is joined
-    from a fixed template per [word, phase] pair instead, its words
-    escaped by the C string encoder.  The other keys go through
-    json.dumps with a placeholder standing in for the cycles.
-    """
-    enc = encode_basestring_ascii
-    cycles = ",\n".join([
-        "    [\n"
-        + ",\n".join([f"      [\n        {enc(w)},\n        {ph}\n      ]"
-                      for w, ph in cyc])
-        + "\n    ]" for cyc in doc["cycles"]])
-    head, tail = json.dumps({**doc, "cycles": None}, indent=2).split(
-        '\n  "cycles": null', 1)
+    head, tail = json.dumps(doc, indent=2).split('\n  "cycles": null', 1)
     return f'{head}\n  "cycles": [\n{cycles}\n  ]{tail}'
 
 
@@ -321,7 +310,7 @@ def factor_from_doc(doc: dict) -> Factor:
 def to_dot(p: GraphParams, factor: Factor | None = None, color: str = "magenta") -> str:
     """DOT rendering of G(n, k); factor arcs get a color attribute."""
     b, k = p.b, p.k
-    labels = [f'"{name}@{ph}"' for name in word_names(p) for ph in range(k)]
+    labels = vertex_names(p, '"', '@{}"')
     succ = factor.succ if factor is not None else (-1,) * p.num_vertices
     head = b ** (p.n - 1)
     marked = f" [color={color}]"

@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's computation paths:
 ideals are enumerated as additive closures, polynomial products and
 remainders taken by schoolbook rules, a gcd found by trying every monic
 divisor, necklaces counted by canonical rotations, factor counts taken
-over raw permutations, rule steps solved by trying every symbol, factors
-built from the arc rule, fixed words found by applying a rule to every
-word.
+over raw permutations, certificate words named by digit arithmetic,
+rule steps solved by trying every symbol, factors built from the arc
+rule, fixed words found by applying a rule to every word.
 From the package they take only data types (ModPoly, Factor), the
 BudgetExceeded error and, to list the rules under test, the rule
 constructors.
@@ -151,6 +151,26 @@ def permutation_cycles(perm) -> list:
         if min(orbit) == start:
             cycles.append(tuple(orbit))
     return cycles
+
+
+def factor_document(b: int, n: int, k: int, cycles, optimal=None, extra=None) -> dict:
+    """The astute/1 document of a factor of G(n, k) whose cycles are
+    lists of packed codes (word value * k + phase, symbol 0 the most
+    significant base-b digit), each word named digit by digit."""
+    def name(value):
+        out = ""
+        for _ in range(n):
+            value, a = divmod(value, b)
+            out = "0123456789abcdefghijklmnopqrstuvwxyz"[a] + out
+        return out
+
+    doc = {"schema": "astute/1", "b": b, "n": n, "k": k, "count": len(cycles),
+           "cycles": [[[name(c // k), c % k] for c in cyc] for cyc in cycles]}
+    if optimal is not None:
+        doc["optimal"] = optimal
+    if extra:
+        doc.update(extra)
+    return doc
 
 
 def rule_step(lambdas, c: int, b: int, word) -> tuple:

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -14,7 +15,8 @@ import astute.rules
 from astute import cli, extremal, spectral
 from astute.cli import main
 from astute.errors import BudgetExceeded
-from astute.graph import factor_from_doc, validate_factor
+from astute.algebra import poly_gcd
+from astute.graph import factor_from_doc, factor_json, validate_factor
 
 from oracles import all_words
 
@@ -43,6 +45,9 @@ def test_factor_json_roundtrip(capsys):
     assert doc["schema"] == "astute/1"
     assert doc["count"] == 4 and doc["rule"] == "pcr"
     assert validate_factor(factor_from_doc(doc)).ok
+    f = astute.rules.enumerate_factor(astute.rules.pcr(3, 2), 2)
+    assert out == factor_json(f, extra={"rule": "pcr"}) + "\n"
+    assert factor_from_doc(json.loads(factor_json(f))) == f
 
 
 def test_factor_custom_affine(capsys):
@@ -447,6 +452,20 @@ def test_arc_row_decides_every_distinct_gap(monkeypatch):
             monkeypatch.setattr(spectral, "evaluates_to_zero_exact", lambda coeffs, m: (
                 exact(coeffs, m) != (tuple(coeffs) == wrong)))
             assert not cli.check_arc_difference_real()["pass"], wrong
+
+
+@pytest.mark.parametrize("row,degree", [(cli.check_gcd_repunit, lambda f: len(f)),
+                                        (cli.check_gcd_xn_minus_one, lambda f: len(f) - 1)])
+def test_symmetric_gcd_rows_decide_every_unordered_pair(monkeypatch, row, degree):
+    # U_n has n coefficients, X^n - 1 has n + 1: each {n, m} with
+    # n, m <= 12 is decided once over each b in 2, 3, 5
+    decided = []
+    monkeypatch.setattr(cli, "poly_gcd", lambda f, g, b: (
+        decided.append((b, frozenset({degree(f), degree(g)}))) or poly_gcd(f, g, b)))
+    assert row()["pass"]
+    assert Counter(decided) == Counter(
+        {(b, frozenset({n, m})) for b in (2, 3, 5) for n in range(1, 13)
+         for m in range(1, 13)})
 
 
 def test_fix_count_row_builds_one_permutation_per_rule(monkeypatch):

@@ -3,13 +3,12 @@ from itertools import product
 
 import pytest
 
-from astute.graph import (Factor, GraphParams, Vertex, cycle_lengths, doc_to_json,
-                          factor_from_doc, factor_to_doc, pack, parse_word,
-                          successor_codes, to_dot, unpack, validate_factor,
-                          word_names, word_str)
+from astute.graph import (Factor, GraphParams, Vertex, cycle_lengths, factor_from_doc,
+                          factor_json, pack, parse_word, successor_codes, to_dot,
+                          unpack, validate_factor, vertex_names, word_str)
 from astute.rules import enumerate_factor, pcr
 
-from oracles import debruijn_arcs_direct
+from oracles import debruijn_arcs_direct, factor_document, permutation_cycles
 
 
 def successors(v, p):
@@ -98,7 +97,7 @@ def test_validate_factor_accepts_rule_factor():
 def test_validate_factor_diagnostics():
     f = enumerate_factor(pcr(3, 2), 2)
     p = f.params
-    doc = factor_to_doc(f)
+    doc = json.loads(factor_json(f))
     # a document that leaves out the first cycle (000@0 -> 000@1)
     missing = factor_from_doc(dict(doc, cycles=doc["cycles"][1:]))
     res = validate_factor(missing)
@@ -189,13 +188,13 @@ def test_word_render_parse():
 @pytest.mark.parametrize("b, n", [(2, 1), (2, 6), (3, 4), (6, 3), (10, 2),
                                   (36, 1), (36, 2)])
 def test_word_names_match_word_str(b, n):
-    assert word_names(GraphParams(b, n, 1)) == [
+    assert vertex_names(GraphParams(b, n, 1), last="") == [
         word_str(w) for w in product(range(b), repeat=n)]
 
 
 def test_word_names_refuse_large_alphabet():
     with pytest.raises(ValueError, match="word rendering supports symbols < 36 only"):
-        word_names(GraphParams(37, 1, 1))
+        vertex_names(GraphParams(37, 1, 1))
 
 
 def test_cycle_walks_return_on_non_permutations():
@@ -218,11 +217,10 @@ def test_cycle_walks_return_on_non_permutations():
 
 def test_factor_json_roundtrip():
     f = enumerate_factor(pcr(3, 2), 2)
-    doc = factor_to_doc(f)
+    doc = json.loads(factor_json(f))
     assert doc["schema"] == "astute/1"
     assert doc["count"] == 4
-    blob = json.dumps(doc)
-    back = factor_from_doc(json.loads(blob))
+    back = factor_from_doc(doc)
     assert back == f
     assert validate_factor(back).ok
 
@@ -235,13 +233,13 @@ def test_doc_to_json_matches_json_dumps(b, n):
     for k in (1, 2, 3):
         rule = pcr(n, b)
         f = enumerate_factor(rule, k)
-        for doc in (factor_to_doc(f),
-                    factor_to_doc(f, extra={"rule": rule.spec()}),
-                    factor_to_doc(f, optimal=False, extra={"nodes": 0}),
-                    factor_to_doc(f, optimal=True,
-                                  extra={"rule": rule.spec(), "nodes": 12345,
-                                         "note": note})):
-            assert doc_to_json(doc) == json.dumps(doc, indent=2), (b, n, k)
+        cycles = permutation_cycles(f.succ)
+        for optimal, extra in ((None, None),
+                               (None, {"rule": rule.spec()}),
+                               (False, {"nodes": 0}),
+                               (True, {"rule": rule.spec(), "nodes": 12345, "note": note})):
+            want = json.dumps(factor_document(b, n, k, cycles, optimal, extra), indent=2)
+            assert factor_json(f, optimal, extra) == want, (b, n, k)
 
 
 def test_dot_output():

@@ -1,7 +1,9 @@
 """Property tests drawn by hypothesis; skipped where it is not installed."""
 
 import functools
+import json
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -15,12 +17,13 @@ from astute.algebra import ModPoly, _rem_mod_p, divisors, poly_gcd
 from astute.counting import count_burnside_direct, count_enumeration, fixed_point_counts
 from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
-from astute.graph import Factor, GraphParams, cycle_lengths
+from astute.graph import (Factor, GraphParams, cycle_lengths, factor_json, to_dot,
+                          vertex_names, word_str)
 from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
-from astute.rules import (AffineRule, fix_count_bruteforce, icr, parse_rule_spec,
-                          word_permutation)
+from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
+                          parse_rule_spec, word_permutation)
 
-from oracles import (affine_rule_permutation, gcd_by_enumeration,
+from oracles import (affine_rule_permutation, factor_document, gcd_by_enumeration,
                      ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
                      poly_product, poly_remainder, random_factor, rule_orbit_count,
                      smallest_cycle_length_oracle)
@@ -117,6 +120,26 @@ def word_permutation_rules(draw):
 def test_word_permutation_matches_oracle(rule):
     # the residue rows against the oracle's symbol solved per partial sum
     assert word_permutation(rule) == affine_rule_permutation(rule.lambdas, rule.c, rule.b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([2, 3, 4, 5, 6, 10, 36]), data=st.data())
+def test_certificates_match_document_oracle(b, data):
+    # b^n * k <= 2048 vertices; the JSON writer against json.dumps of the
+    # oracle's document, and every text and DOT label against word_str
+    n = data.draw(st.integers(1, max(n for n in range(1, 12) if b ** n <= 2048)))
+    k = data.draw(st.integers(1, min(6, 2048 // b ** n)))
+    rule = draw_unit_leading_rule(data, b, n)
+    optimal = data.draw(st.sampled_from([None, False, True]))
+    extra = data.draw(st.sampled_from([None, {"rule": rule.spec()}, {"nodes": 7}]))
+    f = enumerate_factor(rule, k)
+    p = f.params
+    doc = factor_document(b, n, k, [cyc.codes for cyc in f.cycles], optimal, extra)
+    assert factor_json(f, optimal, extra) == json.dumps(doc, indent=2)
+    labels = [word_str(w) + "@" + str(ph) for w in product(range(b), repeat=n)
+              for ph in range(k)]
+    assert vertex_names(p) == labels
+    assert to_dot(p, f).splitlines()[1:len(labels) + 1] == [f'  "{s}";' for s in labels]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
