@@ -92,12 +92,13 @@ def count_burnside_direct(rule: AffineRule, k: int,
     e | top.  fixed_point_counts finds those on the powers of rule^g,
     whatever k is, checks that P is a period and refuses above
     BURNSIDE_MAX_STEPS.  The route reads neither cycle lengths nor ideal
-    sizes: l and w only form P, and a wrong one fails the period check at
-    P.  A wrong omega is refused by smallest_cycle_length.  perm is the
-    rule's word permutation (built after the word budget and the step
-    estimate by default) and ell is l as smallest_cycle_length gives it
-    for this omega (found here by default).  The witness M is
-    lcm(k, l, w) = k*P/g.
+    sizes: l and w only form P and name the translations rule^(g*e),
+    w | g*e, each checked on the zero and unit words like rule^P, so a
+    wrong one fails a check.  smallest_cycle_length refuses a wrong omega
+    too.  perm is the rule's word permutation (built after the word
+    budget and the step estimate by default) and ell is l as
+    smallest_cycle_length gives it for this omega (found here by
+    default).  The witness M is lcm(k, l, w) = k*P/g.
     """
     rules.check_word_budget(rule.b ** rule.n)
     if omega is None or ell is None:
@@ -109,9 +110,14 @@ def count_burnside_direct(rule: AffineRule, k: int,
     period = lcm(ell, omega)
     g = gcd(k, period)
     top = period // g
-    counts = fixed_point_counts(rule, g, period, perm)
-    phis = divisor_phis(top)
-    total = sum([phis[top // e] * fixed for e, fixed in counts.items()])
+    counts = fixed_point_counts(rule, g, period, perm, omega)
+    # phi of each d | top, in the order of counts (see fixed_point_counts)
+    divs, phis, size, p = list(counts), [1], 1, 0
+    for i in range(1, len(divs)):
+        if divs[i] != divs[i - size] * p:
+            size, p = i, divs[i]
+        phis.append(phis[i - size] * (p - 1 if i < 2 * size else p))
+    total = sum([phi * counts[top // d] for d, phi in zip(divs, phis)])
     value, rem = divmod(total, top)
     if rem:
         raise NonIntegerResult(f"Burnside average {_ratio(total, top)} is not an integer")
@@ -120,12 +126,17 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
 
 def fixed_point_counts(rule: AffineRule, k: int, m: int,
-                       perm: list[int] | None = None) -> dict[int, int]:
+                       perm: list[int] | None = None,
+                       omega: int | None = None) -> dict[int, int]:
     """|Fix(rule^(k*e))| for every divisor e of top = m/k, where m, a
     multiple of k, must be a period of the rule (ValueError otherwise,
-    naming m as M).  count_burnside_direct passes k = gcd(its k, P) and
-    m = P = lcm(ell, omega), so the period is checked at P and the work
-    depends on its k only through that gcd.
+    naming m as M), and omega (m by default) a multiple of the order of X
+    (ValueError naming omega where a power it names is no translation).
+    count_burnside_direct passes k = gcd(its k, P), m = P = lcm(ell, omega)
+    and its omega, so the period is checked at P and the work depends on
+    its k only through that gcd.  The divisors come in the tree's order:
+    1, then per prime p of top, the `size` ones so far times p (phi times
+    p - 1), then each one `size` back times p (phi times p).
 
     Only the words that can be fixed are walked.  Two shift-register
     facts (Golomb, Shift Register Sequences, 1967) say which:
@@ -133,18 +144,20 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     - for j = k*e < n, a word that rule^j fixes equals its j-shift, so it
       is the j-periodic extension of its first j symbols: only those b^j
       words are counted;
-    - rule^m is affine over Z/b (composite b included), so it is the
-      identity exactly when it fixes the zero word and the n unit words:
-      at e = top only those n + 1 are checked.
+    - where omega | k*e (e = top included), X^(k*e) = 1, so rule^(k*e) is
+      a translation x -> x + t: it fixes all b^n words if t = 0, else
+      none.  An affine map over Z/b (composite b included) is one exactly
+      when it sends the zero word to t and each unit word to t with that
+      digit raised by 1 mod b: only those n + 1 are walked (t = 0 at top).
 
-    At every other e (k*e >= n, e < top) all b^n words are counted on the
-    list of sigma^e, sigma = rule^k.  The divisors form a tree: sigma^e
-    comes from sigma^(e/p), p the least prime of e, and sigma from perm.
-    One pass over them, children first, sums the word steps at and above
-    each e when sigma^e is a list and when it is not; a second, parents
-    first, makes one row (e, d, hops, is_list) per divisor: sigma^e is
-    (the list of sigma^d)^hops, d = 0 standing for perm, and is raised as
-    a list or walked by four rules:
+    At every other e (k*e >= n, omega not dividing k*e) all b^n words are
+    counted on the list of sigma^e, sigma = rule^k.  The divisors form a
+    tree: sigma^e comes from sigma^(e/p), p the least prime of e, and
+    sigma from perm.  One pass over them, children first, sums the word
+    steps at and above each e when sigma^e is a list and when it is not;
+    a second, parents first, makes one row (e, d, hops, is_list) per
+    divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing for
+    perm, and is raised as a list or walked by four rules:
 
     1. a full count needs its list, and so does every divisor below it
        in the tree, down to sigma;
@@ -166,6 +179,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     b, n = rule.b, rule.n
     n_words = b ** n
     top = m // k
+    omega = omega or m
     # The divisors depth first: each after its parent e/p, p the least
     # prime of e, with the largest primes outermost, so top comes last.
     # up[e] = (the parent, the hops from it, the word steps of raising
@@ -191,7 +205,8 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     raised = set()
     for e in reversed(divs):
         d, hops, raising = up[e]
-        few[e] = w = n + 1 if e == top else b ** (k * e) if k * e < n else 0
+        few[e] = w = (n + 1 if e == top or k * e % omega == 0
+                      else b ** (k * e) if k * e < n else 0)
         here = raising + (w or n_words) + listed[e]
         if w and walked[e] is not None:
             there = hops * (walked[e] + w)
@@ -239,15 +254,25 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
         if not few[e]:
             counts[e] = rules.fixed_points(power)
             continue
-        words = basis if e == top else rules.periodic_words(b, n, k * e)
-        after = rules.advance(power, words, hops)
-        counts[e] = sum(map(eq, after, words))
-        if e == top and counts[e] < n + 1:
-            moved = next(w for w, v in zip(words, after) if w != v)
+        if e != top and k * e % omega:
+            words = rules.periodic_words(b, n, k * e)
+            counts[e] = sum(map(eq, rules.advance(power, words, hops), words))
+            del words  # up to b^(n-1) words, freed before the next raise
+            continue
+        after = rules.advance(power, basis, hops)
+        t = after[0]
+        if after == basis:
+            counts[e] = n_words
+        elif e == top:
+            moved = next(w for w, v in zip(basis, after) if w != v)
             raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
                              f"moves word {word_str(value_word(moved, n, b))}")
-        del words, after  # up to b^(n-1) words, freed before the next raise
-    counts[top] = n_words
+        elif after[1:] == [t - (b - 1) * u if t // u % b == b - 1 else t + u
+                           for u in basis[1:]]:
+            counts[e] = 0
+        else:
+            raise ValueError(f"omega={omega} is not a multiple of the order of X: "
+                             f"rule^{k * e} is no translation")
     return counts
 
 

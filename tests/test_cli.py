@@ -278,6 +278,19 @@ def test_count_all_icr_b6_n8_runs_burnside(capsys):
     assert {line.split()[1] for line in out.splitlines()} == {"34992"}
 
 
+def test_count_burnside_icr_b12_n6_answers(capsys):
+    # Burnside used to refuse this one (38817806 estimated steps): P = 72
+    # and omega = 6, so rule^6, rule^12, rule^18, rule^24 and rule^36 are
+    # translations, decided on the 7 zero and unit words instead of counted
+    # on lists of 12^6 words
+    with within(30):
+        code, out, err = run(capsys, "count", "--rule", "icr", "--b", "12", "--n", "6",
+                             "--k", "6", "--method", "burnside")
+    assert (code, err) == (0, "")
+    assert out == "burnside_direct  248832  M=72 ell=72 omega=6\n"
+    assert astute.counting.closed_form_icr(6, 6, 12).value == 248832
+
+
 def test_count_closed_unavailable_for_custom(capsys):
     code, _, err = run(capsys, "count", "--rule", "affine:0;1,1,1", "--b", "2",
                        "--n", "2", "--method", "closed")

@@ -314,7 +314,8 @@ def test_burnside_estimate_covers_work(monkeypatch):
     for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
                                        (icr(6, 2), 1), (pcr(3, 2), 1),
                                        (icr(16, 2), 3), (LONG_PERIOD_N16, 1),
-                                       (icr(11, 2), 5), (icr(15, 2), 7)]:
+                                       (icr(11, 2), 5), (icr(15, 2), 7),
+                                       (icr(20, 2), 3)]:
         monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 0)
         with pytest.raises(BudgetExceeded) as refusal:
             count_burnside_direct(rule, k)
@@ -332,14 +333,15 @@ def test_burnside_work_on_the_orbit_rules(monkeypatch):
     # pcr and xor at n = 16 (M = 16, 17) have every divisor of M below n
     # but M itself, so no list is raised and no count runs over all 2^16
     # words; icr at k = 3 has M = 96 but P = lcm(ell, omega) = 32 and
-    # g = gcd(3, 32) = 1, so it counts the powers of the rule itself: the
-    # rule's list squared 4 times to rule^16 for the one full count, at
-    # j = 16
+    # g = gcd(3, 32) = 1, so it counts the powers of the rule itself: those
+    # below 16 on periodic words, and rule^16, a translation since
+    # omega = 16, on the zero and unit words like rule^32; so it raises no
+    # list either
     work = count_burnside_work(monkeypatch)
     for rule, k, closed, compositions, full in [
             (pcr(16, 2), 1, closed_form_pcr(16, 1, 2), 0, 0),
             (xor_rule(16), 1, closed_form_xor(16, 1), 0, 0),
-            (icr(16, 2), 3, closed_form_icr(16, 3, 2), 4, 1)]:
+            (icr(16, 2), 3, closed_form_icr(16, 3, 2), 0, 0)]:
         for made in work.values():
             made.clear()
         assert count_burnside_direct(rule, k).value == closed.value
@@ -370,6 +372,15 @@ def test_burnside_refuses_a_wrong_ell_at_p():
     with pytest.raises(ValueError,
                        match="^M=2 is not a period of the rule: rule\\^2 moves word 00$"):
         count_burnside_direct(icr(2, 2), 4, omega=2, ell=1)
+
+
+def test_burnside_refuses_a_wrong_omega_below_p():
+    # icr(2, 2) has omega = 2.  A wrong omega = 1 with ell = 4 gives
+    # P = 4, a true period, but names rule^1 and rule^2 translations: the
+    # zero and unit words show that rule^1 is none
+    with pytest.raises(ValueError, match="^omega=1 is not a multiple of the order of X: "
+                                         "rule\\^1 is no translation$"):
+        count_burnside_direct(icr(2, 2), 1, omega=1, ell=4)
 
 
 def lemma_rules(max_words: int, stride: int = 0):

@@ -4,7 +4,7 @@ import functools
 import json
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -189,6 +189,28 @@ def burnside_instances(draw):
     b = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]))
     n = draw(st.integers(1, max(n for n in range(1, 12) if b ** n <= 2048)))
     return draw_unit_leading_rule(draw(st.data()), b, n), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=burnside_instances())
+# omega = 16 makes rule^16 a translation below P = 32, with t != 0
+@example(case=(icr(16, 2), 3))
+def test_burnside_counts_at_p_match_bruteforce(case):
+    # with the rule's own omega, the counts count_burnside_direct sums: every
+    # power of rule^g, g = gcd(k, P), up to P; those where omega | g*e are
+    # decided on the zero and unit words alone
+    rule, k = case
+    lam = rule.char_poly()
+    omega = order_of_x(lam)
+    period = lcm(smallest_cycle_length(lam, rule.c, 1, omega), omega)
+    g = gcd(k, period)
+    counts = fixed_point_counts(rule, g, period, omega=omega)
+    assert sorted(counts) == divisors(period // g)
+    perm = word_permutation(rule)
+    for e, fixed in counts.items():
+        assert fixed == fix_count_bruteforce(rule, g * e, perm), (rule.spec(), rule.b, k, e)
+    if rule == icr(16, 2):
+        assert counts[16] == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
