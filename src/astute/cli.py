@@ -16,7 +16,7 @@ import os
 import sys
 from functools import cache, partial
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import sub
 
 from . import counting, spectral
@@ -26,7 +26,7 @@ from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
 from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import (GraphParams, check_renderable, factor_json, to_dot,
                     vertex_names, word_str)
-from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from .ideals import ideal_quotient_size, order_and_least_cycle
 from .rules import (check_vertex_budget, enumerate_factor, fix_count_bruteforce,
                     parse_rule_spec, pcr, icr, word_permutation, xor_rule)
 
@@ -165,6 +165,7 @@ def cmd_factor(args) -> int:
 
 def cmd_count(args) -> int:
     rule = parse_rule_spec(args.rule, args.n, args.b)
+    p = _params(args)
     wanted = args.method
     routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
@@ -173,29 +174,23 @@ def cmd_count(args) -> int:
     # its word budget
     perm = None
     if "enum" in routes:
-        check_vertex_budget(_params(args))
+        check_vertex_budget(p)
         perm = word_permutation(rule)
-        reports.append(counting.count_enumeration(rule, args.k, perm=perm))
-    # shared by Burnside and Theorem 2: the order of X, Burnside's ell
-    # (the smallest cycle length at k = 1) and Theorem 2's s, found from
-    # ell; computed only after the enumeration's vertex budget has
-    # passed, which also covers Burnside's word budget; the polynomial
-    # is built once for them and Theorem 2
-    order = ell = s = None
+        reports.append(counting.count_enumeration(rule, p.k, perm=perm))
+    # the order of X and the least word-cycle length ell for Burnside and
+    # Theorem 2 (s = lcm(k, ell)), after the vertex budget (Burnside's too)
+    order = ell = None
     lam = rule.char_poly() if wanted in ("all", "theorem2") else None
     if wanted == "all":
         try:
-            order = order_of_x(lam)
+            order, ell = order_and_least_cycle(lam, rule.c)
         except BudgetExceeded as e:
             # the rows that did run are still printed and checked
             print(f"skipped burnside_direct, theorem2: {e}", file=sys.stderr)
             routes -= {"burnside", "theorem2"}
-        else:
-            ell = smallest_cycle_length(lam, rule.c, 1, order)
-            s = smallest_cycle_length(lam, rule.c, args.k, order, ell=ell)
     if "burnside" in routes:
         try:
-            reports.append(counting.count_burnside_direct(rule, args.k, omega=order,
+            reports.append(counting.count_burnside_direct(rule, p.k, omega=order,
                                                           perm=perm, ell=ell))
         except BudgetExceeded as e:
             if wanted != "all":
@@ -203,10 +198,11 @@ def cmd_count(args) -> int:
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
     if "theorem2" in routes:
-        reports.append(counting.count_theorem2(lam, rule.c, args.k, omega=order,
-                                               rule_spec=rule.spec(), s=s))
+        reports.append(counting.count_theorem2(lam, rule.c, p.k, omega=order,
+                                               rule_spec=rule.spec(),
+                                               s=lcm(p.k, ell) if ell else None))
     if "closed" in routes:
-        closed = counting.closed_form_for(rule, args.k)
+        closed = counting.closed_form_for(rule, p.k)
         if closed is not None:
             reports.append(closed)
         elif wanted == "closed":
@@ -369,8 +365,7 @@ def check_fix_count_ideal(rules=None, exponents=None) -> dict:
     ok = True
     for rule in rules or LEMMA_RULES:
         lam = rule.char_poly()
-        omega = order_of_x(lam)
-        ell = smallest_cycle_length(lam, rule.c, 1, omega)
+        omega, ell = order_and_least_cycle(lam, rule.c)
         check_vertex_budget(GraphParams(rule.b, rule.n, 1))
         perm = word_permutation(rule)
         for i in exponents or range(1, 25):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .algebra import ModPoly, divisor_phis, divisors, factorize
 from .errors import BudgetExceeded, NonIntegerResult
-from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from .ideals import order_and_least_cycle, quotient_sizes, smallest_cycle_length
 from .graph import GraphParams, cycle_lengths, value_word, word_str
 from . import rules
 from .rules import AffineRule, check_vertex_budget
@@ -94,19 +94,17 @@ def count_burnside_direct(rule: AffineRule, k: int,
     BURNSIDE_MAX_STEPS.  The route reads neither cycle lengths nor ideal
     sizes: l and w only form P and name the translations rule^(g*e),
     w | g*e, each checked on the zero and unit words like rule^P, so a
-    wrong one fails a check.  smallest_cycle_length refuses a wrong omega
-    too.  perm is the rule's word permutation (built after the word
-    budget and the step estimate by default) and ell is l as
-    smallest_cycle_length gives it for this omega (found here by
-    default).  The witness M is lcm(k, l, w) = k*P/g.
+    wrong one fails a check.  perm is the rule's word permutation (built
+    after the word budget and the step estimate by default) and ell is l
+    (found here by default, with w by order_and_least_cycle, which checks
+    a given w).  The witness M is lcm(k, l, w) = k*P/g.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rules.check_word_budget(rule.b ** rule.n)
     if omega is None or ell is None:
-        lam = rule.char_poly()
-        if omega is None:
-            omega = order_of_x(lam)
-        if ell is None:
-            ell = smallest_cycle_length(lam, rule.c, 1, omega)
+        omega, found = order_and_least_cycle(rule.char_poly(), rule.c, omega)
+        ell = ell or found
     period = lcm(ell, omega)
     g = gcd(k, period)
     top = period // g
@@ -284,29 +282,23 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
 
-    with w = `omega` any multiple of the order of X mod lam (the order
-    itself by default), s the least multiple of k with c*U_s in
-    (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
-    Z/bZ[X] / (lam, X^d - 1).  smallest_cycle_length checks w by
-    Q(w) = b^deg(lam), which holds exactly when X^w === 1; the sum
-    reuses that cached size.  A given s must be smallest_cycle_length's
-    for this omega, which has then checked it.
-    """
+    with w = `omega` any multiple of the order of X mod lam, s the least
+    multiple of k with c*U_s in (lam, X^s - 1), g = gcd(s, w), and Q(d)
+    the size of Z/bZ[X] / (lam, X^d - 1).  By default w and ell come from
+    order_and_least_cycle, and s = lcm(k, ell); smallest_cycle_length
+    checks a given w.  A given s must be its s for this w; quotient_sizes
+    then checks w by X^w = 1, the last power of its divisor walk."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if omega is None:
-        omega = order_of_x(lam)
-    if s is None:
+        omega, ell = order_and_least_cycle(lam, c)
+        s = s or lcm(k, ell)
+    elif s is None:
         s = smallest_cycle_length(lam, c, k, omega)
     g = gcd(s, omega)
     phis = divisor_phis(omega)
-    terms = []
-    total = 0
-    for d in sorted(phis):
-        if d % g:
-            continue
-        phi = phis[omega // d]
-        q = ideal_quotient_size(lam, d)
-        terms.append((d, phi, q))
-        total += phi * q
+    terms = [(d, phis[omega // d], q) for d, q in quotient_sizes(lam, omega, g).items()]
+    total = sum([phi * q for d, phi, q in terms])
     value, rem = divmod(k * g * total, s * omega)
     if rem or value < 1:
         raise NonIntegerResult(f"ideal-formula count {_ratio(k * g * total, s * omega)} "

@@ -83,18 +83,19 @@ def _mulmod(p: list[int], q: list[int], tail: list[int], b: int) -> list[int]:
     return [x % b for x in out[:n]]
 
 
-def _power(tail: list[int], s: int, b: int) -> list[int]:
-    """X^s mod lam by repeated squaring."""
+def _power(tail: list[int], s: int, b: int, base: list[int] | None = None) -> list[int]:
+    """base^s mod lam by repeated squaring; base is X by default."""
     n = len(tail)
-    power = [int(i == 0) for i in range(n)]
-    base = tail if n == 1 else [int(i == 1) for i in range(n)]
+    if base is None:
+        base = tail if n == 1 else [int(i == 1) for i in range(n)]
+    power = None  # 1, which the first factor replaces without a product
     while s:
         if s & 1:
-            power = _mulmod(power, base, tail, b)
+            power = base if power is None else _mulmod(power, base, tail, b)
         s >>= 1
         if s:
             base = _mulmod(base, base, tail, b)
-    return power
+    return [int(i == 0) for i in range(n)] if power is None else power
 
 
 def _power_and_sum(tail: list[int], s: int, b: int):
@@ -161,25 +162,44 @@ def _in_image(tail: list[int], power: list[int], target: list[int], b: int) -> b
     return _span_quotient_size(rows + [target], n, r) == _span_quotient_size(rows, n, r)
 
 
-@lru_cache(maxsize=4096)
-def ideal_quotient_size(lam: ModPoly, d: int) -> int:
-    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus: p^deg(gcd) over
-    each prime p || b, times the span quotient over r.
-
-    lam's leading coefficient must be a unit mod b.
-    """
-    tail = _tail(lam)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+def _quotient_size(tail: list[int], power: list[int], b: int) -> int:
+    """|Z/bZ[X] / (lam, X^d - 1)|, given power = X^d mod lam: p^deg(gcd)
+    over each prime p || b, times the span quotient over r."""
     if not tail:  # deg(lam) = 0: the ideal is everything
         return 1
-    b = lam.modulus
-    power = _power(tail, d, b)
     primes, r = _split(b)
     size = prod(p ** (len(_ideal_gcd(tail, power, p)) - 1) for p in primes)
     if r > 1:
         size *= _span_quotient_size(_image_rows(tail, power, r), len(tail), r)
     return size
+
+
+@lru_cache(maxsize=4096)
+def ideal_quotient_size(lam: ModPoly, d: int) -> int:
+    """|Z/bZ[X] / (lam, X^d - 1)| for b = lam.modulus; lam's leading
+    coefficient must be a unit mod b."""
+    tail = _tail(lam)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return _quotient_size(tail, _power(tail, d, lam.modulus), lam.modulus)
+
+
+def quotient_sizes(lam: ModPoly, omega: int, g: int) -> dict[int, int]:
+    """|Z/bZ[X] / (lam, X^d - 1)| for every d | omega that is a multiple
+    of g (g | omega), ascending.  X^d comes from the divisor tree of
+    omega/g, X^(e*p) = (X^e)^p from X^g; the top, X^omega, must be 1
+    (ValueError otherwise), and its size is then b^deg(lam)."""
+    tail, b = _tail(lam), lam.modulus
+    powers = {g: _power(tail, g, b)}
+    for p, a in reversed(factorize(omega // g)):  # few raises by large p
+        for d, x in list(powers.items()):
+            for _ in range(a):
+                d, x = d * p, _power(tail, p, b, x)
+                powers[d] = x
+    if powers[omega] != [int(i == 0) for i in range(len(tail))]:
+        raise ValueError(f"omega={omega} is not a multiple of the order of X")
+    return {d: b ** len(tail) if d == omega else _quotient_size(tail, x, b)
+            for d, x in sorted(powers.items())}
 
 
 def _require_affine_valid(lam: ModPoly):
@@ -219,45 +239,38 @@ def order_of_x(lam: ModPoly) -> int:
                          f"the step budget of its scan")
 
 
-def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int,
-                          ell: int | None = None) -> int:
-    """Least multiple s of k with c*U_s in (lam, X^s - 1).
+def order_and_least_cycle(lam: ModPoly, c: int,
+                          omega: int | None = None) -> tuple[int, int]:
+    """(omega, ell): omega, the order of X mod lam by default (order_of_x's
+    scan proves X^omega = 1), else a given multiple of it, checked once
+    by X^omega = 1 (ValueError otherwise); ell, the least word-cycle
+    length of the rule's affine map A(x) = Mx + v.  A^L fixes a word
+    exactly when c*U_L is in (lam, X^L - 1), that is (Elspas 1959) when
+    ell | L, and ell's primes divide b: over each p^a || b (CRT), Fitting's
+    decomposition for M - I leaves a part where A and its powers fix a
+    point and one where A generates a p-group.  A^(b*omega) = 1, so the
+    divisors of the b-smooth part of b*omega are tested, ascending; none
+    passing signals a bug."""
+    _require_affine_valid(lam)
+    tail, b = _tail(lam), lam.modulus
+    if omega is None:
+        omega = order_of_x(lam)
+    elif omega < 1 or _power(tail, omega, b) != [int(i == 0) for i in range(len(tail))]:
+        raise ValueError(f"omega={omega} is not a multiple of the order of X")
+    # L = 1 passes when gcd(lam(1), b) | c: the quotient is Z/b / (lam(1))
+    if c % gcd(sum(lam.coeffs), b) == 0:
+        return omega, 1
+    smooth = prod(p ** a for p, a in factorize(b * omega) if b % p == 0)
+    for ell in divisors(smooth)[1:]:
+        power, total = _power_and_sum(tail, ell, b)
+        if _in_image(tail, power, [c * x % b for x in total], b):
+            return omega, ell
+    raise BudgetExceeded("no word-cycle length divides b*omega; internal error")
 
-    omega is any multiple of the order of X mod lam, checked first by
-    Q(omega) = b^deg(lam) (ValueError otherwise).  For the affine map A
-    of lam and c on (Z/b)^deg(lam), A^omega is a translation, so
-    A^(b*omega) is the identity and every orbit length L divides
-    m = b*omega.  c*U_s is in the ideal exactly when A^s fixes some
-    point, that is when some L divides s, or gcd(s, m).  So s = min over
-    L of lcm(k, L), a divisor of lcm(k, m); those divisors that are
-    multiples of k are tried in ascending order, each by its gcd with m,
-    and no gcd is tested twice.  None passing signals a bug.
 
-    ell, this function's value at k = 1 when the caller has it, decides
-    a gcd without a test: it passes when ell divides it and fails below
-    ell, since ell is the least orbit length.  With ell | k, s = k.
-    """
+def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
+    """Least multiple s of k with c*U_s in (lam, X^s - 1): lcm(k, ell),
+    ell from order_and_least_cycle, which checks omega; k adds no work."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require_affine_valid(lam)
-    b = lam.modulus
-    if ideal_quotient_size(lam, omega) != b ** lam.degree:
-        raise ValueError(f"omega={omega} is not a multiple of the order of X")
-    c %= b
-    if c == 0 or (ell is not None and k % ell == 0):
-        return k
-    tail = _tail(lam)
-    m = b * omega
-    tested = {}
-    for d in divisors(lcm(k, m) // k):
-        g = gcd(k * d, m)
-        if ell is not None and (g % ell == 0 or g < ell):
-            passed = g % ell == 0
-        elif g in tested:
-            passed = tested[g]
-        else:
-            power, total = _power_and_sum(tail, g, b)
-            passed = tested[g] = _in_image(tail, power, [c * x % b for x in total], b)
-        if passed:
-            return k * d
-    raise BudgetExceeded("no cycle length divides lcm(k, b*omega); internal error")
+    return lcm(k, order_and_least_cycle(lam, c, omega)[1])

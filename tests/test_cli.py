@@ -79,6 +79,14 @@ def test_degenerate_sizes_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize("method", ["all", "enum", "burnside", "theorem2", "closed"])
+def test_count_refuses_k_below_one(capsys, method, k):
+    code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "3",
+                         "--k", k, "--method", method)
+    assert code == 2 and out == "" and "invalid arguments" in err
+
+
 def test_factor_budget_exit(capsys):
     code, _, err = run(capsys, "factor", "--rule", "pcr", "--b", "2", "--n", "23")
     assert code == 3

@@ -3,7 +3,6 @@ from math import lcm
 
 import pytest
 
-import astute.cli
 import astute.counting
 import astute.ideals
 import astute.rules
@@ -455,9 +454,8 @@ def test_order_of_x_once_per_route(monkeypatch):
         calls.append(lam)
         return order_of_x(lam)
 
-    monkeypatch.setattr(astute.counting, "order_of_x", counted)
+    # the routes and the CLI reach the scan only through astute.ideals
     monkeypatch.setattr(astute.ideals, "order_of_x", counted)
-    monkeypatch.setattr(astute.cli, "order_of_x", counted)
     rule = icr(4, 2)  # c != 0, so the cycle-length scan runs too
     for route in (count_theorem2_rule, count_burnside_direct):
         calls.clear()

@@ -1,19 +1,18 @@
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-import astute.counting
 import astute.ideals
 from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
 from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
                            ideal_quotient_size, order_of_x, smallest_cycle_length)
-from astute.rules import icr, parse_rule_spec
+from astute.rules import AffineRule, icr, parse_rule_spec
 
-from oracles import (ideal_quotient_size_oracle, membership_oracle, poly_product,
-                     poly_remainder)
+from oracles import (affine_rule_permutation, ideal_quotient_size_oracle,
+                     membership_oracle, permutation_cycles, poly_product, poly_remainder)
 from test_counting import count_theorem2_rule
 
 
@@ -183,8 +182,9 @@ def test_smallest_cycle_length_examples():
 
 
 def test_smallest_cycle_length_icr_16():
-    # omega = 16 and every word cycle of icr has length 32, so the walk
-    # passes only at lcm(k, 32), the last divisor of lcm(k, 2 * 16) / k
+    # omega = 16 and every word cycle of icr has length 32, so ell = 32,
+    # the last divisor of the 2-smooth part of 2 * 16 tried, and
+    # s = lcm(k, 32)
     rule = icr(16, 2)
     lam = rule.char_poly()
     assert order_of_x(lam) == 16
@@ -198,7 +198,7 @@ def test_membership_true_exactly_on_multiples():
     from astute.algebra import is_unit
     checked = 0
     while checked < 40:
-        b = rng.choice([2, 3, 4])
+        b = rng.choice([2, 3, 4, 6, 9, 12])
         lam = _random_poly(rng, b, 4)
         if not (is_unit(lam.constant, b) and is_unit(lam.leading, b)):
             continue
@@ -207,6 +207,59 @@ def test_membership_true_exactly_on_multiples():
         for s in range(1, 25):
             assert membership_cUs(lam, c, s) == (s % ell == 0), (lam, c, s, ell)
         checked += 1
+
+
+def test_least_cycle_length_lemma_against_word_cycles():
+    # the word-cycle lengths of an affine rule are the multiples of the
+    # least, ell, whose primes all divide b, and s = lcm(k, ell); cycles
+    # walked on the oracle's own permutation, for prime, squarefree
+    # composite and prime-power b
+    rng = random.Random(26)
+    for b in (2, 3, 4, 5, 6, 8, 9, 10, 12):
+        units = [u for u in range(1, b) if gcd(u, b) == 1]
+        for _ in range(12):
+            n = rng.randrange(1, max(d for d in range(1, 10) if b ** d <= 729) + 1)
+            lambdas = ([rng.choice(units)] + [rng.randrange(b) for _ in range(n - 1)]
+                       + [rng.choice(units)])
+            c = rng.randrange(b)
+            lengths = {len(cycle) for cycle in
+                       permutation_cycles(affine_rule_permutation(lambdas, c, b))}
+            ell = min(lengths)
+            assert all(length % ell == 0 for length in lengths), (lambdas, c, b)
+            rest = ell
+            while gcd(rest, b) > 1:
+                rest //= gcd(rest, b)
+            assert rest == 1, (lambdas, c, b, ell)
+            lam = AffineRule(tuple(lambdas), c, b).char_poly()
+            omega = order_of_x(lam)
+            for k in range(1, 13):
+                assert smallest_cycle_length(lam, c, k, omega) == lcm(k, ell), (
+                    lambdas, c, b, k)
+
+
+def test_cycle_length_work_does_not_depend_on_k(monkeypatch):
+    # the membership tests try the divisors of the b-smooth part of
+    # b * omega whatever k is: the same tests at k = 1 and k = 999
+    tests = []
+    in_image = astute.ideals._in_image
+    monkeypatch.setattr(astute.ideals, "_in_image", lambda tail, power, target, b: (
+        tests.append((power, target)) or in_image(tail, power, target, b)))
+    for rule, ell in ((icr(16, 2), 32), (parse_rule_spec("affine:1;1,1,3,1", 3, 6), 12)):
+        lam = rule.char_poly()
+        omega = order_of_x(lam)
+        made = []
+        for k in (1, 999):
+            tests.clear()
+            assert smallest_cycle_length(lam, rule.c, k, omega) == lcm(k, ell)
+            made.append(list(tests))
+        assert made[0] == made[1] and made[0], rule.spec()
+
+
+def test_theorem2_given_s_checks_omega():
+    # the divisor walk's last power, X^omega, refuses omega = 2 for an
+    # order-4 lam even when s is given
+    with pytest.raises(ValueError, match="omega=2 is not a multiple of the order of X"):
+        count_theorem2(u_poly(4, 2), 1, 2, omega=2, s=4)
 
 
 def refuse_order_scan(lam):
@@ -237,7 +290,6 @@ def test_cycle_length_guard_is_tight():
 def test_theorem2_with_omega_scans_no_order(monkeypatch):
     lam = u_poly(4, 2)  # order 4
     want = count_theorem2(lam, 1, 2).value
-    monkeypatch.setattr(astute.counting, "order_of_x", refuse_order_scan)
     monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
     assert count_theorem2(lam, 1, 2, omega=4).value == want
     assert count_theorem2(lam, 1, 2, omega=12).value == want

@@ -19,7 +19,8 @@ from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
 from astute.graph import (Factor, GraphParams, cycle_lengths, factor_json, to_dot,
                           vertex_names, word_str)
-from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from astute.ideals import (ideal_quotient_size, order_and_least_cycle, order_of_x,
+                           smallest_cycle_length)
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                           parse_rule_spec, word_permutation)
 
@@ -312,15 +313,15 @@ def test_membership_matches_closure_oracle(b, data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(b=st.sampled_from(IDEAL_MODULI), data=st.data())
 def test_shared_cycle_lengths_match_word_cycle_oracle(b, data):
-    # the (ell, s) pair count --method all computes once and shares: ell
-    # at k = 1, then s at each k from ell
+    # the (omega, ell) pair count --method all computes once and shares:
+    # ell from the order scan, then s = lcm(k, ell) at each k
     lam = draw_lambda(data, b, max(d for d in range(1, 5) if b ** d <= 729))
     c = data.draw(st.integers(0, b - 1))
     lambdas = tuple(reversed(lam.coeffs))
-    omega = order_of_x(lam)
-    ell = smallest_cycle_length(lam, c, 1, omega)
+    omega, ell = order_and_least_cycle(lam, c)
+    assert omega == order_of_x(lam), lam
     assert ell == smallest_cycle_length_oracle(lambdas, c, b, 1), (lam, c)
     for k in range(1, 7):
-        s = smallest_cycle_length(lam, c, k, omega, ell=ell)
+        s = smallest_cycle_length(lam, c, k, omega)
         assert s == smallest_cycle_length_oracle(lambdas, c, b, k), (lam, c, k)
-        assert s == smallest_cycle_length(lam, c, k, omega), (lam, c, k)
+        assert s == lcm(k, ell), (lam, c, k)
