@@ -19,7 +19,7 @@ from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
                        search_extremal, verify_theorem1)
 from .graph import (Cycle, Factor, GraphParams, Vertex, factor_from_doc,
                     factor_json, successor_codes, to_dot, validate_factor)
-from .ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from .ideals import ideal_quotient_size, order_of_x
 from .rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                     parse_rule_spec, pcr, successor_array, xor_rule)
 from .snf import smith_normal_form

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .algebra import ModPoly, divisor_phis, divisors, factorize
 from .errors import BudgetExceeded, NonIntegerResult
-from .ideals import order_and_least_cycle, quotient_sizes, smallest_cycle_length
+from .ideals import order_and_least_cycle, quotient_sizes
 from .graph import GraphParams, cycle_lengths, value_word, word_str
 from . import rules
 from .rules import AffineRule, check_vertex_budget
@@ -109,13 +109,7 @@ def count_burnside_direct(rule: AffineRule, k: int,
     g = gcd(k, period)
     top = period // g
     counts = fixed_point_counts(rule, g, period, perm, omega)
-    # phi of each d | top, in the order of counts (see fixed_point_counts)
-    divs, phis, size, p = list(counts), [1], 1, 0
-    for i in range(1, len(divs)):
-        if divs[i] != divs[i - size] * p:
-            size, p = i, divs[i]
-        phis.append(phis[i - size] * (p - 1 if i < 2 * size else p))
-    total = sum([phi * counts[top // d] for d, phi in zip(divs, phis)])
+    total = sum([phi * counts[top // d] for d, phi in divisor_phis(top).items()])
     value, rem = divmod(total, top)
     if rem:
         raise NonIntegerResult(f"Burnside average {_ratio(total, top)} is not an integer")
@@ -132,9 +126,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     (ValueError naming omega where a power it names is no translation).
     count_burnside_direct passes k = gcd(its k, P), m = P = lcm(ell, omega)
     and its omega, so the period is checked at P and the work depends on
-    its k only through that gcd.  The divisors come in the tree's order:
-    1, then per prime p of top, the `size` ones so far times p (phi times
-    p - 1), then each one `size` back times p (phi times p).
+    its k only through that gcd.
 
     Only the words that can be fixed are walked.  Two shift-register
     facts (Golomb, Shift Register Sequences, 1967) say which:
@@ -151,21 +143,17 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     At every other e (k*e >= n, omega not dividing k*e) all b^n words are
     counted on the list of sigma^e, sigma = rule^k.  The divisors form a
     tree: sigma^e comes from sigma^(e/p), p the least prime of e, and
-    sigma from perm.  One pass over them, children first, sums the word
-    steps at and above each e when sigma^e is a list and when it is not;
-    a second, parents first, makes one row (e, d, hops, is_list) per
-    divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing for
-    perm, and is raised as a list or walked by four rules:
+    sigma from perm.  One pass over them, children first, marks the
+    lists; a second, parents first, makes one row (e, d, hops, is_list)
+    per divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing
+    for perm.  Three rules decide the rows:
 
     1. a full count needs its list, and so does every divisor below it
-       in the tree, down to sigma;
-    2. any other sigma^e is raised from its parent's list, by one prime
-       (sigma from perm by k), exactly where that takes no more word
-       steps than walking the words at and above e;
-    3. a divisor that is no list walks its few words e/d steps on the
+       in the tree, down to sigma; no other list is raised;
+    2. a divisor that is no list walks its few words e/d steps on the
        list of its nearest listed divisor d below it (k*e steps of perm
        if there is none);
-    4. a list is dropped after its last reader; the rows run depth first,
+    3. a list is dropped after its last reader; the rows run depth first,
        so only lists on one path of the tree wait for readers.
 
     The estimate is summed over the rows before any work: b^n per
@@ -193,30 +181,14 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
             divs.append(e * p)
             up[e * p] = (e, p, raising) if i % size == 0 else (d * p, hops, cost)
     # Children first: the few words sigma^e can fix (0 when all are
-    # counted on its list), and the word steps at and above e when
-    # sigma^e is a list (listed) and, per step of sigma^e, when it is
-    # not (walked; None when a full count needs the list).  raised: the
-    # divisors listed when their parent is.
-    few = {}
-    listed = dict.fromkeys([0, *divs], 0)
-    walked = listed.copy()
-    raised = set()
+    # counted on its list), and the lists: each full count's and those of
+    # its ancestors in the tree (0 standing for perm).
+    few, raised = {}, set()
     for e in reversed(divs):
-        d, hops, raising = up[e]
-        few[e] = w = (n + 1 if e == top or k * e % omega == 0
-                      else b ** (k * e) if k * e < n else 0)
-        here = raising + (w or n_words) + listed[e]
-        if w and walked[e] is not None:
-            there = hops * (walked[e] + w)
-            if walked[d] is not None:
-                walked[d] += there
-            if there < here:
-                listed[d] += there
-                continue
-        else:
-            walked[d] = None
-        raised.add(e)
-        listed[d] += here
+        few[e] = (n + 1 if e == top or k * e % omega == 0
+                  else b ** (k * e) if k * e < n else 0)
+        if not few[e] or e in raised:
+            raised.update((e, up[e][0]))
     # Parents first: a row (e, d, hops, is_list) per divisor, sigma^e
     # being (the list of sigma^d, or perm)^hops, and the step estimate.
     via = {0: (0, 1)}
@@ -225,7 +197,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
         parent, step, raising = up[e]
         d, hops = via[parent]
         hops *= step
-        is_list = d == parent and e in raised
+        is_list = e in raised
         if is_list:
             via[e] = e, 1
             steps += raising + (few[e] or n_words)
@@ -284,17 +256,16 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
 
     with w = `omega` any multiple of the order of X mod lam, s the least
     multiple of k with c*U_s in (lam, X^s - 1), g = gcd(s, w), and Q(d)
-    the size of Z/bZ[X] / (lam, X^d - 1).  By default w and ell come from
-    order_and_least_cycle, and s = lcm(k, ell); smallest_cycle_length
-    checks a given w.  A given s must be its s for this w; quotient_sizes
-    then checks w by X^w = 1, the last power of its divisor walk."""
+    the size of Z/bZ[X] / (lam, X^d - 1).  By default w and ell come
+    from order_and_least_cycle, which also checks a w given without s,
+    and s = lcm(k, ell).  A given s must be its s for this w;
+    quotient_sizes then checks w by X^w = 1, the last power of its
+    divisor walk."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if omega is None:
-        omega, ell = order_and_least_cycle(lam, c)
+    if omega is None or s is None:
+        omega, ell = order_and_least_cycle(lam, c, omega)
         s = s or lcm(k, ell)
-    elif s is None:
-        s = smallest_cycle_length(lam, c, k, omega)
     g = gcd(s, omega)
     phis = divisor_phis(omega)
     terms = [(d, phis[omega // d], q) for d, q in quotient_sizes(lam, omega, g).items()]

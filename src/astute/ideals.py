@@ -28,7 +28,7 @@ element lies in the ideal exactly when its coordinates lie in the span.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .algebra import (ModPoly, _rem_mod_p, divisors, factorize, is_unit,
                       poly_gcd)
@@ -267,10 +267,3 @@ def order_and_least_cycle(lam: ModPoly, c: int,
             return omega, ell
     raise BudgetExceeded("no word-cycle length divides b*omega; internal error")
 
-
-def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
-    """Least multiple s of k with c*U_s in (lam, X^s - 1): lcm(k, ell),
-    ell from order_and_least_cycle, which checks omega; k adds no work."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return lcm(k, order_and_least_cycle(lam, c, omega)[1])

@@ -8,17 +8,17 @@ from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
 from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
-                           ideal_quotient_size, order_of_x, smallest_cycle_length)
+                           ideal_quotient_size, order_of_x)
 from astute.rules import AffineRule, icr, parse_rule_spec
 
 from oracles import (affine_rule_permutation, ideal_quotient_size_oracle,
                      membership_oracle, permutation_cycles, poly_product, poly_remainder)
-from test_counting import count_theorem2_rule
+from test_counting import count_theorem2_rule, smallest_cycle_length
 
 
 def membership_cUs(lam, c, s):
     """Is c*(1 + X + ... + X^(s-1)) in (lam, X^s - 1)?  The membership
-    test smallest_cycle_length makes, for any unit-leading lam."""
+    test order_and_least_cycle makes, for any unit-leading lam."""
     tail = _tail(lam)
     b = lam.modulus
     power, total = _power_and_sum(tail, s, b)

@@ -19,8 +19,7 @@ from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
 from astute.graph import (Factor, GraphParams, cycle_lengths, factor_json, to_dot,
                           vertex_names, word_str)
-from astute.ideals import (ideal_quotient_size, order_and_least_cycle, order_of_x,
-                           smallest_cycle_length)
+from astute.ideals import ideal_quotient_size, order_and_least_cycle, order_of_x
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                           parse_rule_spec, word_permutation)
 
@@ -28,7 +27,8 @@ from oracles import (affine_rule_permutation, factor_document, gcd_by_enumeratio
                      ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
                      poly_product, poly_remainder, random_factor, rule_orbit_count,
                      smallest_cycle_length_oracle)
-from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
+from test_counting import (all_lists_steps, count_burnside_work, count_theorem2_rule,
+                          smallest_cycle_length)
 from test_ideals import membership_cUs
 
 
@@ -217,15 +217,18 @@ def test_burnside_counts_at_p_match_bruteforce(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=burnside_instances())
 # pinned where simpler plans went above raising every list: the affine
-# rule at k = 4 has no full count, and without sigma's list it takes 390
-# steps against 384 (this plan takes 266); icr(11, 2) at k = 5 takes
-# 20,536 against 28,672
+# rule at k = 4 has no full count, and without sigma's list it took 390
+# steps against 384 (this plan takes 188); icr(11, 2) at k = 5 takes 406
+# against 28,672; the b = 3 rule at k = 4 has no full count, and a plan
+# that raised lists where they were cheaper than walking composed there
 @example(case=(parse_rule_spec("affine:0;1,1,1,1,0,1", 5, 2), 4))
 @example(case=(icr(11, 2), 5))
+@example(case=(parse_rule_spec("affine:2;2,1,0,2", 3, 3), 4))
 def test_burnside_estimate_is_its_work(case):
     # the refusal's estimate is the word steps the walk then makes, and
-    # never above raising and counting every list; the fixture-free
-    # MonkeyPatch context undoes the hooks after each example
+    # never above raising and counting every list; no list is composed
+    # unless some full count needs it; the fixture-free MonkeyPatch
+    # context undoes the hooks after each example
     rule, k = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         work = count_burnside_work(monkeypatch)
@@ -237,6 +240,8 @@ def test_burnside_estimate_is_its_work(case):
         m = count_burnside_direct(rule, k).witnesses["M"]
     assert sum(map(sum, work.values())) == estimate, (rule.spec(), rule.b, k)
     assert estimate <= all_lists_steps(rule, k, m), (rule.spec(), rule.b, k)
+    if not work["fixed_points"]:
+        assert not work["compose"], (rule.spec(), rule.b, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -7,12 +7,13 @@ from astute.algebra import u_poly, x_pow_minus_one
 from astute.errors import BudgetExceeded, NotInvertible
 from astute.graph import (GraphParams, Vertex, pack, unpack, validate_factor,
                           word_str)
-from astute.ideals import ideal_quotient_size, order_of_x, smallest_cycle_length
+from astute.ideals import ideal_quotient_size, order_of_x
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
 from oracles import all_words, fixed_affine_rules, lattice_rules, rule_step
+from test_counting import smallest_cycle_length
 
 
 def apply(rule, word):
