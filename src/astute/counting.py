@@ -143,17 +143,21 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     At every other e (k*e >= n, omega not dividing k*e) all b^n words are
     counted on the list of sigma^e, sigma = rule^k.  The divisors form a
     tree: sigma^e comes from sigma^(e/p), p the least prime of e, and
-    sigma from perm.  One pass over them, children first, marks the
-    lists; a second, parents first, makes one row (e, d, hops, is_list)
-    per divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing
-    for perm.  Three rules decide the rows:
+    sigma from perm.  One pass over them, children first, sums the word
+    steps at and above each e when sigma^e is a list and when it is not;
+    a second, parents first, makes one row (e, d, hops, is_list) per
+    divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing for
+    perm, and is raised as a list or walked by four rules:
 
     1. a full count needs its list, and so does every divisor below it
-       in the tree, down to sigma; no other list is raised;
-    2. a divisor that is no list walks its few words e/d steps on the
+       in the tree, down to sigma;
+    2. any other sigma^e is raised from its parent's list, by one prime
+       (sigma from perm by k), exactly where that takes no more word
+       steps than walking the words at and above e;
+    3. a divisor that is no list walks its few words e/d steps on the
        list of its nearest listed divisor d below it (k*e steps of perm
        if there is none);
-    3. a list is dropped after its last reader; the rows run depth first,
+    4. a list is dropped after its last reader; the rows run depth first,
        so only lists on one path of the tree wait for readers.
 
     The estimate is summed over the rows before any work: b^n per
@@ -181,14 +185,30 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
             divs.append(e * p)
             up[e * p] = (e, p, raising) if i % size == 0 else (d * p, hops, cost)
     # Children first: the few words sigma^e can fix (0 when all are
-    # counted on its list), and the lists: each full count's and those of
-    # its ancestors in the tree (0 standing for perm).
-    few, raised = {}, set()
+    # counted on its list), and the word steps at and above e when
+    # sigma^e is a list (listed) and, per step of sigma^e, when it is
+    # not (walked; None when a full count needs the list).  raised: the
+    # divisors listed when their parent is.
+    few = {}
+    listed = dict.fromkeys([0, *divs], 0)
+    walked = listed.copy()
+    raised = set()
     for e in reversed(divs):
-        few[e] = (n + 1 if e == top or k * e % omega == 0
-                  else b ** (k * e) if k * e < n else 0)
-        if not few[e] or e in raised:
-            raised.update((e, up[e][0]))
+        d, hops, raising = up[e]
+        few[e] = w = (n + 1 if e == top or k * e % omega == 0
+                      else b ** (k * e) if k * e < n else 0)
+        here = raising + (w or n_words) + listed[e]
+        if w and walked[e] is not None:
+            there = hops * (walked[e] + w)
+            if walked[d] is not None:
+                walked[d] += there
+            if there < here:
+                listed[d] += there
+                continue
+        else:
+            walked[d] = None
+        raised.add(e)
+        listed[d] += here
     # Parents first: a row (e, d, hops, is_list) per divisor, sigma^e
     # being (the list of sigma^d, or perm)^hops, and the step estimate.
     via = {0: (0, 1)}
@@ -197,7 +217,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
         parent, step, raising = up[e]
         d, hops = via[parent]
         hops *= step
-        is_list = e in raised
+        is_list = d == parent and e in raised
         if is_list:
             via[e] = e, 1
             steps += raising + (few[e] or n_words)

@@ -6,7 +6,7 @@ import pytest
 import astute.counting
 import astute.ideals
 import astute.rules
-from astute.algebra import ModPoly, divisors, factorize, u_poly, x_pow_minus_one
+from astute.algebra import divisors, factorize, u_poly, x_pow_minus_one
 from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
@@ -28,14 +28,6 @@ def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None,
     """Theorem 2's count of an affine rule, from its polynomial."""
     return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
                           rule_spec=rule.spec(), s=s)
-
-
-def smallest_cycle_length(lam: ModPoly, c: int, k: int, omega: int) -> int:
-    """Theorem 2's s = lcm(k, ell), the least multiple of k with c*U_s in
-    (lam, X^s - 1); order_and_least_cycle checks omega."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return lcm(k, order_and_least_cycle(lam, c, omega)[1])
 
 
 # first terms at k=1, b=2, frozen from the orbit-enumeration oracle
@@ -226,24 +218,25 @@ def period_check_walks(monkeypatch, rule, omega, ell):
 
 def test_burnside_period_check(monkeypatch):
     # icr(2, 2) is one cycle of its 4 words and X has order 2.  A wrong
-    # ell = 1 makes M = 2, no period: no divisor needs a full count, so
-    # the zero word and the 2 unit words walk 2 steps of the rule's list,
-    # and rule^2 moves 00 to 11
+    # ell = 1 makes M = 2, no period: walking the zero word and the 2 unit
+    # words 2 steps each (6 steps) beats squaring the list (4 + 3), and
+    # rule^2 moves 00 to 11
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 1)
     assert message == "M=2 is not a period of the rule: rule^2 moves word 00"
     assert (3, 2) in calls
-    # a wrong ell = 3 makes M = 6: the list of rule^3 is built for its
-    # full count, so the 3 words walk 2 steps of it (6 steps), not 6 of
-    # the rule's (18); rule^6 = rule^2
+    # a wrong ell = 3 makes M = 6: the lists of rule^2 and rule^3 are built
+    # for their full counts, so the 3 words walk 2 steps of the list of
+    # rule^3 (6 steps), not 6 of the rule's (18) nor a squared list (4 + 3);
+    # rule^6 = rule^2
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 3)
     assert message == "M=6 is not a period of the rule: rule^6 moves word 00"
     assert (3, 2) in calls and (3, 6) not in calls
-    # a wrong omega = ell = 7 makes M = 7: no divisor needs a full count,
-    # so no list is raised and the 3 words walk 7 steps of the rule's
-    # list; rule^7 = rule^3
+    # a wrong omega = ell = 7 makes M = 7: raising the list to the 7th
+    # power (4 compositions, 16 steps) and reading the 3 words on it (3)
+    # beats walking them 7 steps each (21); rule^7 = rule^3
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 7, 7)
     assert message == "M=7 is not a period of the rule: rule^7 moves word 00"
-    assert (3, 7) in calls
+    assert (3, 1) in calls and (3, 7) not in calls
     # a_1 = 2*a_0 + 4 over Z/5 fixes the unit word 1 and moves 0 on a
     # 4-cycle: a wrong M = 1 is caught by the zero word alone
     message, _ = period_check_walks(monkeypatch, AffineRule((3, 1), 4, 5), 1, 1)
@@ -258,7 +251,7 @@ def test_wrong_omega_refused():
     message = "omega=2 is not a multiple of the order of X"
     for c in (0, 1):
         with pytest.raises(ValueError, match=message):
-            smallest_cycle_length(lam, c, 1, 2)
+            order_and_least_cycle(lam, c, 2)
     with pytest.raises(ValueError, match=message):
         count_theorem2(lam, rule.c, 1, omega=2)
     with pytest.raises(ValueError, match=message):

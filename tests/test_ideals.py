@@ -8,12 +8,12 @@ from astute.algebra import ModPoly, is_unit, u_poly, x_pow_minus_one
 from astute.counting import count_theorem2
 from astute.errors import LeadingNotInvertible, NotInvertible
 from astute.ideals import (_in_image, _power_and_sum, _span_quotient_size, _tail,
-                           ideal_quotient_size, order_of_x)
+                           ideal_quotient_size, order_and_least_cycle, order_of_x)
 from astute.rules import AffineRule, icr, parse_rule_spec
 
 from oracles import (affine_rule_permutation, ideal_quotient_size_oracle,
                      membership_oracle, permutation_cycles, poly_product, poly_remainder)
-from test_counting import count_theorem2_rule, smallest_cycle_length
+from test_counting import count_theorem2_rule
 
 
 def membership_cUs(lam, c, s):
@@ -173,12 +173,12 @@ def test_order_of_x_definition():
 
 
 def test_smallest_cycle_length_examples():
-    # omega is the order of X: 4, 2 and 3
-    assert smallest_cycle_length(x_pow_minus_one(4, 3), 0, 3, 4) == 3
-    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1, 2) == 4
+    # omega is the order of X: 4, 2 and 3; s = lcm(k, ell)
+    assert order_and_least_cycle(x_pow_minus_one(4, 3), 0, 4) == (4, 1)
+    assert order_and_least_cycle(x_pow_minus_one(2, 2), 1, 2) == (2, 4)
     # oracle-decided: U_2 = X - 1 lies in (X^3 - 1, X^2 - 1) over Z/2,
     # so the least even s is already 2
-    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2, 3) == 2
+    assert lcm(2, order_and_least_cycle(x_pow_minus_one(3, 2), 1, 3)[1]) == 2
 
 
 def test_smallest_cycle_length_icr_16():
@@ -188,10 +188,9 @@ def test_smallest_cycle_length_icr_16():
     rule = icr(16, 2)
     lam = rule.char_poly()
     assert order_of_x(lam) == 16
-    assert smallest_cycle_length(lam, rule.c, 1, 16) == 32
-    assert smallest_cycle_length(lam, rule.c, 3, 16) == 96
-    # any multiple of the order gives the same s
-    assert smallest_cycle_length(lam, rule.c, 3, 48) == 96
+    assert order_and_least_cycle(lam, rule.c, 16) == (16, 32)
+    # any multiple of the order gives the same ell
+    assert order_and_least_cycle(lam, rule.c, 48) == (48, 32)
 
 def test_membership_true_exactly_on_multiples():
     rng = random.Random(9)
@@ -203,7 +202,7 @@ def test_membership_true_exactly_on_multiples():
         if not (is_unit(lam.constant, b) and is_unit(lam.leading, b)):
             continue
         c = rng.randrange(b)
-        ell = smallest_cycle_length(lam, c, 1, order_of_x(lam))
+        ell = order_and_least_cycle(lam, c)[1]
         for s in range(1, 25):
             assert membership_cUs(lam, c, s) == (s % ell == 0), (lam, c, s, ell)
         checked += 1
@@ -231,10 +230,8 @@ def test_least_cycle_length_lemma_against_word_cycles():
                 rest //= gcd(rest, b)
             assert rest == 1, (lambdas, c, b, ell)
             lam = AffineRule(tuple(lambdas), c, b).char_poly()
-            omega = order_of_x(lam)
-            for k in range(1, 13):
-                assert smallest_cycle_length(lam, c, k, omega) == lcm(k, ell), (
-                    lambdas, c, b, k)
+            assert order_and_least_cycle(lam, c) == (order_of_x(lam), ell), (
+                lambdas, c, b)
 
 
 def test_cycle_length_work_does_not_depend_on_k(monkeypatch):
@@ -246,11 +243,10 @@ def test_cycle_length_work_does_not_depend_on_k(monkeypatch):
         tests.append((power, target)) or in_image(tail, power, target, b)))
     for rule, ell in ((icr(16, 2), 32), (parse_rule_spec("affine:1;1,1,3,1", 3, 6), 12)):
         lam = rule.char_poly()
-        omega = order_of_x(lam)
         made = []
         for k in (1, 999):
             tests.clear()
-            assert smallest_cycle_length(lam, rule.c, k, omega) == lcm(k, ell)
+            assert count_theorem2(lam, rule.c, k).witnesses["s"] == lcm(k, ell)
             made.append(list(tests))
         assert made[0] == made[1] and made[0], rule.spec()
 
@@ -268,8 +264,8 @@ def refuse_order_scan(lam):
 
 def test_smallest_cycle_length_needs_no_order(monkeypatch):
     monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
-    assert smallest_cycle_length(x_pow_minus_one(2, 2), 1, 1, 2) == 4
-    assert smallest_cycle_length(x_pow_minus_one(3, 2), 1, 2, 3) == 2
+    assert order_and_least_cycle(x_pow_minus_one(2, 2), 1, 2) == (2, 4)
+    assert lcm(2, order_and_least_cycle(x_pow_minus_one(3, 2), 1, 3)[1]) == 2
 
 
 def test_cycle_length_guard_is_tight():
@@ -280,8 +276,9 @@ def test_cycle_length_guard_is_tight():
         rule = parse_rule_spec(spec, 1, b)
         lam = rule.char_poly()
         assert order_of_x(lam) == 1
+        ell = order_and_least_cycle(lam, rule.c, 1)[1]
         for k in (1, 2, 3):
-            s = smallest_cycle_length(lam, rule.c, k, 1)
+            s = lcm(k, ell)
             assert s == lcm(k, b), (spec, k)
             if k % b:
                 assert s == k * b, (spec, k)

@@ -7,13 +7,12 @@ from astute.algebra import u_poly, x_pow_minus_one
 from astute.errors import BudgetExceeded, NotInvertible
 from astute.graph import (GraphParams, Vertex, pack, unpack, validate_factor,
                           word_str)
-from astute.ideals import ideal_quotient_size, order_of_x
+from astute.ideals import ideal_quotient_size, order_and_least_cycle, order_of_x
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
                           icr, parse_rule_spec, pcr, successor_array,
                           word_permutation, xor_rule)
 
 from oracles import all_words, fixed_affine_rules, lattice_rules, rule_step
-from test_counting import smallest_cycle_length
 
 
 def apply(rule, word):
@@ -132,8 +131,7 @@ def test_fix_count_examples():
 def test_fix_count_matches_ideal_prediction_sample():
     for rule in (pcr(3, 2), icr(3, 2), xor_rule(4), icr(2, 3), pcr(4, 3)):
         lam = rule.char_poly()
-        omega = order_of_x(lam)
-        ell = smallest_cycle_length(lam, rule.c, 1, omega)
+        omega, ell = order_and_least_cycle(lam, rule.c)
         for i in range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
             assert fix_count_bruteforce(rule, i) == want, (rule.spec(), i)
