@@ -3,7 +3,11 @@
 Branch and bound over successor assignments: vertices take their one
 out-arc in ascending packed order, each choice ascending by appended
 symbol; an in-degree flag keeps the assignment a bijection, and path
-endpoints are tracked so cycle closures are counted incrementally.
+endpoints are tracked so cycle closures are counted incrementally.  The
+path is kept on an explicit stack, one level per vertex, so the depth
+is bounded by the vertex budget, not by the interpreter's recursion
+limit.  The choices are the rows of one graph.successor_table, which
+also gives F its arcs.
 
 The admissible bound takes the least of three limits on the cycles still
 to be closed: the open chains that hold a vertex of a feedback vertex set
@@ -21,27 +25,30 @@ still to close are at most the open chains holding a vertex of F.  At
 the root that is |F|, which equals the optimum on b=2 G(5, 1), G(6, 1),
 G(7, 1) and b=3 G(3, 1), G(4, 1).  The capacity holds because a cycle of
 length L <= n consists of the windows of an L-periodic sequence, so its
-words have minimal period <= L, and few words are that periodic; it is
-the tighter of the two on some instances (139 against |F| = 144 on b=2
-G(8, 4)).  The incumbent starts at the rotation-rule factor, which is
-optimal whenever k | n or n | k; when a bound equals its count the
-search ends at the root.
+words have minimal period <= L, and few words are that periodic; they
+are counted from the periodic words themselves, b^q for each period q,
+never by a pass over all b^n words.  The capacity is the tighter of the
+two on some instances (139 against |F| = 144 on b=2 G(8, 4)).  The
+incumbent starts at the rotation-rule factor, which is optimal whenever
+k | n or n | k; when a bound equals its count the search ends at the
+root.  F is the costly bound, so it is built only where the root is
+open: when min(b^n, capacity) does not exceed the incumbent, the root
+is closed whatever |F| is, and neither F nor the successor table is
+made.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from .counting import closed_form_pcr
 from .errors import (AstuteError, BudgetExceeded, Inconclusive,
                      PreconditionViolated)
-from .graph import Factor, GraphParams, cycle_lengths, successor_codes
-from .rules import pcr, successor_array
+from .graph import Factor, GraphParams, cycle_lengths, successor_table
+from .rules import pcr, periodic_words, successor_array
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,6 @@ class SearchResult:
     nodes_explored: int
 
 
-def _min_period(word: tuple[int, ...]) -> int:
-    n = len(word)
-    return next(q for q in range(1, n + 1) if word[q:] == word[:n - q])
-
-
 def cycle_capacity(p: GraphParams) -> int:
     """An upper bound on the number of cycles of any factor of G(n, k).
 
@@ -79,7 +81,10 @@ def cycle_capacity(p: GraphParams) -> int:
     w_j[t], and every word on the cycle has minimal period <= L.  Hence
     the cycles of length <= L cover at most cap(L) = k * #{words of
     minimal period <= L} vertices; cap never falls as L grows, and from
-    L = n on it is every vertex.
+    L = n on it is every vertex.  A word has minimal period <= L when it
+    repeats with some period q <= L, so those words are the union of
+    rules.periodic_words(b, n, q) over q <= L: one set, grown by the
+    periods L - k + 1 .. L at each step of L, never the b^n words.
 
     The bound fills the lengths k, 2k, ... in turn, each with as many
     cycles as cap(length) still has room for, up to the first multiple
@@ -94,19 +99,21 @@ def cycle_capacity(p: GraphParams) -> int:
     reads nothing but b, n and k: no transform, no closed form.
     """
     b, n, k = p.b, p.n, p.k
-    periods = Counter(_min_period(w) for w in product(range(b), repeat=n))
+    periodic: set[int] = set()
     cycles = used = 0
     length = k
     while length < n:
-        room = k * sum(c for q, c in periods.items() if q <= length)
-        fit = (room - used) // length
+        for q in range(length - k + 1, length + 1):
+            periodic.update(periodic_words(b, n, q))
+        fit = (k * len(periodic) - used) // length
         cycles += fit
         used += fit * length
         length += k
     return cycles + (p.num_vertices - used) // length
 
 
-def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
+def feedback_vertex_set(p: GraphParams, *,
+                        _succs: list[range] | None = None) -> tuple[int, ...]:
     """Packed codes of a set F meeting every cycle of G(n, k), ascending.
 
     Every cycle of a factor is a cycle of the graph, so no factor has
@@ -118,10 +125,12 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     cycle through it keeps its other vertices).  When no reduction
     fits, the vertex with the largest in * out degree joins F, the
     smallest code on ties.  G - F is checked acyclic by Kahn's
-    algorithm before F is returned.
+    algorithm before F is returned.  The arcs are read from
+    graph.successor_table(p); the search passes the one it has built
+    as _succs.
     """
     n = p.num_vertices
-    succs = [successor_codes(c, p) for c in range(n)]
+    succs = successor_table(p) if _succs is None else _succs
     out_arcs = [set(s) for s in succs]
     in_arcs: list[set[int]] = [set() for _ in range(n)]
     for u in range(n):
@@ -131,21 +140,12 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     work = list(range(n - 1, -1, -1))
     heap: list[tuple[int, int]] = []
     chosen = []
-
-    def remove(v: int) -> None:
-        alive[v] = 0
-        out_arcs[v].discard(v)
-        in_arcs[v].discard(v)
-        for u in in_arcs[v]:
-            out_arcs[u].discard(v)
-            work.append(u)
-        for w in out_arcs[v]:
-            in_arcs[w].discard(v)
-            work.append(w)
+    push, pop = work.append, work.pop
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while work or heap:
         if work:
-            v = work.pop()
+            v = pop()
             if not alive[v]:
                 continue
             ins, outs = in_arcs[v], out_arcs[v]
@@ -155,19 +155,28 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
                 if len(ins) > 1 and len(outs) > 1:
                     # any later degree change puts v on the worklist
                     # again, so the heap holds every live vertex's key
-                    heapq.heappush(heap, (-len(ins) * len(outs), v))
+                    heappush(heap, (-len(ins) * len(outs), v))
                     continue
-                # bypass v; remove(v) below puts its neighbours back
+                # bypass v; removing it below puts its neighbours back
                 for u in ins:
                     for w in outs:
                         out_arcs[u].add(w)
                         in_arcs[w].add(u)
         else:
-            key, v = heapq.heappop(heap)
-            if not alive[v] or key != -len(in_arcs[v]) * len(out_arcs[v]):
+            key, v = heappop(heap)
+            ins, outs = in_arcs[v], out_arcs[v]
+            if not alive[v] or key != -len(ins) * len(outs):
                 continue
             chosen.append(v)
-        remove(v)
+        alive[v] = 0
+        outs.discard(v)
+        ins.discard(v)
+        for u in ins:
+            out_arcs[u].discard(v)
+            push(u)
+        for w in outs:
+            in_arcs[w].discard(v)
+            push(w)
 
     in_deg = [0] * n
     removed = bytearray(n)
@@ -196,94 +205,119 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
 class _Searcher:
     def __init__(self, p: GraphParams, budget: SearchBudget,
                  best: int, best_succ: list[int]):
-        self.n_vertices = p.num_vertices
-        self.k = p.k
-        self.cap = cycle_capacity(p)
-        self.budget = budget
-        self.best = best
-        self.best_succ = best_succ
-        self.succ_choices = [successor_codes(c, p) for c in range(self.n_vertices)]
-        self.nodes = 0
-        self.stopped = False
         self.deadline = (time.monotonic() + budget.time_cap
                          if budget.time_cap is not None else None)
-        n = self.n_vertices
-        self.succ = [-1] * n
-        self.pred_used = bytearray(n)
-        self.head_of_tail = list(range(n))
-        self.tail_of_head = list(range(n))
-        self.len_of_tail = [1] * n
-        # does the chain ending at this tail hold a vertex of F?
-        self.has_f = bytearray(n)
-        for c in feedback_vertex_set(p):
-            self.has_f[c] = 1
-        self.f_chains = sum(self.has_f)
-        self.completed = 0
-        self.closed = 0
+        self.p = p
+        self.max_nodes = budget.max_nodes
+        self.cap = cycle_capacity(p)
+        self.best = best
+        self.best_succ = best_succ
+        self.nodes = 0
+        self.stopped = False
+        # at the root no cycle is closed, so the bound is at most
+        # min(vertices // k, cap) whatever F is: the successor table and
+        # F are made only when that leaves the root open
+        self.has_f = None
+        if min(p.num_vertices // p.k, self.cap) > best:
+            self.table = successor_table(p)
+            # does the chain ending at this tail hold a vertex of F?
+            self.has_f = bytearray(p.num_vertices)
+            for c in feedback_vertex_set(p, _succs=self.table):
+                self.has_f[c] = 1
 
     def run(self) -> None:
-        self._descend(0)
-
-    def _descend(self, u: int) -> None:
-        if self.stopped:
+        """Depth-first over the vertices in packed order, each choosing
+        its successor by appended symbol, on an explicit stack: tries[u]
+        holds the successors of u not yet tried, and the chain ends the
+        choice at u joined are kept to undo it on the way back up."""
+        has_f, best, best_succ = self.has_f, self.best, self.best_succ
+        if has_f is None:
             return
-        n, k = self.n_vertices, self.k
-        if u == n:
-            if self.completed > self.best:
-                self.best = self.completed
-                self.best_succ = list(self.succ)
+        f_chains = sum(has_f)
+        if f_chains <= best:  # |F| closes the root
             return
-        remaining = min(self.f_chains, (n - self.closed) // k,
-                        self.cap - self.completed)
-        if self.completed + remaining <= self.best:
-            return
-        pred_used = self.pred_used
-        has_f = self.has_f
-        for v in self.succ_choices[u]:
-            if pred_used[v]:
-                continue
-            self.nodes += 1
-            if self.nodes >= self.budget.max_nodes:
-                self.stopped = True
-                return
-            if self.deadline is not None and not self.nodes % 1024 \
-                    and time.monotonic() > self.deadline:
-                self.stopped = True
-                return
-            closes = self.head_of_tail[u] == v
-            if closes:
-                self.completed += 1
-                self.closed += self.len_of_tail[u]
-                self.f_chains -= has_f[u]
-                h1 = t2 = ft = -1
+        n, k, cap, table = self.p.num_vertices, self.p.k, self.cap, self.table
+        max_nodes, deadline = self.max_nodes, self.deadline
+        succ = [-1] * n
+        pred_used = bytearray(n)
+        head_of_tail = list(range(n))
+        tail_of_head = list(range(n))
+        len_of_tail = [1] * n
+        tries: list = [None] * n
+        # per depth, the chains the choice there joined: the head h1 of
+        # u's chain (-1 when the choice closed a cycle), the tail t2 of
+        # its successor's chain and that chain's F flag before the join
+        joined_h1 = [-1] * n
+        joined_t2 = [-1] * n
+        joined_ft = [0] * n
+        completed = closed = nodes = 0
+        u = 0
+        tries[0] = iter(table[0])
+        back = False  # true when coming back up to u: undo its choice
+        while True:
+            if back:
+                v = succ[u]
+                succ[u] = -1
+                pred_used[v] = 0
+                h1 = joined_h1[u]
+                if h1 < 0:
+                    completed -= 1
+                    closed -= len_of_tail[u]
+                    f_chains += has_f[u]
+                else:
+                    t2 = joined_t2[u]
+                    ft = joined_ft[u]
+                    f_chains += ft & has_f[u]
+                    has_f[t2] = ft
+                    len_of_tail[t2] -= len_of_tail[u]
+                    head_of_tail[t2] = v
+                    tail_of_head[h1] = u
+            for v in tries[u]:
+                if not pred_used[v]:
+                    break
             else:
-                h1 = self.head_of_tail[u]
-                t2 = self.tail_of_head[v]
-                self.head_of_tail[t2] = h1
-                self.tail_of_head[h1] = t2
-                self.len_of_tail[t2] += self.len_of_tail[u]
+                if not u:
+                    break
+                u -= 1
+                back = True
+                continue
+            nodes += 1
+            if nodes >= max_nodes or (deadline is not None and not nodes % 1024
+                                      and time.monotonic() > deadline):
+                self.stopped = True
+                break
+            h1 = head_of_tail[u]
+            if h1 == v:
+                completed += 1
+                closed += len_of_tail[u]
+                f_chains -= has_f[u]
+                joined_h1[u] = -1
+            else:
+                t2 = tail_of_head[v]
+                head_of_tail[t2] = h1
+                tail_of_head[h1] = t2
+                len_of_tail[t2] += len_of_tail[u]
                 ft = has_f[t2]
                 has_f[t2] = ft | has_f[u]
-                self.f_chains -= ft & has_f[u]
+                f_chains -= ft & has_f[u]
+                joined_h1[u] = h1
+                joined_t2[u] = t2
+                joined_ft[u] = ft
             pred_used[v] = 1
-            self.succ[u] = v
-
-            self._descend(u + 1)
-
-            self.succ[u] = -1
-            pred_used[v] = 0
-            if closes:
-                self.completed -= 1
-                self.closed -= self.len_of_tail[u]
-                self.f_chains += has_f[u]
+            succ[u] = v
+            u += 1
+            back = True
+            if u == n:
+                if completed > best:
+                    best, best_succ = completed, list(succ)
+                u -= 1
+            elif completed + min(f_chains, (n - closed) // k,
+                                 cap - completed) <= best:
+                u -= 1
             else:
-                self.f_chains += ft & has_f[u]
-                has_f[t2] = ft
-                self.len_of_tail[t2] -= self.len_of_tail[u]
-                self.head_of_tail[t2] = v
-                self.tail_of_head[h1] = u
-            if self.stopped:
-                return
+                tries[u] = iter(table[u])
+                back = False
+        self.best, self.best_succ, self.nodes = best, best_succ, nodes
 
 
 def search_extremal(p: GraphParams,

@@ -82,6 +82,18 @@ def successor_codes(code: int, p: GraphParams) -> list[int]:
     return [(shifted + x) * p.k + ph for x in range(p.b)]
 
 
+def successor_table(p: GraphParams) -> list[range]:
+    """successor_codes(c, p) for every packed code c, as ranges: the b
+    codes k apart from (value mod b^(n-1))·b·k + (phase + 1) mod k.  The
+    rows depend on the word only through its last n - 1 symbols, so the
+    first b^(n-1)·k rows are made and the list repeats them b times."""
+    b, k = p.b, p.k
+    step = b * k
+    nexts = [(ph + 1) % k for ph in range(k)]
+    return [range(base + ph, base + ph + step, k)
+            for base in range(0, p.num_vertices, step) for ph in nexts] * b
+
+
 @dataclass(frozen=True)
 class Cycle:
     """One cycle of a factor: packed vertex codes in walk order."""
@@ -309,19 +321,14 @@ def factor_from_doc(doc: dict) -> Factor:
 
 def to_dot(p: GraphParams, factor: Factor | None = None, color: str = "magenta") -> str:
     """DOT rendering of G(n, k); factor arcs get a color attribute."""
-    b, k = p.b, p.k
     labels = vertex_names(p, '"', '@{}"')
     succ = factor.succ if factor is not None else (-1,) * p.num_vertices
-    head = b ** (p.n - 1)
     marked = f" [color={color}]"
     lines = ["digraph astute {"]
     lines += [f"  {label};" for label in labels]
-    for code, label in enumerate(labels):
-        # successor_codes(code, p): b codes, k apart, from the shifted word
-        value, phase = divmod(code, k)
-        first = (value % head) * b * k + (phase + 1) % k
+    for code, (label, row) in enumerate(zip(labels, successor_table(p))):
         arc = succ[code]
-        for tcode in range(first, first + b * k, k):
+        for tcode in row:
             lines.append(f"  {label} -> {labels[tcode]}{marked if tcode == arc else ''};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the package's computation paths:
 ideals are enumerated as additive closures, polynomial products and
 remainders taken by schoolbook rules, a gcd found by trying every monic
-divisor, necklaces counted by canonical rotations, factor counts taken
-over raw permutations, certificate words named by digit arithmetic,
-rule steps solved by trying every symbol, factors built from the arc
-rule, fixed words found by applying a rule to every word.
+divisor, necklaces counted by canonical rotations, the short-cycle
+capacity taken from each word's own shifts, factor counts taken over raw
+permutations, certificate words named by digit arithmetic, rule steps
+solved by trying every symbol, factors built from the arc rule, fixed
+words found by applying a rule to every word.
 From the package they take only data types (ModPoly, Factor), the
 BudgetExceeded error and, to list the rules under test, the rule
 constructors.
@@ -120,6 +121,28 @@ def necklace_count(n: int, b: int) -> int:
         if all(w <= w[i:] + w[:i] for i in range(n)):
             count += 1
     return count
+
+
+def cycle_capacity(b: int, n: int, k: int) -> int:
+    """The short-cycle bound on the cycles of a factor of G(n, k): every
+    word's minimal period by scanning the shifts of the word itself, then
+    the lengths k, 2k, ... below n filled greedily, each with as many
+    cycles as k * #{words of minimal period <= length} leaves room for,
+    and the vertices left over cut into cycles of the first multiple of
+    k that is >= n."""
+    periods = {}
+    for w in all_words(n, b):
+        q = next(q for q in range(1, n + 1) if w[q:] == w[:n - q])
+        periods[q] = periods.get(q, 0) + 1
+    cycles = used = 0
+    length = k
+    while length < n:
+        room = k * sum(c for q, c in periods.items() if q <= length)
+        fit = (room - used) // length
+        cycles += fit
+        used += fit * length
+        length += k
+    return cycles + (b ** n * k - used) // length
 
 
 def factor_count_by_permutations(p) -> int:

@@ -334,6 +334,20 @@ def test_extremal_env_budget(capsys, monkeypatch):
     assert json.loads(out)["optimal"] is False
 
 
+def test_extremal_deep_search_exits_on_budget(capsys):
+    # 1,024 vertices, one search level each, stopped by the node budget
+    deep = ["--b", "2", "--n", "10", "--k", "1", "--max-vertices", "1024",
+            "--budget-nodes", "5000"]
+    code, out, _ = run(capsys, "extremal", *deep)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["optimal"] is False and doc["nodes"] == 5000
+    assert validate_factor(factor_from_doc(doc)).ok
+    code, _, err = run(capsys, "verify", "--suite", "theorem1", *deep)
+    assert code == 3
+    assert "after 5000 nodes" in err
+
+
 def test_extremal_time_cap(capsys):
     code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "4",
                        "--max-vertices", "48", "--time-cap", "1e-6")

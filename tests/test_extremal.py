@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from astute import extremal
 from astute.counting import closed_form_pcr
 from astute.errors import BudgetExceeded, Inconclusive, PreconditionViolated
 from astute.extremal import (SearchBudget, cycle_capacity,
@@ -12,6 +13,7 @@ from astute.extremal import (SearchBudget, cycle_capacity,
 from astute.graph import GraphParams, validate_factor
 from astute.rules import enumerate_factor, pcr
 
+import oracles
 from oracles import EXHAUSTIVE_MAX_VERTICES, exhaustive_factors, random_factor
 
 DIVISIBLE_INSTANCES = (
@@ -72,13 +74,38 @@ def test_cycle_capacity_values():
         assert cycle_capacity(GraphParams(b, n, k)) == cap
 
 
-def test_capacity_decides_at_root():
-    # the rotation-rule factor meets the capacity: no node is explored
+def test_cycle_capacity_matches_oracle():
+    # composite b = 4, 6 included; the oracle scans every word's shifts
+    checked = 0
+    for b in (2, 3, 4, 5, 6):
+        n = 1
+        while b ** n <= 4096:
+            for k in range(1, 13):
+                assert cycle_capacity(GraphParams(b, n, k)) == \
+                    oracles.cycle_capacity(b, n, k), (b, n, k)
+                checked += 1
+            n += 1
+    assert checked == 34 * 12
+
+
+class _FBuilt(Exception):
+    pass
+
+
+def test_capacity_decides_at_root(monkeypatch):
+    # the rotation-rule factor meets the capacity: no node is explored,
+    # and F, which could not change the verdict, is never built
+    def refuse(*args, **kwargs):
+        raise _FBuilt
+    monkeypatch.setattr(extremal, "feedback_vertex_set", refuse)
     for n, k in [(4, 2), (4, 4)]:
         res = search_extremal(GraphParams(2, n, k), SearchBudget(max_vertices=64))
         assert res.optimal and res.nodes_explored == 0
         assert res.best_count == closed_form_pcr(n, k, 2).value
         assert validate_factor(res.certificate).ok
+    # |F| = 8 decides G(5, 1), where n // k = 32 and the capacity 9 do not
+    with pytest.raises(_FBuilt):
+        search_extremal(GraphParams(2, 5, 1))
 
 
 def test_feedback_vertex_set_is_acyclic():
@@ -154,6 +181,15 @@ def test_search_node_cap_returns_incumbent():
     assert res.nodes_explored <= 40
     assert validate_factor(res.certificate).ok
     assert res.best_count >= closed_form_pcr(3, 2, 2).value
+
+
+def test_search_deeper_than_recursion_limit():
+    # one level per vertex: 1,024 levels, past Python's default limit
+    res = search_extremal(GraphParams(2, 10, 1),
+                          SearchBudget(max_vertices=1024, max_nodes=5000))
+    assert not res.optimal
+    assert res.nodes_explored <= 5000
+    assert validate_factor(res.certificate).ok
 
 
 def test_verify_extremality_instances():

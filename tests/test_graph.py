@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from astute.graph import (Factor, GraphParams, Vertex, cycle_lengths, factor_from_doc,
-                          factor_json, pack, parse_word, successor_codes, to_dot,
-                          unpack, validate_factor, vertex_names, word_str)
+                          factor_json, pack, parse_word, successor_codes,
+                          successor_table, to_dot, unpack, validate_factor,
+                          vertex_names, word_str)
 from astute.rules import enumerate_factor, pcr
 
 from oracles import debruijn_arcs_direct, factor_document, permutation_cycles
@@ -29,6 +30,17 @@ def test_successors_examples():
     p3 = GraphParams(3, 2, 3)
     assert successors(Vertex((1, 2), 2), p3) == [
         Vertex((2, 0), 0), Vertex((2, 1), 0), Vertex((2, 2), 0)]
+
+
+def test_successor_table_rows():
+    for b in (2, 3, 4, 6):
+        for n in range(1, 5):
+            for k in range(1, 5):
+                p = GraphParams(b, n, k)
+                table = successor_table(p)
+                assert len(table) == p.num_vertices
+                for c, row in enumerate(table):
+                    assert list(row) == successor_codes(c, p), (p, c)
 
 
 def test_is_arc_examples():
