@@ -6,8 +6,8 @@ symbol; an in-degree flag keeps the assignment a bijection, and path
 endpoints are tracked so cycle closures are counted incrementally.  The
 path is kept on an explicit stack, one level per vertex, so the depth
 is bounded by the vertex budget, not by the interpreter's recursion
-limit.  The choices are the rows of one graph.successor_table, which
-also gives F its arcs.
+limit.  The choices are the rows of graph.successor_table, the table
+F reads its arcs from.
 
 The admissible bound takes the least of three limits on the cycles still
 to be closed: the open chains that hold a vertex of a feedback vertex set
@@ -112,8 +112,7 @@ def cycle_capacity(p: GraphParams) -> int:
     return cycles + (p.num_vertices - used) // length
 
 
-def feedback_vertex_set(p: GraphParams, *,
-                        _succs: list[range] | None = None) -> tuple[int, ...]:
+def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     """Packed codes of a set F meeting every cycle of G(n, k), ascending.
 
     Every cycle of a factor is a cycle of the graph, so no factor has
@@ -126,11 +125,10 @@ def feedback_vertex_set(p: GraphParams, *,
     fits, the vertex with the largest in * out degree joins F, the
     smallest code on ties.  G - F is checked acyclic by Kahn's
     algorithm before F is returned.  The arcs are read from
-    graph.successor_table(p); the search passes the one it has built
-    as _succs.
+    graph.successor_table(p).
     """
     n = p.num_vertices
-    succs = successor_table(p) if _succs is None else _succs
+    succs = successor_table(p)
     out_arcs = [set(s) for s in succs]
     in_arcs: list[set[int]] = [set() for _ in range(n)]
     for u in range(n):
@@ -205,8 +203,6 @@ def feedback_vertex_set(p: GraphParams, *,
 class _Searcher:
     def __init__(self, p: GraphParams, budget: SearchBudget,
                  best: int, best_succ: list[int]):
-        self.deadline = (time.monotonic() + budget.time_cap
-                         if budget.time_cap is not None else None)
         self.p = p
         self.max_nodes = budget.max_nodes
         self.cap = cycle_capacity(p)
@@ -217,12 +213,16 @@ class _Searcher:
         # at the root no cycle is closed, so the bound is at most
         # min(vertices // k, cap) whatever F is: the successor table and
         # F are made only when that leaves the root open
-        self.has_f = None
-        if min(p.num_vertices // p.k, self.cap) > best:
+        root_open = min(p.num_vertices // p.k, self.cap) > best
+        if root_open:
             self.table = successor_table(p)
+        self.deadline = (time.monotonic() + budget.time_cap
+                         if budget.time_cap is not None else None)
+        self.has_f = None
+        if root_open:
             # does the chain ending at this tail hold a vertex of F?
             self.has_f = bytearray(p.num_vertices)
-            for c in feedback_vertex_set(p, _succs=self.table):
+            for c in feedback_vertex_set(p):
                 self.has_f[c] = 1
 
     def run(self) -> None:
