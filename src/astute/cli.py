@@ -170,13 +170,19 @@ def cmd_count(args) -> int:
     routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
     # one word permutation for enumeration and Burnside, built only after
-    # the vertex budget has passed; Burnside alone builds its own after
-    # its word budget
+    # the vertex budget has passed (past it, the other routes still
+    # cross-check); Burnside alone builds its own after its word budget
     perm = None
     if "enum" in routes:
-        check_vertex_budget(p)
-        perm = word_permutation(rule)
-        reports.append(counting.count_enumeration(rule, p.k, perm=perm))
+        try:
+            check_vertex_budget(p)
+        except BudgetExceeded as e:
+            if wanted != "all":
+                raise
+            print(f"skipped enumeration: {e}", file=sys.stderr)
+        else:
+            perm = word_permutation(rule)
+            reports.append(counting.count_enumeration(rule, p.k, perm=perm))
     # the order of X and the least word-cycle length ell for Burnside and
     # Theorem 2 (s = lcm(k, ell)), after the vertex budget (Burnside's too)
     order = ell = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import eq
 from typing import Optional
 
 from .algebra import ModPoly, divisor_phis, divisors, factorize
@@ -24,9 +23,9 @@ from .rules import AffineRule, check_vertex_budget
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
 # Burnside composes and counts permutations of b^n words, one pass over
-# the words each, and walks the few words that can be fixed elsewhere.
-# Above this many word steps (about 5 s on a 2-vCPU VM) it refuses
-# instead of running for minutes.
+# the words each, tables the periodic words below n on the rule and walks
+# the zero and unit words once.  Above this many word steps (about 5 s on
+# a 2-vCPU VM) it refuses instead of running for minutes.
 BURNSIDE_MAX_STEPS = 1 << 25
 
 
@@ -90,14 +89,16 @@ def count_burnside_direct(rule: AffineRule, k: int,
     So |Fix(rule^(k*e))| = |Fix(rule^gcd(k*e, P))|, and with g = gcd(k, P)
     (top = P/g, gcd(k/g, top) = 1) that is |Fix(rule^(g*e))| for every
     e | top.  fixed_point_counts finds those on the powers of rule^g,
-    whatever k is, checks that P is a period and refuses above
-    BURNSIDE_MAX_STEPS.  The route reads neither cycle lengths nor ideal
-    sizes: l and w only form P and name the translations rule^(g*e),
-    w | g*e, each checked on the zero and unit words like rule^P, so a
-    wrong one fails a check.  perm is the rule's word permutation (built
-    after the word budget and the step estimate by default) and ell is l
-    (found here by default, with w by order_and_least_cycle, which checks
-    a given w).  The witness M is lcm(k, l, w) = k*P/g.
+    whatever k is, each by its kind of divisor (translation, periodic or
+    full count), checks that P is a period and refuses above
+    BURNSIDE_MAX_STEPS word steps.  The route reads neither cycle lengths
+    nor ideal sizes: l and w only form P and name the translations, which
+    the walk checks like rule^P, so a wrong one fails a check.  The walk
+    reads the word permutation, so the word budget holds even where no
+    full count is made.  perm is that permutation (built after the word
+    budget and the step estimate by default) and ell is l (found here by
+    default, with w by order_and_least_cycle, which checks a given w).
+    The witness M is lcm(k, l, w) = k*P/g.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -123,109 +124,74 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     """|Fix(rule^(k*e))| for every divisor e of top = m/k, where m, a
     multiple of k, must be a period of the rule (ValueError otherwise,
     naming m as M), and omega (m by default) a multiple of the order of X
-    (ValueError naming omega where a power it names is no translation).
+    (ValueError naming omega where a power it names is no translation;
+    only gcd(omega, m) is read, which is one too where m is a period).
     count_burnside_direct passes k = gcd(its k, P), m = P = lcm(ell, omega)
     and its omega, so the period is checked at P and the work depends on
     its k only through that gcd.
 
-    Only the words that can be fixed are walked.  Two shift-register
-    facts (Golomb, Shift Register Sequences, 1967) say which:
+    Each divisor is counted by the one method its kind calls for, by two
+    shift-register facts (Golomb, Shift Register Sequences, 1967):
 
-    - for j = k*e < n, a word that rule^j fixes equals its j-shift, so it
-      is the j-periodic extension of its first j symbols: only those b^j
-      words are counted;
-    - where omega | k*e (e = top included), X^(k*e) = 1, so rule^(k*e) is
-      a translation x -> x + t: it fixes all b^n words if t = 0, else
-      none.  An affine map over Z/b (composite b included) is one exactly
-      when it sends the zero word to t and each unit word to t with that
-      digit raised by 1 mod b: only those n + 1 are walked (t = 0 at top).
+    - translation, where omega | k*e, that is e0 | e with
+      e0 = omega / gcd(omega, k): X^(k*e) = 1, so with T = sigma^e0 =
+      rule^lcm(k, omega) a translation x -> x + t, sigma^(q*e0) is
+      x -> x + q*t.  It fixes all b^n words when q*t = 0 digit by digit
+      and none otherwise.  An affine map over Z/b (composite b included)
+      is a translation exactly when it sends the zero word to t and each
+      unit word to t with that digit raised by 1 mod b, so one walk of
+      those n + 1 words decides every such e, top (t times top/e0 must
+      be 0) included;
+    - periodic, where j = k*e < n: a word that rule^j fixes is the
+      j-periodic extension of its first j symbols, and
+      rules.periodic_fixed_points counts those on the rule alone;
+    - full count, every other e: all b^n words are counted on the list
+      of sigma^e, sigma = rule^k.
 
-    At every other e (k*e >= n, omega not dividing k*e) all b^n words are
-    counted on the list of sigma^e, sigma = rule^k.  The divisors form a
-    tree: sigma^e comes from sigma^(e/p), p the least prime of e, and
-    sigma from perm.  One pass over them, children first, sums the word
-    steps at and above each e when sigma^e is a list and when it is not;
-    a second, parents first, makes one row (e, d, hops, is_list) per
-    divisor: sigma^e is (the list of sigma^d)^hops, d = 0 standing for
-    perm, and is raised as a list or walked by four rules:
+    The divisors form a tree: sigma^e comes from sigma^(e/p), p the least
+    prime of e, and sigma from the word permutation by k.  Only the full
+    counts and their ancestors are raised as lists, one prime at a time,
+    depth first, each dropped after its last reader, so only lists on one
+    path of the tree are kept.  T walks e0/d steps of the list of its
+    nearest listed ancestor d (k*e0 steps of the word permutation if none).
 
-    1. a full count needs its list, and so does every divisor below it
-       in the tree, down to sigma;
-    2. any other sigma^e is raised from its parent's list, by one prime
-       (sigma from perm by k), exactly where that takes no more word
-       steps than walking the words at and above e;
-    3. a divisor that is no list walks its few words e/d steps on the
-       list of its nearest listed divisor d below it (k*e steps of perm
-       if there is none);
-    4. a list is dropped after its last reader; the rows run depth first,
-       so only lists on one path of the tree wait for readers.
-
-    The estimate is summed over the rows before any work: b^n per
-    composition and per full count, and the words times the steps per
-    word for every other count.  Above BURNSIDE_MAX_STEPS the walk is
-    refused; otherwise the same rows are executed.  perm is the rule's
-    word permutation (built after the estimate by default).
+    The estimate is summed before any work, in word steps: b^n per
+    composition and per full count, words times steps for the walk of T,
+    and b^j per periodic table.  Above BURNSIDE_MAX_STEPS the count is
+    refused.  perm is the rule's word permutation (built after the
+    estimate by default).
     """
     b, n = rule.b, rule.n
     n_words = b ** n
     top = m // k
-    omega = omega or m
+    e0 = lcm(k, gcd(omega or m, m)) // k  # T = sigma^e0 = rule^lcm(k, omega)
     # The divisors depth first: each after its parent e/p, p the least
     # prime of e, with the largest primes outermost, so top comes last.
-    # up[e] = (the parent, the hops from it, the word steps of raising
-    # sigma^e from the parent's list); sigma's parent is perm (0).
-    divs, up = [1], {1: (0, k, rules.power_cost(k) * n_words)}
+    # up[e] = (the parent, the hops from it); sigma's parent is perm (0).
+    divs, up = [1], {1: (0, k)}
     for p, a in factorize(top):
-        # a more blocks, each the previous block times p
         size = len(divs)
-        raising = rules.power_cost(p) * n_words
         for i in range(size, size * (a + 1)):
             e = divs[i - size]
-            d, hops, cost = up[e]
             divs.append(e * p)
-            up[e * p] = (e, p, raising) if i % size == 0 else (d * p, hops, cost)
-    # Children first: the few words sigma^e can fix (0 when all are
-    # counted on its list), and the word steps at and above e when
-    # sigma^e is a list (listed) and, per step of sigma^e, when it is
-    # not (walked; None when a full count needs the list).  raised: the
-    # divisors listed when their parent is.
-    few = {}
-    listed = dict.fromkeys([0, *divs], 0)
-    walked = listed.copy()
-    raised = set()
-    for e in reversed(divs):
-        d, hops, raising = up[e]
-        few[e] = w = (n + 1 if e == top or k * e % omega == 0
-                      else b ** (k * e) if k * e < n else 0)
-        here = raising + (w or n_words) + listed[e]
-        if w and walked[e] is not None:
-            there = hops * (walked[e] + w)
-            if walked[d] is not None:
-                walked[d] += there
-            if there < here:
-                listed[d] += there
-                continue
-        else:
-            walked[d] = None
-        raised.add(e)
-        listed[d] += here
-    # Parents first: a row (e, d, hops, is_list) per divisor, sigma^e
-    # being (the list of sigma^d, or perm)^hops, and the step estimate.
-    via = {0: (0, 1)}
-    rows, last, steps = [], {}, 0
-    for e in divs:
-        parent, step, raising = up[e]
-        d, hops = via[parent]
+            up[e * p] = (e, p) if i % size == 0 else (up[e][0] * p, up[e][1])
+    periodic = [e for e in divs if e % e0 and k * e < n]
+    full = {e for e in divs if e % e0 and k * e >= n}
+    listed = set()
+    for e in full:
+        while e and e not in listed:
+            listed.add(e)
+            e = up[e][0]
+    # T walks e0/d steps of the list of its nearest listed ancestor d
+    d, hops = up[e0]
+    while d and d not in listed:
+        d, step = up[d]
         hops *= step
-        is_list = d == parent and e in raised
-        if is_list:
-            via[e] = e, 1
-            steps += raising + (few[e] or n_words)
-        else:
-            via[e] = d, hops
-            steps += few[e] * hops
-        rows.append((e, d, hops, is_list))
-        last[d] = e  # the list's last reader
+    up[e0] = d, hops
+    rows = [e for e in divs if e in listed or e == e0]
+    last = {up[e][0]: e for e in rows}  # each list's last reader
+    steps = ((n + 1) * hops + sum([b ** (k * e) for e in periodic])
+             + sum([rules.power_cost(up[e][1]) + (e in full) for e in listed]) * n_words)
     if steps > BURNSIDE_MAX_STEPS:
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
@@ -233,36 +199,32 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     if perm is None:
         perm = rules.word_permutation(rule)
     basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
-    lists = {0: perm}
-    counts = {}
-    for e, d, hops, is_list in rows:
+    lists, counts = {0: perm}, {}
+    for e in rows:
+        d, hops = up[e]
         power = lists.pop(d) if last[d] == e else lists[d]
-        if is_list:
-            power, hops = rules.perm_power(power, hops), 1
-            if e in last:
-                lists[e] = power
-        if not few[e]:
+        if e == e0:
+            after = rules.advance(power, basis, hops)
+            continue
+        power = rules.perm_power(power, hops)
+        if e in last:
+            lists[e] = power
+        if e in full:
             counts[e] = rules.fixed_points(power)
-            continue
-        if e != top and k * e % omega:
-            words = rules.periodic_words(b, n, k * e)
-            counts[e] = sum(map(eq, rules.advance(power, words, hops), words))
-            del words  # up to b^(n-1) words, freed before the next raise
-            continue
-        after = rules.advance(power, basis, hops)
-        t = after[0]
-        if after == basis:
-            counts[e] = n_words
-        elif e == top:
-            moved = next(w for w, v in zip(basis, after) if w != v)
-            raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
-                             f"moves word {word_str(value_word(moved, n, b))}")
-        elif after[1:] == [t - (b - 1) * u if t // u % b == b - 1 else t + u
-                           for u in basis[1:]]:
-            counts[e] = 0
-        else:
-            raise ValueError(f"omega={omega} is not a multiple of the order of X: "
-                             f"rule^{k * e} is no translation")
+    t = after[0]
+    if after[1:] == [t - (b - 1) * u if t // u % b == b - 1 else t + u for u in basis[1:]]:
+        order = b // gcd(b, *value_word(t, n, b))  # the additive order of t
+    elif e0 == top:
+        order = 0  # rule^m is no translation, so no identity
+    else:
+        raise ValueError(f"omega={omega} is not a multiple of the order of X: "
+                         f"rule^{k * e0} is no translation")
+    if not order or top // e0 % order:
+        moved = next(w for w, v in zip(basis, after) if w != v)
+        raise ValueError(f"M={m} is not a period of the rule: rule^{m} "
+                         f"moves word {word_str(value_word(moved, n, b))}")
+    counts.update({e: 0 if e // e0 % order else n_words for e in divs if e % e0 == 0})
+    counts.update({e: rules.periodic_fixed_points(rule, k * e) for e in periodic})
     return counts
 
 

@@ -137,6 +137,7 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     alive = bytearray([1]) * n
     work = list(range(n - 1, -1, -1))
     heap: list[tuple[int, int]] = []
+    pushed = [0] * n  # the key of each vertex's newest heap entry (keys are <= -4)
     chosen = []
     push, pop = work.append, work.pop
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -153,7 +154,11 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
                 if len(ins) > 1 and len(outs) > 1:
                     # any later degree change puts v on the worklist
                     # again, so the heap holds every live vertex's key
-                    heappush(heap, (-len(ins) * len(outs), v))
+                    # (its newest entry stays until v leaves: no repeats)
+                    key = -len(ins) * len(outs)
+                    if pushed[v] != key:
+                        pushed[v] = key
+                        heappush(heap, (key, v))
                     continue
                 # bypass v; removing it below puts its neighbours back
                 for u in ins:

@@ -8,11 +8,12 @@ to be units mod b.  The rule acts on G(n, k) by advancing the phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import eq
 
 from .algebra import ModPoly, is_unit
 from .errors import BudgetExceeded, NotInvertible
-from .graph import Factor, GraphParams
+from .graph import Factor, GraphParams, word_sums
 
 # the vertex (and word) budget of every route that walks all of G(n, k)
 MAX_VERTICES = 1 << 22
@@ -218,11 +219,14 @@ def power_cost(e: int) -> int:
 
 
 def advance(perm: list[int], words: list[int], steps: int) -> list[int]:
-    """Each of words after `steps` applications of perm: one pass over the
-    words per step."""
-    for _ in range(steps):
-        words = [perm[w] for w in words]
-    return words
+    """Each of words after `steps` applications of perm, walked one word
+    at a time (the callers walk few words many steps)."""
+    out = []
+    for w in words:
+        for _ in repeat(None, steps):
+            w = perm[w]
+        out.append(w)
+    return out
 
 
 def periodic_words(b: int, n: int, j: int) -> list[int]:
@@ -234,6 +238,28 @@ def periodic_words(b: int, n: int, j: int) -> list[int]:
     scale = (block ** q - 1) // (block - 1) * b ** r  # sum of b^(r + t*j), t < q
     cut = b ** (j - r)
     return [u * scale + u // cut for u in range(block)]
+
+
+def periodic_fixed_points(rule: AffineRule, j: int) -> int:
+    """|Fix(rule^j)| for 1 <= j < n, counted on the rule alone.
+
+    A word rule^j fixes is the j-periodic extension p of its first j
+    symbols u, and it is fixed exactly when p meets the recurrence at
+    each position t < j: with mu_r the sum of lambda_i over i = r mod j,
+    sum over r of mu_r * u_((t + r) mod j) = c.  graph.word_sums tables
+    the sums at t = 0 over the b^j words u as a 0/1 mask; at t it is the
+    mask rotated t times, one rotation (u_0 moved last) being b byte
+    slices.  The count is the ones of the AND of the j masks.
+    """
+    b = rule.b
+    mu = [sum(rule.lambdas[r::j]) for r in range(j)]
+    sums = word_sums([[m * a % b for a in range(b)] for m in mu])
+    mask = bytes([s % b == rule.c for s in sums])
+    fixed = int.from_bytes(mask, "big")
+    for _ in range(j - 1):
+        mask = b"".join([mask[q::b] for q in range(b)])
+        fixed &= int.from_bytes(mask, "big")
+    return fixed.bit_count()
 
 
 def fix_count_bruteforce(rule: AffineRule, i: int,

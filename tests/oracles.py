@@ -7,7 +7,8 @@ divisor, necklaces counted by canonical rotations, the short-cycle
 capacity taken from each word's own shifts, factor counts taken over raw
 permutations, certificate words named by digit arithmetic, rule steps
 solved by trying every symbol, factors built from the arc rule, fixed
-words found by applying a rule to every word.
+words found by applying a rule to every word (or to every periodic word,
+stepped as many times as its period).
 From the package they take only data types (ModPoly, Factor), the
 BudgetExceeded error and, to list the rules under test, the rule
 constructors.
@@ -272,6 +273,20 @@ def affine_rule_permutation(lambdas, c: int, b: int) -> list:
              for r in range(b)]
     head = b ** (n - 1)
     return [(w % head) * b + solve[s] for w, s in enumerate(partial)]
+
+
+def periodic_fixed_count(lambdas, c: int, b: int, j: int) -> int:
+    """Words of length n = len(lambdas) - 1 > j that repeat with period j
+    and come back after j steps of rule_step: each j-periodic extension
+    of a word of length j, stepped j times."""
+    n = len(lambdas) - 1
+    fixed = 0
+    for head in all_words(j, b):
+        word = start = tuple(head[i % j] for i in range(n))
+        for _ in range(j):
+            word = rule_step(lambdas, c, b, word)
+        fixed += word == start
+    return fixed
 
 
 def periodic_extensions(n: int, b: int, j: int) -> set:

@@ -175,7 +175,8 @@ def test_count_burnside_word_budget_before_order(capsys):
 
 
 def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
-    # 2^23 vertices: the refusal must come before any b^n-sized list
+    # 2^23 vertices and words: enumeration and Burnside are skipped before
+    # any b^n-sized list, and Theorem 2 and the closed form cross-check
     def refuse(rule):
         raise AssertionError("word permutation built over the vertex budget")
 
@@ -183,8 +184,31 @@ def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
     monkeypatch.setattr(astute.rules, "word_permutation", refuse)
     code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "23",
                          "--method", "all")
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()] == \
+        [["theorem2", "364724"], ["closed_form", "364724"]]
+    assert err == ("skipped enumeration: 8388608 vertices exceeds budget 4194304\n"
+                   "skipped burnside_direct: 8388608 words exceeds budget 4194304\n")
+
+
+def test_count_all_past_vertex_budget_skips_enumeration(capsys):
+    # 2^16 * 999 vertices: Burnside, Theorem 2 and the closed form still
+    # cross-check, while enumeration alone refuses; a custom rule past both
+    # budgets has only Theorem 2 left
+    code, out, err = run(capsys, "count", "--rule", "icr", "--b", "2", "--n", "16",
+                         "--k", "999", "--method", "all")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["2048"] * 3
+    assert err == "skipped enumeration: 65470464 vertices exceeds budget 4194304\n"
+    code, out, err = run(capsys, "count", "--rule", "icr", "--b", "2", "--n", "16",
+                         "--k", "999", "--method", "enum")
     assert (code, out) == (3, "")
-    assert err == "budget exceeded: 8388608 vertices exceeds budget 4194304\n"
+    assert err == "budget exceeded: 65470464 vertices exceeds budget 4194304\n"
+    code, out, err = run(capsys, "count", "--rule", "affine:0;1" + ",0" * 22 + ",1",
+                         "--b", "2", "--n", "23", "--method", "all")
+    assert code == 3
+    assert [line.split()[:2] for line in out.splitlines()] == [["theorem2", "364724"]]
+    assert err.splitlines()[-1] == "fewer than two counting methods ran"
 
 
 def test_count_burnside_alone_keeps_its_word_budget(capsys):

@@ -192,10 +192,9 @@ def test_burnside_steps_by_rule_power():
 
 def test_burnside_step_budget(monkeypatch):
     # pcr(3, 2) at k = 1: M = 3 and 8 words.  rule^1 can fix only its b = 2
-    # constant words, read once each on the word permutation; the period is
-    # decided by walking the zero word and the 3 unit words 3 steps each
-    # (12 steps, fewer than cubing the list: 2 compositions of 8 words and
-    # 4 lookups), so 2 + 12 = 14 steps
+    # constant words, tabled once each on the rule; the period is decided
+    # by walking the zero word and the 3 unit words 3 steps each on the
+    # word permutation (12 steps), so 2 + 12 = 14 steps
     rule = pcr(3, 2)
     monkeypatch.setattr(astute.counting, "BURNSIDE_MAX_STEPS", 14)
     assert count_burnside_direct(rule, 1).value == 4
@@ -217,26 +216,24 @@ def period_check_walks(monkeypatch, rule, omega, ell):
 
 
 def test_burnside_period_check(monkeypatch):
-    # icr(2, 2) is one cycle of its 4 words and X has order 2.  A wrong
-    # ell = 1 makes M = 2, no period: walking the zero word and the 2 unit
-    # words 2 steps each (6 steps) beats squaring the list (4 + 3), and
-    # rule^2 moves 00 to 11
+    # icr(2, 2) is one cycle of its 4 words and X has order 2.  Each power
+    # that omega names is decided by one walk of the zero word and the 2
+    # unit words through T = rule^lcm(1, omega) on the word permutation.
+    # A wrong ell = 1 makes M = 2, no period: T = rule^2 moves 00 to 11
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 1)
     assert message == "M=2 is not a period of the rule: rule^2 moves word 00"
-    assert (3, 2) in calls
-    # a wrong ell = 3 makes M = 6: the lists of rule^2 and rule^3 are built
-    # for their full counts, so the 3 words walk 2 steps of the list of
-    # rule^3 (6 steps), not 6 of the rule's (18) nor a squared list (4 + 3);
-    # rule^6 = rule^2
+    assert calls == [(3, 2)]
+    # a wrong ell = 3 makes M = 6: the full counts at rule^3 read lists, but
+    # the period is still read off the one walk of T = rule^2 (2 steps, not
+    # 6), since rule^6 = T^3 = T; rule^6 = rule^2
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 2, 3)
     assert message == "M=6 is not a period of the rule: rule^6 moves word 00"
-    assert (3, 2) in calls and (3, 6) not in calls
-    # a wrong omega = ell = 7 makes M = 7: raising the list to the 7th
-    # power (4 compositions, 16 steps) and reading the 3 words on it (3)
-    # beats walking them 7 steps each (21); rule^7 = rule^3
+    assert calls == [(3, 2)]
+    # a wrong omega = ell = 7 makes M = 7 and T = rule^7 itself, walked 7
+    # steps; it is no translation, so no identity; rule^7 = rule^3
     message, calls = period_check_walks(monkeypatch, icr(2, 2), 7, 7)
     assert message == "M=7 is not a period of the rule: rule^7 moves word 00"
-    assert (3, 1) in calls and (3, 7) not in calls
+    assert calls == [(3, 7)]
     # a_1 = 2*a_0 + 4 over Z/5 fixes the unit word 1 and moves 0 on a
     # 4-cycle: a wrong M = 1 is caught by the zero word alone
     message, _ = period_check_walks(monkeypatch, AffineRule((3, 1), 4, 5), 1, 1)
@@ -273,10 +270,12 @@ def test_closed_form_refuses_non_integer_count():
 
 def count_burnside_work(monkeypatch) -> dict:
     # word steps of the Burnside walk, by kind: compositions and full
-    # counts (b^n each) and walks over few words (words times steps)
-    work = {"compose": [], "fixed_points": [], "advance": []}
-    compose, fixed, advance = (astute.rules.compose, astute.rules.fixed_points,
-                               astute.rules.advance)
+    # counts (b^n each), walks over few words (words times steps) and
+    # periodic counts on the rule (b^j each)
+    work = {"compose": [], "fixed_points": [], "advance": [], "periodic": []}
+    compose, fixed, advance, periodic = (astute.rules.compose, astute.rules.fixed_points,
+                                         astute.rules.advance,
+                                         astute.rules.periodic_fixed_points)
     monkeypatch.setattr(astute.rules, "compose", lambda p, q:
                         work["compose"].append(len(q)) or compose(p, q))
     monkeypatch.setattr(astute.rules, "fixed_points", lambda perm:
@@ -284,6 +283,8 @@ def count_burnside_work(monkeypatch) -> dict:
     monkeypatch.setattr(astute.rules, "advance", lambda perm, words, steps:
                         work["advance"].append(len(words) * steps)
                         or advance(perm, words, steps))
+    monkeypatch.setattr(astute.rules, "periodic_fixed_points", lambda rule, j:
+                        work["periodic"].append(rule.b ** j) or periodic(rule, j))
     return work
 
 
@@ -304,11 +305,11 @@ def all_lists_steps(rule: AffineRule, k: int, m: int) -> int:
 
 def test_burnside_estimate_covers_work(monkeypatch):
     # the refusal's estimate counts exactly the word steps the walk then
-    # makes: compositions, full counts, and walks over few words (through
-    # their own list, a list above them or the rule's); and it is never
-    # above raising and counting every list, which icr(11, 2) at k = 5 and
-    # icr(15, 2) at k = 7 exceeded when words below n always walked the
-    # rule's list
+    # makes: compositions, full counts, periodic counts on the rule and the
+    # one walk of the zero and unit words (on a list below it or the word
+    # permutation); and it is never above raising and counting every list,
+    # which icr(11, 2) at k = 5 and icr(15, 2) at k = 7 exceeded when words
+    # below n walked the rule's list
     work = count_burnside_work(monkeypatch)
     for rule, k in PACKED_INSTANCES + [(icr(3, 2), 4), (xor_rule(3), 6),
                                        (icr(6, 2), 1), (pcr(3, 2), 1),
@@ -333,9 +334,9 @@ def test_burnside_work_on_the_orbit_rules(monkeypatch):
     # but M itself, so no list is raised and no count runs over all 2^16
     # words; icr at k = 3 has M = 96 but P = lcm(ell, omega) = 32 and
     # g = gcd(3, 32) = 1, so it counts the powers of the rule itself: those
-    # below 16 on periodic words, and rule^16, a translation since
-    # omega = 16, on the zero and unit words like rule^32; so it raises no
-    # list either
+    # below 16 on periodic words, and rule^16 and rule^32, translations
+    # since omega = 16, from one walk of the zero and unit words under
+    # rule^16; so it raises no list either
     work = count_burnside_work(monkeypatch)
     for rule, k, closed, compositions, full in [
             (pcr(16, 2), 1, closed_form_pcr(16, 1, 2), 0, 0),

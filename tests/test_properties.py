@@ -21,12 +21,12 @@ from astute.graph import (Factor, GraphParams, cycle_lengths, factor_json, to_do
                           vertex_names, word_str)
 from astute.ideals import ideal_quotient_size, order_and_least_cycle, order_of_x
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
-                          parse_rule_spec, word_permutation)
+                          parse_rule_spec, periodic_fixed_points, word_permutation)
 
 from oracles import (affine_rule_permutation, factor_document, gcd_by_enumeration,
-                     ideal_quotient_size_oracle, membership_oracle, permutation_cycles,
-                     poly_product, poly_remainder, random_factor, rule_orbit_count,
-                     smallest_cycle_length_oracle)
+                     ideal_quotient_size_oracle, membership_oracle, periodic_fixed_count,
+                     permutation_cycles, poly_product, poly_remainder, random_factor,
+                     rule_orbit_count, smallest_cycle_length_oracle)
 from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
 from test_ideals import membership_cUs
 
@@ -174,6 +174,27 @@ def test_burnside_counts_match_bruteforce(b, n, k, data):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@given(b=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), n=st.integers(2, 9),
+       data=st.data())
+# (X + 1)^17 over Z/2 folds mod 16 to mu = 0, so all 2^16 periodic words
+# are fixed
+@example(b=2, n=17, data=None)
+def test_periodic_fixed_points_match_oracle(b, n, data):
+    # the count on the rule alone against j-periodic words stepped j times
+    # through the oracle's own rule, for every j < n
+    if data is None:
+        rule, periods = parse_rule_spec("affine:0;1,1" + ",0" * 14 + ",1,1", n, b), [16]
+    else:
+        assume(b ** n <= 729)
+        rule, periods = draw_unit_leading_rule(data, b, n), range(1, n)
+    for j in periods:
+        assert periodic_fixed_points(rule, j) == \
+            periodic_fixed_count(rule.lambdas, rule.c, b, j), (rule.spec(), b, j)
+    if data is None:
+        assert periodic_fixed_points(rule, 16) == 2 ** 16
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(b=st.sampled_from([4, 6, 8, 9, 12]), n=st.integers(1, 3),
        k=st.integers(1, 6), data=st.data())
 def test_burnside_matches_orbit_oracle(b, n, k, data):
@@ -216,9 +237,9 @@ def test_burnside_counts_at_p_match_bruteforce(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=burnside_instances())
 # pinned, each with no full count: the affine rule at k = 4 (estimate
-# 188 of 384), icr(11, 2) at k = 5 (406 of 28,672) and (X + 1)^17 over
-# Z/2 at k = 16 (589,860 of 917,504), which keeps within the bound only
-# by raising sigma's list for its 2^16 words below n
+# 188 of 384), icr(11, 2) at k = 5 (138 of 28,672) and (X + 1)^17 over
+# Z/2 at k = 16 (66,112 of 917,504: its 2^16 periodic words counted on
+# the rule, and the zero and unit words walked 32 steps)
 @example(case=(parse_rule_spec("affine:0;1,1,1,1,0,1", 5, 2), 4))
 @example(case=(icr(11, 2), 5))
 @example(case=(parse_rule_spec("affine:0;1,1" + ",0" * 14 + ",1,1", 17, 2), 16))
