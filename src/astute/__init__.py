@@ -18,7 +18,7 @@ from .errors import (AstuteError, BudgetExceeded, Inconclusive,
 from .extremal import (ExtremalityReport, SearchBudget, SearchResult,
                        search_extremal, verify_theorem1)
 from .graph import (Cycle, Factor, GraphParams, Vertex, factor_from_doc,
-                    factor_json, successor_codes, to_dot, validate_factor)
+                    factor_json, successor_table, to_dot, validate_factor)
 from .ideals import ideal_quotient_size, order_of_x
 from .rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                     parse_rule_spec, pcr, successor_array, xor_rule)

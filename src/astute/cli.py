@@ -3,7 +3,8 @@
 Subcommands: factor, count, extremal, verify, export.  Exit codes:
 0 success, 2 invalid flags, 3 budget exceeded, 4 counting-method
 disagreement, 5 verification failure.  Data goes to stdout, diagnostics
-to stderr.  ASTUTE_MAX_NODES overrides the search node budget.
+to stderr.  --budget-nodes and --max-vertices default to SearchBudget's
+fields.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from functools import cache, partial
 from itertools import product
@@ -115,8 +115,8 @@ def _add_instance_flags(p: argparse.ArgumentParser, rule: bool):
 
 
 def _add_search_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--max-vertices", type=int, default=32)
+    p.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
+    p.add_argument("--max-vertices", type=int, default=SearchBudget.max_vertices)
 
 
 def _params(args) -> GraphParams:
@@ -124,11 +124,8 @@ def _params(args) -> GraphParams:
 
 
 def _search_budget(args) -> SearchBudget:
-    nodes = args.budget_nodes
-    if nodes is None:
-        nodes = int(os.environ.get("ASTUTE_MAX_NODES", 10 ** 8))
     return SearchBudget(max_vertices=args.max_vertices,
-                        max_nodes=nodes,
+                        max_nodes=args.budget_nodes,
                         time_cap=getattr(args, "time_cap", None))
 
 

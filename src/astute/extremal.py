@@ -6,8 +6,8 @@ symbol; an in-degree flag keeps the assignment a bijection, and path
 endpoints are tracked so cycle closures are counted incrementally.  The
 path is kept on an explicit stack, one level per vertex, so the depth
 is bounded by the vertex budget, not by the interpreter's recursion
-limit.  The choices are the rows of graph.successor_table, the table
-F reads its arcs from.
+limit.  The choices are the rows of graph.successor_table, the one
+table of arcs, which F and validate_factor read too.
 
 The admissible bound takes the least of three limits on the cycles still
 to be closed: the open chains that hold a vertex of a feedback vertex set
@@ -58,9 +58,9 @@ class SearchBudget:
     time_cap: Optional[float] = None  # seconds
 
     def __post_init__(self):
-        if self.max_vertices < 1 or self.max_nodes < 1:
+        if not (self.max_vertices >= 1 and self.max_nodes >= 1):  # refuses NaN
             raise ValueError("budgets must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
+        if self.time_cap is not None and not self.time_cap > 0:
             raise ValueError("time_cap must be positive")
 
 
@@ -205,126 +205,6 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-class _Searcher:
-    def __init__(self, p: GraphParams, budget: SearchBudget,
-                 best: int, best_succ: list[int]):
-        self.p = p
-        self.max_nodes = budget.max_nodes
-        self.cap = cycle_capacity(p)
-        self.best = best
-        self.best_succ = best_succ
-        self.nodes = 0
-        self.stopped = False
-        # at the root no cycle is closed, so the bound is at most
-        # min(vertices // k, cap) whatever F is: the successor table and
-        # F are made only when that leaves the root open
-        root_open = min(p.num_vertices // p.k, self.cap) > best
-        if root_open:
-            self.table = successor_table(p)
-        self.deadline = (time.monotonic() + budget.time_cap
-                         if budget.time_cap is not None else None)
-        self.has_f = None
-        if root_open:
-            # does the chain ending at this tail hold a vertex of F?
-            self.has_f = bytearray(p.num_vertices)
-            for c in feedback_vertex_set(p):
-                self.has_f[c] = 1
-
-    def run(self) -> None:
-        """Depth-first over the vertices in packed order, each choosing
-        its successor by appended symbol, on an explicit stack: tries[u]
-        holds the successors of u not yet tried, and the chain ends the
-        choice at u joined are kept to undo it on the way back up."""
-        has_f, best, best_succ = self.has_f, self.best, self.best_succ
-        if has_f is None:
-            return
-        f_chains = sum(has_f)
-        if f_chains <= best:  # |F| closes the root
-            return
-        n, k, cap, table = self.p.num_vertices, self.p.k, self.cap, self.table
-        max_nodes, deadline = self.max_nodes, self.deadline
-        succ = [-1] * n
-        pred_used = bytearray(n)
-        head_of_tail = list(range(n))
-        tail_of_head = list(range(n))
-        len_of_tail = [1] * n
-        tries: list = [None] * n
-        # per depth, the chains the choice there joined: the head h1 of
-        # u's chain (-1 when the choice closed a cycle), the tail t2 of
-        # its successor's chain and that chain's F flag before the join
-        joined_h1 = [-1] * n
-        joined_t2 = [-1] * n
-        joined_ft = [0] * n
-        completed = closed = nodes = 0
-        u = 0
-        tries[0] = iter(table[0])
-        back = False  # true when coming back up to u: undo its choice
-        while True:
-            if back:
-                v = succ[u]
-                succ[u] = -1
-                pred_used[v] = 0
-                h1 = joined_h1[u]
-                if h1 < 0:
-                    completed -= 1
-                    closed -= len_of_tail[u]
-                    f_chains += has_f[u]
-                else:
-                    t2 = joined_t2[u]
-                    ft = joined_ft[u]
-                    f_chains += ft & has_f[u]
-                    has_f[t2] = ft
-                    len_of_tail[t2] -= len_of_tail[u]
-                    head_of_tail[t2] = v
-                    tail_of_head[h1] = u
-            for v in tries[u]:
-                if not pred_used[v]:
-                    break
-            else:
-                if not u:
-                    break
-                u -= 1
-                back = True
-                continue
-            nodes += 1
-            if nodes >= max_nodes or (deadline is not None and not nodes % 1024
-                                      and time.monotonic() > deadline):
-                self.stopped = True
-                break
-            h1 = head_of_tail[u]
-            if h1 == v:
-                completed += 1
-                closed += len_of_tail[u]
-                f_chains -= has_f[u]
-                joined_h1[u] = -1
-            else:
-                t2 = tail_of_head[v]
-                head_of_tail[t2] = h1
-                tail_of_head[h1] = t2
-                len_of_tail[t2] += len_of_tail[u]
-                ft = has_f[t2]
-                has_f[t2] = ft | has_f[u]
-                f_chains -= ft & has_f[u]
-                joined_h1[u] = h1
-                joined_t2[u] = t2
-                joined_ft[u] = ft
-            pred_used[v] = 1
-            succ[u] = v
-            u += 1
-            back = True
-            if u == n:
-                if completed > best:
-                    best, best_succ = completed, list(succ)
-                u -= 1
-            elif completed + min(f_chains, (n - closed) // k,
-                                 cap - completed) <= best:
-                u -= 1
-            else:
-                tries[u] = iter(table[u])
-                back = False
-        self.best, self.best_succ, self.nodes = best, best_succ, nodes
-
-
 def search_extremal(p: GraphParams,
                     budget: SearchBudget | None = None) -> SearchResult:
     """Find a factor of G(n, k) with the maximum number of cycles.
@@ -332,19 +212,119 @@ def search_extremal(p: GraphParams,
     Exhaustive within the budget; returns optimal=False with the best
     incumbent when the node or time cap is hit.  Deterministic: the same
     instance and budget give the same certificate and node count.
+
+    Depth-first over the vertices in packed order, each choosing its
+    successor by appended symbol, on an explicit stack: tries[u] holds
+    the successors of u not yet tried, and the chain ends the choice at u
+    joined are kept to undo it on the way back up.
     """
     budget = budget or SearchBudget()
-    n = p.num_vertices
+    n, k = p.num_vertices, p.k
     if n > budget.max_vertices:
         raise BudgetExceeded(
             f"{n} vertices exceeds search budget {budget.max_vertices}")
     # incumbent: the rotation-rule factor, so a run that finds nothing
     # strictly better still certificates with a valid factor
-    pcr_succ = successor_array(pcr(p.n, p.b), p.k)
-    searcher = _Searcher(p, budget, len(cycle_lengths(pcr_succ)), pcr_succ)
-    searcher.run()
-    return SearchResult(searcher.best, Factor(p, searcher.best_succ),
-                        not searcher.stopped, searcher.nodes)
+    best_succ = successor_array(pcr(p.n, p.b), k)
+    best = len(cycle_lengths(best_succ))
+    cap = cycle_capacity(p)
+    # at the root no cycle is closed, so the bound is at most
+    # min(vertices // k, cap) whatever F is: the successor table and F
+    # are made only when that leaves the root open
+    if min(n // k, cap) <= best:
+        return SearchResult(best, Factor(p, best_succ), True, 0)
+    table = successor_table(p)
+    deadline = (time.monotonic() + budget.time_cap
+                if budget.time_cap is not None else None)
+    max_nodes = budget.max_nodes
+    # does the chain ending at this tail hold a vertex of F?
+    has_f = bytearray(n)
+    for c in feedback_vertex_set(p):
+        has_f[c] = 1
+    f_chains = sum(has_f)
+    if f_chains <= best:  # |F| closes the root
+        return SearchResult(best, Factor(p, best_succ), True, 0)
+    succ = [-1] * n
+    pred_used = bytearray(n)
+    head_of_tail = list(range(n))
+    tail_of_head = list(range(n))
+    len_of_tail = [1] * n
+    tries: list = [None] * n
+    # per depth, the chains the choice there joined: the head h1 of
+    # u's chain (-1 when the choice closed a cycle), the tail t2 of
+    # its successor's chain and that chain's F flag before the join
+    joined_h1 = [-1] * n
+    joined_t2 = [-1] * n
+    joined_ft = [0] * n
+    completed = closed = nodes = 0
+    optimal = True
+    u = 0
+    tries[0] = iter(table[0])
+    back = False  # true when coming back up to u: undo its choice
+    while True:
+        if back:
+            v = succ[u]
+            succ[u] = -1
+            pred_used[v] = 0
+            h1 = joined_h1[u]
+            if h1 < 0:
+                completed -= 1
+                closed -= len_of_tail[u]
+                f_chains += has_f[u]
+            else:
+                t2 = joined_t2[u]
+                ft = joined_ft[u]
+                f_chains += ft & has_f[u]
+                has_f[t2] = ft
+                len_of_tail[t2] -= len_of_tail[u]
+                head_of_tail[t2] = v
+                tail_of_head[h1] = u
+        for v in tries[u]:
+            if not pred_used[v]:
+                break
+        else:
+            if not u:
+                break
+            u -= 1
+            back = True
+            continue
+        nodes += 1
+        if nodes >= max_nodes or (deadline is not None and not nodes % 1024
+                                  and time.monotonic() > deadline):
+            optimal = False
+            break
+        h1 = head_of_tail[u]
+        if h1 == v:
+            completed += 1
+            closed += len_of_tail[u]
+            f_chains -= has_f[u]
+            joined_h1[u] = -1
+        else:
+            t2 = tail_of_head[v]
+            head_of_tail[t2] = h1
+            tail_of_head[h1] = t2
+            len_of_tail[t2] += len_of_tail[u]
+            ft = has_f[t2]
+            has_f[t2] = ft | has_f[u]
+            f_chains -= ft & has_f[u]
+            joined_h1[u] = h1
+            joined_t2[u] = t2
+            joined_ft[u] = ft
+        pred_used[v] = 1
+        succ[u] = v
+        u += 1
+        back = True
+        if u == n:
+            if completed > best:
+                best, best_succ = completed, list(succ)
+            u -= 1
+        elif completed + min(f_chains, (n - closed) // k,
+                             cap - completed) <= best:
+            u -= 1
+        else:
+            tries[u] = iter(table[u])
+            back = False
+    return SearchResult(best, Factor(p, best_succ), optimal, nodes)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ b symbols with a directed k-cycle.
 
 Vertices are (word, phase) pairs with word in {0..b-1}^n and phase in
 Z/kZ; there is an arc (s, i) -> (t, i+1) whenever t is s shifted left
-one symbol with any new last symbol.  Adjacency is always computed on
-demand; the arc set is never materialized.
+one symbol with any new last symbol.  Adjacency is read from one
+table, successor_table, of a range per vertex.
 
 Each vertex has a canonical packed code word_value * k + phase, where
 the word value places symbol 0 in the most significant base-b digit so
@@ -74,19 +74,13 @@ def unpack(code: int, p: GraphParams) -> Vertex:
     return Vertex(value_word(value, p.n, p.b), phase)
 
 
-def successor_codes(code: int, p: GraphParams) -> list[int]:
-    """Packed successors of a packed vertex, ordered by appended symbol."""
-    value, phase = divmod(code, p.k)
-    shifted = (value % p.b ** (p.n - 1)) * p.b
-    ph = (phase + 1) % p.k
-    return [(shifted + x) * p.k + ph for x in range(p.b)]
-
-
 def successor_table(p: GraphParams) -> list[range]:
-    """successor_codes(c, p) for every packed code c, as ranges: the b
-    codes k apart from (value mod b^(n-1))·b·k + (phase + 1) mod k.  The
-    rows depend on the word only through its last n - 1 symbols, so the
-    first b^(n-1)·k rows are made and the list repeats them b times."""
+    """The packed successors of every packed code c, ordered by appended
+    symbol, as ranges: the b codes k apart from (value mod b^(n-1))·b·k
+    + (phase + 1) mod k.  The one source of arcs: the search, F,
+    validate_factor and to_dot all read it.  The rows depend on the word
+    only through its last n - 1 symbols, so the first b^(n-1)·k rows are
+    made and the list repeats them b times."""
     b, k = p.b, p.k
     step = b * k
     nexts = [(ph + 1) % k for ph in range(k)]
@@ -168,10 +162,10 @@ def validate_factor(f: Factor) -> ValidationResult:
     if len(f.succ) != n:
         return ValidationResult(False, f"{len(f.succ)} successors for {n} vertices")
     pred = bytearray(n)
-    for c, t in enumerate(f.succ):
+    for c, (t, row) in enumerate(zip(f.succ, successor_table(p))):
         if t == -1:
             return ValidationResult(False, f"uncovered vertex {_label(c, p)}")
-        if t not in successor_codes(c, p):
+        if t not in row:
             return ValidationResult(False, f"broken arc {_label(c, p)} -> {_label(t, p)}")
         if pred[t]:
             return ValidationResult(False, f"duplicate vertex {_label(t, p)}")

@@ -150,16 +150,14 @@ def word_permutation(rule: AffineRule) -> list[int]:
             for x in rows[s % b]]
 
 
-def successor_array(rule: AffineRule, k: int,
-                    perm: list[int] | None = None) -> list[int]:
+def successor_array(rule: AffineRule, k: int) -> list[int]:
     """The rule's action on G(n, k) as a permutation of packed vertices,
-    from perm, the rule's word permutation (built here by default).
+    built from perm, the rule's word permutation.
 
     Vertex w * k + ph goes to perm[w] * k + (ph + 1) % k, so each phase
     fills every k-th slot from one pass over perm.
     """
-    if perm is None:
-        perm = word_permutation(rule)
+    perm = word_permutation(rule)
     succ = [0] * (len(perm) * k)
     for ph in range(k):
         nxt = (ph + 1) % k

@@ -352,8 +352,14 @@ def test_extremal_budget_exit(capsys):
 
 
 def test_extremal_env_budget(capsys, monkeypatch):
+    # the environment sets no budget: only --budget-nodes stops the search
     monkeypatch.setenv("ASTUTE_MAX_NODES", "25")
     code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 6 and doc["optimal"] is True and doc["nodes"] == 246
+    code, out, _ = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "2",
+                       "--budget-nodes", "25")
     assert code == 3
     assert json.loads(out)["optimal"] is False
 
@@ -380,6 +386,14 @@ def test_extremal_time_cap(capsys):
     assert doc["optimal"] is False
     assert validate_factor(factor_from_doc(doc)).ok
     assert doc["nodes"] < 21015  # a full run explores 21,015 nodes
+
+
+def test_extremal_time_cap_nan(capsys):
+    # NaN is no positive cap: a deadline of monotonic() + nan is never passed
+    code, out, err = run(capsys, "extremal", "--b", "2", "--n", "3", "--k", "2",
+                         "--time-cap", "nan")
+    assert code == 2 and out == ""
+    assert err == "invalid arguments: time_cap must be positive\n"
 
 
 def test_verify_counterexample(capsys):

@@ -174,6 +174,14 @@ def test_search_budget_vertices():
         search_extremal(GraphParams(2, 6, 1))  # 64 > default 32
 
 
+@pytest.mark.parametrize("field", ["max_vertices", "max_nodes", "time_cap"])
+def test_search_budget_refuses_nan(field):
+    # NaN fails every comparison, so a "< 1" test would let it through
+    # and the cap would never be reached
+    with pytest.raises(ValueError, match="must be positive"):
+        SearchBudget(**{field: float("nan")})
+
+
 def test_search_node_cap_returns_incumbent():
     # G(3, 2) takes a few hundred nodes even with every bound
     res = search_extremal(GraphParams(2, 3, 2), SearchBudget(max_nodes=40))
@@ -181,6 +189,37 @@ def test_search_node_cap_returns_incumbent():
     assert res.nodes_explored <= 40
     assert validate_factor(res.certificate).ok
     assert res.best_count >= closed_form_pcr(3, 2, 2).value
+
+
+def test_search_deadline_after_table_before_f(monkeypatch):
+    # the time cap starts after the capacity and the successor table and
+    # before F: the first clock read falls between them
+    p = GraphParams(2, 3, 2)
+    f = feedback_vertex_set(p)
+    events = []
+
+    def recording(name, func):
+        def stub(q):
+            events.append(name)
+            return func(q)
+        return stub
+
+    class Clock:  # stands in for the time module; never past the deadline
+        @staticmethod
+        def monotonic():
+            events.append("clock")
+            return 0.0
+
+    monkeypatch.setattr(extremal, "cycle_capacity",
+                        recording("capacity", extremal.cycle_capacity))
+    monkeypatch.setattr(extremal, "successor_table",
+                        recording("table", extremal.successor_table))
+    monkeypatch.setattr(extremal, "feedback_vertex_set",
+                        recording("F", lambda q: f))
+    monkeypatch.setattr(extremal, "time", Clock)
+    res = search_extremal(p, SearchBudget(time_cap=1.0))
+    assert res.optimal and res.nodes_explored == 246
+    assert events == ["capacity", "table", "clock", "F"]
 
 
 def test_search_deeper_than_recursion_limit():

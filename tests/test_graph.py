@@ -4,21 +4,22 @@ from itertools import product
 import pytest
 
 from astute.graph import (Factor, GraphParams, Vertex, cycle_lengths, factor_from_doc,
-                          factor_json, pack, parse_word, successor_codes,
-                          successor_table, to_dot, unpack, validate_factor,
-                          vertex_names, word_str)
+                          factor_json, pack, parse_word, successor_table,
+                          to_dot, unpack, validate_factor, vertex_names,
+                          word_str)
 from astute.rules import enumerate_factor, pcr
 
-from oracles import debruijn_arcs_direct, factor_document, permutation_cycles
+from oracles import (_vertex_successors, debruijn_arcs_direct, factor_document,
+                     permutation_cycles)
 
 
 def successors(v, p):
-    """Out-neighbours of a vertex through the packed successor codes."""
-    return [unpack(s, p) for s in successor_codes(pack(v, p), p)]
+    """Out-neighbours of a vertex through its successor table row."""
+    return [unpack(s, p) for s in successor_table(p)[pack(v, p)]]
 
 
 def is_arc(u, v, p):
-    return pack(v, p) in successor_codes(pack(u, p), p)
+    return pack(v, p) in successor_table(p)[pack(u, p)]
 
 
 def test_successors_examples():
@@ -39,8 +40,9 @@ def test_successor_table_rows():
                 p = GraphParams(b, n, k)
                 table = successor_table(p)
                 assert len(table) == p.num_vertices
+                want = _vertex_successors(b, n, k)
                 for c, row in enumerate(table):
-                    assert list(row) == successor_codes(c, p), (p, c)
+                    assert list(row) == want[c], (p, c)
 
 
 def test_is_arc_examples():
@@ -53,8 +55,9 @@ def test_is_arc_examples():
 def test_degree_regularity():
     for p in (GraphParams(2, 3, 2), GraphParams(3, 2, 1), GraphParams(2, 1, 3)):
         indeg = {c: 0 for c in range(p.num_vertices)}
+        table = successor_table(p)
         for c in range(p.num_vertices):
-            succs = successor_codes(c, p)
+            succs = table[c]
             assert len(succs) == p.b
             assert len(set(succs)) == p.b
             for s in succs:
@@ -65,11 +68,12 @@ def test_degree_regularity():
 def test_packed_successors_match_vertex_successors():
     # the definition: shift the word left, append any symbol, advance the phase
     for p in (GraphParams(2, 4, 3), GraphParams(3, 2, 2), GraphParams(5, 1, 2)):
+        table = successor_table(p)
         for c in range(p.num_vertices):
             v = unpack(c, p)
             want = [Vertex(v.word[1:] + (x,), (v.phase + 1) % p.k)
                     for x in range(p.b)]
-            assert [unpack(s, p) for s in successor_codes(c, p)] == want
+            assert [unpack(s, p) for s in table[c]] == want
 
 
 def test_k1_equals_de_bruijn():
@@ -78,8 +82,9 @@ def test_k1_equals_de_bruijn():
     for b, n in cases:
         p = GraphParams(b, n, 1)
         arcs = set()
+        table = successor_table(p)
         for c in range(p.num_vertices):
-            for s in successor_codes(c, p):
+            for s in table[c]:
                 arcs.add((unpack(c, p).word, unpack(s, p).word))
         assert arcs == debruijn_arcs_direct(n, b)
 

@@ -184,7 +184,6 @@ def test_successor_array_matches_vertex_definition(b, n):
         for k in range(1, 6):
             p = GraphParams(b, n, k)
             succ = successor_array(rule, k)
-            assert succ == successor_array(rule, k, word_permutation(rule))
             assert succ == [pack(Vertex(apply(rule, w), (ph + 1) % k), p)
                             for w in all_words(n, b) for ph in range(k)]
 
