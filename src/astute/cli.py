@@ -38,10 +38,9 @@ EXIT_VERIFY = 5
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command is None:
-        parser.print_help()
+        _parser().print_help()
         return EXIT_USAGE
     # looked up on each call, so a cmd_* replaced on this module is the one run
     command = {"factor": cmd_factor, "count": cmd_count, "extremal": cmd_extremal,
@@ -59,10 +58,31 @@ def main(argv=None) -> int:
         return 1
 
 
-@cache
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv) in one argparse pass: a call that names
+    a subcommand first goes straight to that subcommand's parser, whose
+    leftovers the top-level parser reports as parse_args does.  A bare
+    call, -h and an unknown command take the full parser."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and then reused: it
-    depends on no input and holds no functions."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built on
+    the first call and then reused: they depend on no input and hold no
+    functions."""
     parser = argparse.ArgumentParser(
         prog="astute",
         description="Factors of de Bruijn-like graphs: enumerate, count, search.")
@@ -102,7 +122,7 @@ def _parser() -> argparse.ArgumentParser:
     p_export.add_argument("--color", default="magenta")
     p_export.add_argument("--out", help="write output to this path instead of stdout")
 
-    return parser
+    return parser, sub.choices
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, rule: bool):
@@ -255,6 +275,7 @@ def cmd_export(args) -> int:
     p = _params(args)
     rule = parse_rule_spec(args.rule, args.n, args.b) if args.rule else None
     check_renderable(p.b)
+    check_vertex_budget(p)
     factor = enumerate_factor(rule, args.k) if rule else None
     _emit(to_dot(p, factor, color=args.color), args.out)
     return EXIT_OK

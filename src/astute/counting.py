@@ -242,15 +242,17 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
     from order_and_least_cycle, which also checks a w given without s,
     and s = lcm(k, ell).  A given s must be its s for this w;
     quotient_sizes then checks w by X^w = 1, the last power of its
-    divisor walk."""
+    divisor walk.  Either way X^w is raised once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if omega is None or s is None:
+    checked = omega is None or s is None
+    if checked:
         omega, ell = order_and_least_cycle(lam, c, omega)
         s = s or lcm(k, ell)
     g = gcd(s, omega)
     phis = divisor_phis(omega)
-    terms = [(d, phis[omega // d], q) for d, q in quotient_sizes(lam, omega, g).items()]
+    terms = [(d, phis[omega // d], q)
+             for d, q in quotient_sizes(lam, omega, g, checked).items()]
     total = sum([phi * q for d, phi, q in terms])
     value, rem = divmod(k * g * total, s * omega)
     if rem or value < 1:

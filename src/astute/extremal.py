@@ -134,7 +134,7 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
     for u in range(n):
         for v in out_arcs[u]:
             in_arcs[v].add(u)
-    alive = bytearray([1]) * n
+    alive = [True] * n
     work = list(range(n - 1, -1, -1))
     heap: list[tuple[int, int]] = []
     pushed = [0] * n  # the key of each vertex's newest heap entry (keys are <= -4)
@@ -171,7 +171,7 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
             if not alive[v] or key != -len(ins) * len(outs):
                 continue
             chosen.append(v)
-        alive[v] = 0
+        alive[v] = False
         outs.discard(v)
         ins.discard(v)
         for u in ins:
@@ -182,9 +182,9 @@ def feedback_vertex_set(p: GraphParams) -> tuple[int, ...]:
             push(w)
 
     in_deg = [0] * n
-    removed = bytearray(n)
+    removed = [False] * n
     for c in chosen:
-        removed[c] = 1
+        removed[c] = True
     for u in range(n):
         if not removed[u]:
             for v in succs[u]:
@@ -238,14 +238,14 @@ def search_extremal(p: GraphParams,
                 if budget.time_cap is not None else None)
     max_nodes = budget.max_nodes
     # does the chain ending at this tail hold a vertex of F?
-    has_f = bytearray(n)
+    has_f = [0] * n  # 0 or 1: it is summed and masked
     for c in feedback_vertex_set(p):
         has_f[c] = 1
     f_chains = sum(has_f)
     if f_chains <= best:  # |F| closes the root
         return SearchResult(best, Factor(p, best_succ), True, 0)
     succ = [-1] * n
-    pred_used = bytearray(n)
+    pred_used = [False] * n
     head_of_tail = list(range(n))
     tail_of_head = list(range(n))
     len_of_tail = [1] * n
@@ -265,7 +265,7 @@ def search_extremal(p: GraphParams,
         if back:
             v = succ[u]
             succ[u] = -1
-            pred_used[v] = 0
+            pred_used[v] = False
             h1 = joined_h1[u]
             if h1 < 0:
                 completed -= 1
@@ -310,7 +310,7 @@ def search_extremal(p: GraphParams,
             joined_h1[u] = h1
             joined_t2[u] = t2
             joined_ft[u] = ft
-        pred_used[v] = 1
+        pred_used[v] = True
         succ[u] = v
         u += 1
         back = True

@@ -177,6 +177,26 @@ def permutation_cycles(perm) -> list:
     return cycles
 
 
+def function_walk_lengths(codes) -> list:
+    """Lengths of the walks over any list of codes in [-1, len(codes)):
+    each walk starts at the least slot no walk has reached, steps from c
+    to codes[c] taken mod len(codes) (so -1 names the last slot) and
+    stops before the first slot any walk has reached.  Reached slots are
+    kept in a set."""
+    reached = set()
+    lengths = []
+    for start in range(len(codes)):
+        if start in reached:
+            continue
+        length, c = 0, start
+        while c not in reached:
+            reached.add(c)
+            length += 1
+            c = codes[c] % len(codes)
+        lengths.append(length)
+    return lengths
+
+
 def factor_document(b: int, n: int, k: int, cycles, optimal=None, extra=None) -> dict:
     """The astute/1 document of a factor of G(n, k) whose cycles are
     lists of packed codes (word value * k + phase, symbol 0 the most

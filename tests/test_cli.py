@@ -643,6 +643,73 @@ def test_export_dot(capsys):
     assert "color=" not in out2
 
 
+def test_export_checks_vertex_budget_before_work(capsys, monkeypatch):
+    # with or without --rule, past the budget export refuses before it
+    # builds a label or an arc
+    monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
+    assert run(capsys, "export", "--b", "2", "--n", "3")[0] == 0  # at the budget
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_dot ran past the vertex budget")
+
+    monkeypatch.setattr(cli, "to_dot", refuse)
+    for rule in ([], ["--rule", "pcr"]):
+        code, out, err = run(capsys, "export", "--b", "2", "--n", "5", *rule)
+        assert (code, out) == (3, ""), rule
+        assert err == "budget exceeded: 32 vertices exceeds budget 8\n", rule
+
+
+PARSE_CASES = [
+    ["factor", "--rule", "pcr", "--b", "2", "--n", "3", "--format", "json"],
+    ["count", "--rule", "affine:1;1,2,2", "--b=3", "--n", "2", "--k", "2"],
+    ["extremal", "--b", "2", "--n", "3", "--k", "2", "--time-cap", "1.5",
+     "--budget-nodes", "9", "--emit-json", "x.json"],
+    ["verify"],
+    ["verify", "--suite", "theorem1", "--b", "2", "--n", "3", "--k", "1", "--csv", "t.csv"],
+    ["export", "--b", "2", "--n", "2", "--rule", "pcr", "--color", "blue"],
+    ["count", "--rule", "pcr", "--b", "x", "--n", "3"],               # a bad int
+    ["factor", "--rule", "pcr"],                                      # a missing flag
+    ["extremal", "--b", "2", "--n", "3", "--k", "2", "--workers", "2"],
+    ["count", "--rule", "pcr", "--b", "2", "--n", "3", "--meth", "enum"],
+    ["count", "-h"],
+    ["count", "--b", "2", "-h"],
+    [],
+    ["-h"],
+    ["frobnicate", "--b", "2"],                                       # no such command
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace parse gives argv, or its exit code where it stops,
+    with what it printed."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as e:
+        result = e.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_one_pass_parse_matches_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the width
+    want = parse_outcome(capsys, cli._parser().parse_args, argv)
+    got = parse_outcome(capsys, cli._parse, argv)
+    assert got == want
+    seen = []
+    for name in ("cmd_factor", "cmd_count", "cmd_extremal", "cmd_verify", "cmd_export"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    code, out, err = parse_outcome(capsys, main, argv)
+    if seen:
+        # main runs the command on the namespace parse_args gives
+        assert (seen, code, out, err) == ([want[0]], 0, "", "")
+    elif argv:
+        assert (code, out, err) == want
+    else:
+        # a bare call prints the help and exits 2
+        assert code == 2 and out.startswith("usage: astute") and err == ""
+
+
 def test_usage_error_exit_code(capsys):
     import pytest
     with pytest.raises(SystemExit) as exc:

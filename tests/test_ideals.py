@@ -258,6 +258,23 @@ def test_theorem2_given_s_checks_omega():
         count_theorem2(u_poly(4, 2), 1, 2, omega=2, s=4)
 
 
+def test_theorem2_raises_x_omega_once(monkeypatch):
+    # X^omega = 1 is checked once: by order_and_least_cycle for an omega
+    # given without s, by the divisor walk's top when s is given too, and
+    # not at all when the order scan found omega
+    lam = x_pow_minus_one(12, 2)  # order 12, so only X^12 is 1
+    one = [1] + [0] * 11
+    results, power = [], astute.ideals._power
+    monkeypatch.setattr(astute.ideals, "_power",
+                        lambda *a, **kw: results.append(power(*a, **kw)) or results[-1])
+    counts = []
+    for kwargs, raised in (({"omega": 12}, 1), ({"omega": 12, "s": 8}, 1), ({}, 0)):
+        results.clear()
+        counts.append(count_theorem2(lam, 1, 2, **kwargs).value)
+        assert results.count(one) == raised, kwargs
+    assert counts == [counts[0]] * 3
+
+
 def refuse_order_scan(lam):
     raise AssertionError("order_of_x called")
 

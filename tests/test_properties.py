@@ -23,10 +23,10 @@ from astute.ideals import ideal_quotient_size, order_and_least_cycle, order_of_x
 from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce, icr,
                           parse_rule_spec, periodic_fixed_points, word_permutation)
 
-from oracles import (affine_rule_permutation, factor_document, gcd_by_enumeration,
-                     ideal_quotient_size_oracle, membership_oracle, periodic_fixed_count,
-                     permutation_cycles, poly_product, poly_remainder, random_factor,
-                     rule_orbit_count, smallest_cycle_length_oracle)
+from oracles import (affine_rule_permutation, factor_document, function_walk_lengths,
+                     gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
+                     periodic_fixed_count, permutation_cycles, poly_product, poly_remainder,
+                     random_factor, rule_orbit_count, smallest_cycle_length_oracle)
 from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
 from test_ideals import membership_cUs
 
@@ -90,6 +90,28 @@ def test_cycle_walks_match_permutation_oracle(case):
     assert len(cycle_lengths(perm)) == len(want)
     assert cycle_lengths(perm) == [len(c) for c in want]
     assert [c.codes for c in Factor(p, perm).cycles] == want
+
+
+@st.composite
+def graph_functions(draw):
+    """A G(n, k) and any list of its packed vertices or -1, one entry per
+    vertex: not a permutation in general, and -1 stands for no successor."""
+    p = GraphParams(draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)),
+                    draw(st.integers(1, 3)))
+    size = p.num_vertices
+    return p, draw(st.lists(st.integers(-1, size - 1), min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=graph_functions())
+@example(case=(GraphParams(2, 1, 1), [1, 1]))        # a walk into a self-loop
+@example(case=(GraphParams(2, 2, 1), [-1, 2, 1, -1]))  # -1 names the last vertex
+@example(case=(GraphParams(2, 2, 1), [1, 2, 3, 1]))    # a tail into a cycle
+def test_cycle_walks_match_function_walk_oracle(case):
+    p, codes = case
+    want = function_walk_lengths(codes)
+    assert cycle_lengths(codes) == want
+    assert [len(c) for c in Factor(p, codes).cycles] == want
 
 
 def draw_unit_leading_rule(data, b, n):
