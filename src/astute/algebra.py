@@ -108,21 +108,6 @@ class ModPoly:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}X^{j}" if j > 1 else f"{head}X")
-        return " + ".join(terms)
-
 
 def u_poly(m: int, b: int) -> ModPoly:
     """1 + X + ... + X^(m-1) over Z/bZ."""

@@ -16,7 +16,7 @@ import json
 import sys
 from functools import cache, partial
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import sub
 
 from . import counting, spectral
@@ -27,8 +27,9 @@ from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import (GraphParams, check_renderable, factor_json, to_dot,
                     vertex_names, word_str)
 from .ideals import ideal_quotient_size, order_and_least_cycle
-from .rules import (check_vertex_budget, enumerate_factor, fix_count_bruteforce,
-                    parse_rule_spec, pcr, icr, word_permutation, xor_rule)
+from .rules import (check_vertex_budget, check_word_budget, enumerate_factor,
+                    fix_count_bruteforce, parse_rule_spec, pcr, icr, word_permutation,
+                    xor_rule)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,12 +188,12 @@ def cmd_count(args) -> int:
     routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
     # one word permutation for enumeration and Burnside, built only after
-    # the vertex budget has passed (past it, the other routes still
+    # the word budget has passed (past it, the other routes still
     # cross-check); Burnside alone builds its own after its word budget
     perm = None
     if "enum" in routes:
         try:
-            check_vertex_budget(p)
+            check_word_budget(rule.b ** rule.n)
         except BudgetExceeded as e:
             if wanted != "all":
                 raise
@@ -200,13 +201,12 @@ def cmd_count(args) -> int:
         else:
             perm = word_permutation(rule)
             reports.append(counting.count_enumeration(rule, p.k, perm=perm))
-    # the order of X and the least word-cycle length ell for Burnside and
-    # Theorem 2 (s = lcm(k, ell)), after the vertex budget (Burnside's too)
+    # the order of X and the least word-cycle length ell, found once and
+    # handed as one (omega, ell) pair to Burnside and to Theorem 2
     order = ell = None
-    lam = rule.char_poly() if wanted in ("all", "theorem2") else None
     if wanted == "all":
         try:
-            order, ell = order_and_least_cycle(lam, rule.c)
+            order, ell = order_and_least_cycle(rule.char_poly(), rule.c)
         except BudgetExceeded as e:
             # the rows that did run are still printed and checked
             print(f"skipped burnside_direct, theorem2: {e}", file=sys.stderr)
@@ -221,9 +221,7 @@ def cmd_count(args) -> int:
             # the other routes still cross-check each other
             print(f"skipped burnside_direct: {e}", file=sys.stderr)
     if "theorem2" in routes:
-        reports.append(counting.count_theorem2(lam, rule.c, p.k, omega=order,
-                                               rule_spec=rule.spec(),
-                                               s=lcm(p.k, ell) if ell else None))
+        reports.append(counting.count_theorem2(rule, p.k, omega=order, ell=ell))
     if "closed" in routes:
         closed = counting.closed_form_for(rule, p.k)
         if closed is not None:
@@ -390,7 +388,7 @@ def check_fix_count_ideal(rules=None, exponents=None) -> dict:
     for rule in rules or LEMMA_RULES:
         lam = rule.char_poly()
         omega, ell = order_and_least_cycle(lam, rule.c)
-        check_vertex_budget(GraphParams(rule.b, rule.n, 1))
+        check_word_budget(rule.b ** rule.n)
         perm = word_permutation(rule)
         for i in exponents or range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
 
-from .algebra import ModPoly, divisor_phis, divisors, factorize
+from .algebra import divisor_phis, divisors, factorize
 from .errors import BudgetExceeded, NonIntegerResult
 from .ideals import order_and_least_cycle, quotient_sizes
 from .graph import GraphParams, cycle_lengths, value_word, word_str
 from . import rules
-from .rules import AffineRule, check_vertex_budget
+from .rules import AffineRule
 
 METHODS = ("enumeration", "burnside_direct", "theorem2", "closed_form")
 
@@ -54,10 +54,11 @@ def count_enumeration(rule: AffineRule, k: int,
     The action is perm on the word and +1 on the phase, so a word cycle
     of length L carries its L*k vertices in gcd(L, k) factor cycles of
     length lcm(L, k): one walk over the b^n words, none over the b^n*k
-    vertices.  The vertex budget is still checked on b^n*k, as for every
-    route that enumerates G(n, k).
+    vertices, so the word budget bounds the work, whatever k is.
     """
-    check_vertex_budget(GraphParams(rule.b, rule.n, k))
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rules.check_word_budget(rule.b ** rule.n)
     if perm is None:
         perm = rules.word_permutation(rule)
     return CountReport(sum([gcd(ell, k) for ell in cycle_lengths(perm)]), "enumeration",
@@ -228,27 +229,29 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     return counts
 
 
-def count_theorem2(lam: ModPoly, c: int, k: int,
+def count_theorem2(rule: AffineRule, k: int,
                    omega: int | None = None,
-                   rule_spec: str = "",
-                   s: int | None = None) -> CountReport:
+                   ell: int | None = None) -> CountReport:
     """The general affine-rule count:
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
 
-    with w = `omega` any multiple of the order of X mod lam, s the least
-    multiple of k with c*U_s in (lam, X^s - 1), g = gcd(s, w), and Q(d)
-    the size of Z/bZ[X] / (lam, X^d - 1).  By default w and ell come
-    from order_and_least_cycle, which also checks a w given without s,
-    and s = lcm(k, ell).  A given s must be its s for this w;
-    quotient_sizes then checks w by X^w = 1, the last power of its
+    with lam the rule's polynomial, w = `omega` any multiple of the order
+    of X mod lam, s = lcm(k, ell), the least multiple of k with c*U_s in
+    (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
+    Z/bZ[X] / (lam, X^d - 1).  By default w and ell come from
+    order_and_least_cycle, which also checks a w given without ell.  A
+    given ell must be the rule's least word-cycle length; with both
+    given, quotient_sizes checks w by X^w = 1, the last power of its
     divisor walk.  Either way X^w is raised once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    checked = omega is None or s is None
+    lam = rule.char_poly()
+    checked = omega is None or ell is None
     if checked:
-        omega, ell = order_and_least_cycle(lam, c, omega)
-        s = s or lcm(k, ell)
+        omega, found = order_and_least_cycle(lam, rule.c, omega)
+        ell = ell or found
+    s = lcm(k, ell)
     g = gcd(s, omega)
     phis = divisor_phis(omega)
     terms = [(d, phis[omega // d], q)
@@ -258,9 +261,7 @@ def count_theorem2(lam: ModPoly, c: int, k: int,
     if rem or value < 1:
         raise NonIntegerResult(f"ideal-formula count {_ratio(k * g * total, s * omega)} "
                                "is not a positive integer")
-    spec = rule_spec or f"affine:{c};(lambda={lam})"
-    return CountReport(value, "theorem2", spec, lam.modulus,
-                       lam.degree if not lam.is_zero else 0, k,
+    return CountReport(value, "theorem2", rule.spec(), rule.b, rule.n, k,
                        witnesses={"omega": omega, "s": s, "terms": terms})
 
 
@@ -279,7 +280,7 @@ def _rotation_family(n: int, k: int, b: int, s: int) -> int:
 
 def closed_form_pcr(n: int, k: int, b: int) -> CountReport:
     """Rotation-rule count: (g/n) * sum over g | d | n of phi(n/d) * b^d, g = gcd(n, k)."""
-    _check_nkb(n, k, b)
+    GraphParams(b, n, k)
     return CountReport(_rotation_family(n, k, b, k), "closed_form", "pcr", b, n, k)
 
 
@@ -295,7 +296,7 @@ def base_divisor(n: int, b: int) -> int:
 
 def closed_form_icr(n: int, k: int, b: int) -> CountReport:
     """Incremented-rotation count, with s = lcm(k, b * base_divisor(n, b))."""
-    _check_nkb(n, k, b)
+    GraphParams(b, n, k)
     s = lcm(k, b * base_divisor(n, b))
     return CountReport(_rotation_family(n, k, b, s), "closed_form", "icr", b, n, k,
                        witnesses={"s": s})
@@ -312,7 +313,7 @@ def closed_form_xor(n: int, k: int) -> CountReport:
     linear) and the ideal sizes are 2^(d - 1 + [w/d even]).  At k = 1
     this is the familiar k/(2(n+1)) * sum over d | n+1 form.
     """
-    _check_nkb(n, k, 2)
+    GraphParams(2, n, k)
     w = n + 1
     g = gcd(k, w)
     # the even divisors d = 2e of 2w/g are the e | w/g, and 2^(w/e) = 2^(2w/d)
@@ -340,9 +341,3 @@ def _ratio(p: int, q: int) -> str:
     d = gcd(p, q)
     return f"{p // d}/{q // d}" if q != d else str(p // d)
 
-
-def _check_nkb(n: int, k: int, b: int):
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    if b < 2:
-        raise ValueError("b must be >= 2")

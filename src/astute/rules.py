@@ -15,7 +15,8 @@ from .algebra import ModPoly, is_unit
 from .errors import BudgetExceeded, NotInvertible
 from .graph import Factor, GraphParams, word_sums
 
-# the vertex (and word) budget of every route that walks all of G(n, k)
+# the vertex budget of every route that builds the vertices of G(n, k),
+# and the word budget of every route that walks the rule's b^n words
 MAX_VERTICES = 1 << 22
 
 

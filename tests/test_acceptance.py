@@ -19,7 +19,6 @@ from astute.rules import icr, pcr, xor_rule
 from astute.spectral import covering_check
 
 from oracles import exhaustive_factors, lattice_rules, random_factor
-from test_counting import count_theorem2_rule
 
 
 def _report(num, name):
@@ -53,7 +52,7 @@ def test_c3_four_way_count_agreement():
         for k in range(1, 7):
             reference = count_enumeration(rule, k).value
             assert count_burnside_direct(rule, k).value == reference, (rule.spec(), k)
-            assert count_theorem2_rule(rule, k).value == reference, (rule.spec(), k)
+            assert count_theorem2(rule, k).value == reference, (rule.spec(), k)
             closed = closed_form_for(rule, k)
             if closed is not None:
                 assert closed.value == reference, (rule.spec(), k)
@@ -107,11 +106,10 @@ def test_c7_covering_property():
 
 def test_c8_omega_multiple_invariance():
     for rule in lattice_rules():
-        lam = rule.char_poly()
-        base_omega = order_of_x(lam)
+        base_omega = order_of_x(rule.char_poly())
         for k in range(1, 7):
-            base = count_theorem2(lam, rule.c, k).value
+            base = count_theorem2(rule, k).value
             for m in (2, 3, 4):
-                got = count_theorem2(lam, rule.c, k, omega=m * base_omega).value
+                got = count_theorem2(rule, k, omega=m * base_omega).value
                 assert got == base, (rule.spec(), k, m)
     _report(8, "omega-multiple-invariance")

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -111,6 +112,48 @@ def test_count_single_methods(capsys):
     assert code == 0 and out.split()[1] == "4"
 
 
+def test_count_all_rows_match_each_route_alone(capsys):
+    # --method all shares one (omega, ell) pair and one word permutation
+    # between the routes and skips Theorem 2's check of X^omega; each of
+    # its rows must still read as the route's own run does
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    alone = {"enumeration": "enum", "burnside_direct": "burnside",
+             "theorem2": "theorem2", "closed_form": "closed"}
+
+    @st.composite
+    def specs(draw):
+        """(spec, b, n): a random affine rule with unit ends over b, or
+        pcr, icr or xor, with b^n <= 729."""
+        b = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]))
+        n = draw(st.integers(1, max(n for n in range(1, 10) if b ** n <= 729)))
+        kind = draw(st.sampled_from(["affine", "pcr", "icr"] + ["xor"] * (b == 2)))
+        if kind != "affine":
+            return kind, b, n
+        units = st.sampled_from([u for u in range(1, b) if gcd(u, b) == 1])
+        lambdas = ([draw(units)] + draw(st.lists(st.integers(0, b - 1), min_size=n - 1,
+                                                 max_size=n - 1)) + [draw(units)])
+        c = draw(st.integers(0, b - 1))
+        return f"affine:{c};" + ",".join(map(str, lambdas)), b, n
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(rule=specs(), k=st.integers(1, 6))
+    def rows_match(rule, k):
+        spec, b, n = rule
+        flags = ["count", "--rule", spec, "--b", str(b), "--n", str(n), "--k", str(k),
+                 "--method"]
+        code, out, err = run(capsys, *flags, "all")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 3 + (spec in ("pcr", "icr", "xor"))
+        for row in rows:
+            code, out, err = run(capsys, *flags, alone[row.split()[0]])
+            assert (code, err) == (0, "")
+            assert [line.split() for line in out.splitlines()] == [row.split()]
+
+    rows_match()
+
+
 def test_count_pinned_affine_rule_finishes(capsys):
     # omega = 124 for this rule, so a route that builds d x d lattices
     # stalls here; the alarm turns a stall into a failure, not a hang
@@ -175,10 +218,11 @@ def test_count_burnside_word_budget_before_order(capsys):
 
 
 def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
-    # 2^23 vertices and words: enumeration and Burnside are skipped before
-    # any b^n-sized list, and Theorem 2 and the closed form cross-check
+    # 2^23 words: enumeration and Burnside are skipped by the word budget
+    # before any b^n-sized list, and Theorem 2 and the closed form
+    # cross-check
     def refuse(rule):
-        raise AssertionError("word permutation built over the vertex budget")
+        raise AssertionError("word permutation built over the word budget")
 
     monkeypatch.setattr(cli, "word_permutation", refuse)
     monkeypatch.setattr(astute.rules, "word_permutation", refuse)
@@ -187,23 +231,21 @@ def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
     assert code == 0
     assert [line.split()[:2] for line in out.splitlines()] == \
         [["theorem2", "364724"], ["closed_form", "364724"]]
-    assert err == ("skipped enumeration: 8388608 vertices exceeds budget 4194304\n"
+    assert err == ("skipped enumeration: 8388608 words exceeds budget 4194304\n"
                    "skipped burnside_direct: 8388608 words exceeds budget 4194304\n")
 
 
 def test_count_all_past_vertex_budget_skips_enumeration(capsys):
-    # 2^16 * 999 vertices: Burnside, Theorem 2 and the closed form still
-    # cross-check, while enumeration alone refuses; a custom rule past both
-    # budgets has only Theorem 2 left
+    # 2^16 * 999 vertices but 2^16 words: the enumeration walks the words,
+    # so all four routes cross-check; a custom rule past the word budget
+    # has only Theorem 2 left
     code, out, err = run(capsys, "count", "--rule", "icr", "--b", "2", "--n", "16",
                          "--k", "999", "--method", "all")
-    assert code == 0
-    assert [line.split()[1] for line in out.splitlines()] == ["2048"] * 3
-    assert err == "skipped enumeration: 65470464 vertices exceeds budget 4194304\n"
+    assert (code, err) == (0, "")
+    assert [line.split()[1] for line in out.splitlines()] == ["2048"] * 4
     code, out, err = run(capsys, "count", "--rule", "icr", "--b", "2", "--n", "16",
                          "--k", "999", "--method", "enum")
-    assert (code, out) == (3, "")
-    assert err == "budget exceeded: 65470464 vertices exceeds budget 4194304\n"
+    assert (code, out, err) == (0, "enumeration  2048\n", "")
     code, out, err = run(capsys, "count", "--rule", "affine:0;1" + ",0" * 22 + ",1",
                          "--b", "2", "--n", "23", "--method", "all")
     assert code == 3

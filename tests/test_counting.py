@@ -6,7 +6,7 @@ import pytest
 import astute.counting
 import astute.ideals
 import astute.rules
-from astute.algebra import divisors, factorize, u_poly, x_pow_minus_one
+from astute.algebra import divisors, factorize
 from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
@@ -21,13 +21,6 @@ from astute.rules import (AffineRule, enumerate_factor, fix_count_bruteforce,
 from oracles import (affine_rule_permutation, affine_rules, all_words, lattice_rules,
                      necklace_count, periodic_extensions, permutation_order,
                      permutation_power, rule_step)
-
-
-def count_theorem2_rule(rule: AffineRule, k: int, omega: int | None = None,
-                        s: int | None = None) -> CountReport:
-    """Theorem 2's count of an affine rule, from its polynomial."""
-    return count_theorem2(rule.char_poly(), rule.c, k, omega=omega,
-                          rule_spec=rule.spec(), s=s)
 
 
 # first terms at k=1, b=2, frozen from the orbit-enumeration oracle
@@ -49,13 +42,13 @@ def test_burnside_examples():
 
 
 def test_ideal_formula_examples():
-    assert count_theorem2(x_pow_minus_one(3, 2), 0, 2).value == 4
-    assert count_theorem2(u_poly(4, 2), 0, 1).value == 4
-    assert count_theorem2(x_pow_minus_one(2, 2), 0, 2).value == 4
+    assert count_theorem2(pcr(3, 2), 2).value == 4
+    assert count_theorem2(xor_rule(3), 1).value == 4
+    assert count_theorem2(pcr(2, 2), 2).value == 4
 
 
 def test_ideal_formula_witnesses():
-    rep = count_theorem2(x_pow_minus_one(3, 2), 0, 2)
+    rep = count_theorem2(pcr(3, 2), 2)
     assert rep.method == "theorem2"
     assert rep.witnesses["omega"] == 3
     assert rep.witnesses["s"] == 2
@@ -115,25 +108,24 @@ def test_four_way_agreement_sample():
         for k in (1, 2, 3, 5):
             e = count_enumeration(rule, k).value
             assert count_burnside_direct(rule, k).value == e
-            assert count_theorem2_rule(rule, k).value == e
+            assert count_theorem2(rule, k).value == e
             closed = closed_form_for(rule, k)
             assert closed is not None and closed.value == e
 
 
 def test_omega_multiple_invariance_sample():
     for rule in (pcr(3, 2), icr(4, 2), xor_rule(4), icr(2, 3)):
-        lam = rule.char_poly()
-        base_omega = order_of_x(lam)
+        base_omega = order_of_x(rule.char_poly())
         for k in (1, 2, 3):
-            base = count_theorem2(lam, rule.c, k).value
+            base = count_theorem2(rule, k).value
             for m in (2, 3, 4):
-                assert count_theorem2(lam, rule.c, k, omega=m * base_omega).value == base
+                assert count_theorem2(rule, k, omega=m * base_omega).value == base
 
 
 def test_omega_must_be_a_multiple():
-    lam = x_pow_minus_one(3, 2)  # order 3
+    rule = pcr(3, 2)  # X^3 - 1, order 3
     with pytest.raises(ValueError):
-        count_theorem2(lam, 0, 1, omega=4)
+        count_theorem2(rule, 1, omega=4)
 
 
 def test_report_validation():
@@ -144,12 +136,13 @@ def test_report_validation():
 
 
 def test_count_budgets(monkeypatch):
+    # both routes walk the 8 words, not the 16 vertices of G(3, 2)
     monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
-    with pytest.raises(BudgetExceeded):
-        count_enumeration(pcr(3, 2), 2)
+    assert count_enumeration(pcr(3, 2), 2).value == 4
     monkeypatch.setattr(astute.rules, "MAX_VERTICES", 4)
-    with pytest.raises(BudgetExceeded):
-        count_burnside_direct(pcr(3, 2), 1)
+    for route in (count_enumeration, count_burnside_direct):
+        with pytest.raises(BudgetExceeded, match="^8 words exceeds budget 4$"):
+            route(pcr(3, 2), 1)
 
 
 def test_lattice_rules_shape():
@@ -250,7 +243,7 @@ def test_wrong_omega_refused():
         with pytest.raises(ValueError, match=message):
             order_and_least_cycle(lam, c, 2)
     with pytest.raises(ValueError, match=message):
-        count_theorem2(lam, rule.c, 1, omega=2)
+        count_theorem2(rule, 1, omega=2)
     with pytest.raises(ValueError, match=message):
         count_burnside_direct(rule, 1, omega=2)
 
@@ -259,7 +252,7 @@ def test_theorem2_refuses_non_integer_count():
     # a wrong s = 3 for pcr(3, 2) (its s is 1) gives 8/3, not a count
     with pytest.raises(NonIntegerResult,
                        match="^ideal-formula count 8/3 is not a positive integer$"):
-        count_theorem2(pcr(3, 2).char_poly(), 1, 1, s=3)
+        count_theorem2(pcr(3, 2), 1, ell=3)
 
 
 def test_closed_form_refuses_non_integer_count():
@@ -458,14 +451,14 @@ def test_order_of_x_once_per_route(monkeypatch):
     # the routes and the CLI reach the scan only through astute.ideals
     monkeypatch.setattr(astute.ideals, "order_of_x", counted)
     rule = icr(4, 2)  # c != 0, so the cycle-length scan runs too
-    for route in (count_theorem2_rule, count_burnside_direct):
+    for route in (count_theorem2, count_burnside_direct):
         calls.clear()
         route(rule, 2)
         assert len(calls) == 1, route.__name__
     # a given omega is not checked by a second scan, by both routes
     # and by the CLI
     calls.clear()
-    for route in (count_theorem2_rule, count_burnside_direct):
+    for route in (count_theorem2, count_burnside_direct):
         route(rule, 2, omega=order_of_x(rule.char_poly()))
     assert calls == []
     assert main(["count", "--rule", "icr", "--b", "2", "--n", "4", "--k", "2",

@@ -13,7 +13,6 @@ from astute.rules import AffineRule, icr, parse_rule_spec
 
 from oracles import (affine_rule_permutation, ideal_quotient_size_oracle,
                      membership_oracle, permutation_cycles, poly_product, poly_remainder)
-from test_counting import count_theorem2_rule
 
 
 def membership_cUs(lam, c, s):
@@ -242,35 +241,35 @@ def test_cycle_length_work_does_not_depend_on_k(monkeypatch):
     monkeypatch.setattr(astute.ideals, "_in_image", lambda tail, power, target, b: (
         tests.append((power, target)) or in_image(tail, power, target, b)))
     for rule, ell in ((icr(16, 2), 32), (parse_rule_spec("affine:1;1,1,3,1", 3, 6), 12)):
-        lam = rule.char_poly()
         made = []
         for k in (1, 999):
             tests.clear()
-            assert count_theorem2(lam, rule.c, k).witnesses["s"] == lcm(k, ell)
+            assert count_theorem2(rule, k).witnesses["s"] == lcm(k, ell)
             made.append(list(tests))
         assert made[0] == made[1] and made[0], rule.spec()
 
 
 def test_theorem2_given_s_checks_omega():
     # the divisor walk's last power, X^omega, refuses omega = 2 for an
-    # order-4 lam even when s is given
+    # order-4 lam even when ell is given
     with pytest.raises(ValueError, match="omega=2 is not a multiple of the order of X"):
-        count_theorem2(u_poly(4, 2), 1, 2, omega=2, s=4)
+        count_theorem2(AffineRule((1, 1, 1, 1), 1, 2), 2, omega=2, ell=4)
 
 
 def test_theorem2_raises_x_omega_once(monkeypatch):
     # X^omega = 1 is checked once: by order_and_least_cycle for an omega
-    # given without s, by the divisor walk's top when s is given too, and
-    # not at all when the order scan found omega
+    # given without ell, by the divisor walk's top when ell is given too,
+    # and not at all when the order scan found omega
     lam = x_pow_minus_one(12, 2)  # order 12, so only X^12 is 1
+    rule = AffineRule(tuple(reversed(lam.coeffs)), 1, 2)
     one = [1] + [0] * 11
     results, power = [], astute.ideals._power
     monkeypatch.setattr(astute.ideals, "_power",
                         lambda *a, **kw: results.append(power(*a, **kw)) or results[-1])
     counts = []
-    for kwargs, raised in (({"omega": 12}, 1), ({"omega": 12, "s": 8}, 1), ({}, 0)):
+    for kwargs, raised in (({"omega": 12}, 1), ({"omega": 12, "ell": 8}, 1), ({}, 0)):
         results.clear()
-        counts.append(count_theorem2(lam, 1, 2, **kwargs).value)
+        counts.append(count_theorem2(rule, 2, **kwargs).value)
         assert results.count(one) == raised, kwargs
     assert counts == [counts[0]] * 3
 
@@ -302,13 +301,13 @@ def test_cycle_length_guard_is_tight():
 
 
 def test_theorem2_with_omega_scans_no_order(monkeypatch):
-    lam = u_poly(4, 2)  # order 4
-    want = count_theorem2(lam, 1, 2).value
+    rule = AffineRule((1, 1, 1, 1), 1, 2)  # U_4, order 4
+    want = count_theorem2(rule, 2).value
     monkeypatch.setattr(astute.ideals, "order_of_x", refuse_order_scan)
-    assert count_theorem2(lam, 1, 2, omega=4).value == want
-    assert count_theorem2(lam, 1, 2, omega=12).value == want
+    assert count_theorem2(rule, 2, omega=4).value == want
+    assert count_theorem2(rule, 2, omega=12).value == want
     with pytest.raises(ValueError, match="omega=6 is not a multiple"):
-        count_theorem2(lam, 1, 2, omega=6)
+        count_theorem2(rule, 2, omega=6)
 
 
 @pytest.mark.parametrize("c", [0, 1])
@@ -318,5 +317,5 @@ def test_theorem2_primitive_trinomial_at_scale(c):
     # cycles of G(20, k)
     rule = parse_rule_spec(f"affine:{c};1," + "0," * 16 + "1,0,0,1", 20, 2)
     omega = 2 ** 20 - 1
-    assert count_theorem2_rule(rule, 1, omega=omega).value == 2
-    assert count_theorem2_rule(rule, 3, omega=omega).value == 4
+    assert count_theorem2(rule, 1, omega=omega).value == 2
+    assert count_theorem2(rule, 3, omega=omega).value == 4

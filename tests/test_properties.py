@@ -14,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from astute.algebra import ModPoly, _rem_mod_p, divisors, poly_gcd
-from astute.counting import count_burnside_direct, count_enumeration, fixed_point_counts
+from astute.counting import (count_burnside_direct, count_enumeration, count_theorem2,
+                             fixed_point_counts)
 from astute.errors import BudgetExceeded
 from astute.extremal import feedback_vertex_set
 from astute.graph import (Factor, GraphParams, cycle_lengths, factor_json, to_dot,
@@ -27,7 +28,7 @@ from oracles import (affine_rule_permutation, factor_document, function_walk_len
                      gcd_by_enumeration, ideal_quotient_size_oracle, membership_oracle,
                      periodic_fixed_count, permutation_cycles, poly_product, poly_remainder,
                      random_factor, rule_orbit_count, smallest_cycle_length_oracle)
-from test_counting import all_lists_steps, count_burnside_work, count_theorem2_rule
+from test_counting import all_lists_steps, count_burnside_work
 from test_ideals import membership_cUs
 
 
@@ -290,11 +291,11 @@ def test_theorem2_matches_orbit_oracle(b, n, k, data):
     assume(b ** n <= 729)
     rule = draw_unit_leading_rule(data, b, n)
     want = rule_orbit_count(rule.lambdas, rule.c, b, k)
-    report = count_theorem2_rule(rule, k)
+    report = count_theorem2(rule, k)
     assert report.value == want
     for m in (2, 3):
         omega = m * report.witnesses["omega"]
-        assert count_theorem2_rule(rule, k, omega=omega).value == want
+        assert count_theorem2(rule, k, omega=omega).value == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
