@@ -26,10 +26,9 @@ from .errors import (AstuteError, BudgetExceeded, Inconclusive, NotInvertible,
 from .extremal import SearchBudget, search_extremal, verify_theorem1
 from .graph import (GraphParams, check_renderable, factor_json, to_dot,
                     vertex_names, word_str)
-from .ideals import ideal_quotient_size, order_and_least_cycle
-from .rules import (check_vertex_budget, check_word_budget, enumerate_factor,
-                    fix_count_bruteforce, parse_rule_spec, pcr, icr, word_permutation,
-                    xor_rule)
+from .ideals import ideal_quotient_size
+from .rules import (check_vertex_budget, enumerate_factor, fix_count_bruteforce,
+                    parse_rule_spec, pcr, icr, xor_rule)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -182,47 +181,33 @@ def cmd_factor(args) -> int:
 
 
 def cmd_count(args) -> int:
-    rule = parse_rule_spec(args.rule, args.n, args.b)
     p = _params(args)
+    rule = parse_rule_spec(args.rule, args.n, args.b)
     wanted = args.method
-    routes = {"enum", "burnside", "theorem2", "closed"} if wanted == "all" else {wanted}
     reports = []
-    # one word permutation for enumeration and Burnside, built only after
-    # the word budget has passed (past it, the other routes still
-    # cross-check); Burnside alone builds its own after its word budget
-    perm = None
-    if "enum" in routes:
+    # The routes read the word permutation and (omega, ell) off the rule,
+    # which finds each once.  Under all, the order scan runs just before
+    # Burnside; a refusal by a budget skips its route (the scan's: both
+    # routes that read it), and the routes that ran still cross-check.
+    for flag, method, route in (
+            ("enum", "enumeration", counting.count_enumeration),
+            ("all", "burnside_direct, theorem2", lambda rule, k: rule.order_and_ell),
+            ("burnside", "burnside_direct", counting.count_burnside_direct),
+            ("theorem2", "theorem2", counting.count_theorem2)):
+        if wanted not in ("all", flag):
+            continue
         try:
-            check_word_budget(rule.b ** rule.n)
+            result = route(rule, p.k)
         except BudgetExceeded as e:
             if wanted != "all":
                 raise
-            print(f"skipped enumeration: {e}", file=sys.stderr)
-        else:
-            perm = word_permutation(rule)
-            reports.append(counting.count_enumeration(rule, p.k, perm=perm))
-    # the order of X and the least word-cycle length ell, found once and
-    # handed as one (omega, ell) pair to Burnside and to Theorem 2
-    order = ell = None
-    if wanted == "all":
-        try:
-            order, ell = order_and_least_cycle(rule.char_poly(), rule.c)
-        except BudgetExceeded as e:
-            # the rows that did run are still printed and checked
-            print(f"skipped burnside_direct, theorem2: {e}", file=sys.stderr)
-            routes -= {"burnside", "theorem2"}
-    if "burnside" in routes:
-        try:
-            reports.append(counting.count_burnside_direct(rule, p.k, omega=order,
-                                                          perm=perm, ell=ell))
-        except BudgetExceeded as e:
-            if wanted != "all":
-                raise
-            # the other routes still cross-check each other
-            print(f"skipped burnside_direct: {e}", file=sys.stderr)
-    if "theorem2" in routes:
-        reports.append(counting.count_theorem2(rule, p.k, omega=order, ell=ell))
-    if "closed" in routes:
+            print(f"skipped {method}: {e}", file=sys.stderr)
+            if flag == "all":
+                break
+            continue
+        if flag != "all":
+            reports.append(result)
+    if wanted in ("all", "closed"):
         closed = counting.closed_form_for(rule, p.k)
         if closed is not None:
             reports.append(closed)
@@ -286,9 +271,11 @@ def cmd_export(args) -> int:
 # scope; the cycle-sum and fix-count rows take a wider instance set from
 # the tests, and then carry no detail, since it names verify's scope.
 
-# pcr, icr and, at b = 2, xor for b = 2, 3 and n <= 4
-LEMMA_RULES = tuple(rule for b in (2, 3) for n in range(1, 5)
-                    for rule in [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else []))
+def lemma_rules() -> list:
+    """pcr, icr and, at b = 2, xor for b = 2, 3 and n <= 4, built on each
+    call, so no rule's derived values outlive one check."""
+    return [rule for b in (2, 3) for n in range(1, 5)
+            for rule in [pcr(n, b), icr(n, b)] + ([xor_rule(n)] if b == 2 else [])]
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -345,10 +332,10 @@ def check_rotation_scaling() -> dict:
 
 def check_cycle_sum_zero(rules=None) -> dict:
     """Transforms along every cycle of each rule's factor, k in 1, 2, 3, 6,
-    sum to zero; rules default to LEMMA_RULES with n >= 2 (the identity
+    sum to zero; rules default to lemma_rules() with n >= 2 (the identity
     rests on the vanishing power sum of a root of unity of order n)."""
     ok = True
-    for rule in rules or [r for r in LEMMA_RULES if r.n >= 2]:
+    for rule in rules or [r for r in lemma_rules() if r.n >= 2]:
         for k in (1, 2, 3, 6):
             f = enumerate_factor(rule, k)
             ok &= all(spectral.cycle_sum_check(c) for c in f.cycles)
@@ -382,17 +369,15 @@ def check_arc_difference_real() -> dict:
 def check_fix_count_ideal(rules=None, exponents=None) -> dict:
     """Brute-force fixed counts of rule^i match the ideal-quotient
     prediction: |Z/b[X] / (lam, X^gcd(i, w) - 1)| when the smallest
-    word-cycle length divides i, else 0.  Rules default to LEMMA_RULES
+    word-cycle length divides i, else 0.  Rules default to lemma_rules()
     and exponents to 1..24; each rule's word permutation is built once."""
     ok = True
-    for rule in rules or LEMMA_RULES:
+    for rule in rules or lemma_rules():
         lam = rule.char_poly()
-        omega, ell = order_and_least_cycle(lam, rule.c)
-        check_word_budget(rule.b ** rule.n)
-        perm = word_permutation(rule)
+        omega, ell = rule.order_and_ell
         for i in exponents or range(1, 25):
             want = ideal_quotient_size(lam, gcd(i, omega)) if i % ell == 0 else 0
-            ok &= fix_count_bruteforce(rule, i, perm) == want
+            ok &= fix_count_bruteforce(rule, i) == want
     return _check("fix-count-ideal", ok,
                   "" if rules or exponents else "b<=3 n<=4 i<=24")
 

@@ -46,29 +46,25 @@ class CountReport:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def count_enumeration(rule: AffineRule, k: int,
-                      perm: list[int] | None = None) -> CountReport:
+def count_enumeration(rule: AffineRule, k: int) -> CountReport:
     """Count the orbits of the rule's action on G(n, k) from the cycles of
-    perm, the rule's word permutation (built here by default).
+    the rule's word permutation.
 
-    The action is perm on the word and +1 on the phase, so a word cycle
-    of length L carries its L*k vertices in gcd(L, k) factor cycles of
-    length lcm(L, k): one walk over the b^n words, none over the b^n*k
-    vertices, so the word budget bounds the work, whatever k is.
+    The action is that permutation on the word and +1 on the phase, so a
+    word cycle of length L carries its L*k vertices in gcd(L, k) factor
+    cycles of length lcm(L, k): one walk over the b^n words, none over
+    the b^n*k vertices, so the word budget bounds the work, whatever k is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     rules.check_word_budget(rule.b ** rule.n)
-    if perm is None:
-        perm = rules.word_permutation(rule)
-    return CountReport(sum([gcd(ell, k) for ell in cycle_lengths(perm)]), "enumeration",
+    lengths = cycle_lengths(rule.permutation)
+    return CountReport(sum([gcd(ell, k) for ell in lengths]), "enumeration",
                        rule.spec(), rule.b, rule.n, k)
 
 
 def count_burnside_direct(rule: AffineRule, k: int,
-                          omega: int | None = None,
-                          perm: list[int] | None = None,
-                          ell: int | None = None) -> CountReport:
+                          omega: int | None = None) -> CountReport:
     """Burnside average of brute-force fixed-point counts.
 
     The average runs over one period M = lcm(k, l, w) of
@@ -94,23 +90,21 @@ def count_burnside_direct(rule: AffineRule, k: int,
     full count), checks that P is a period and refuses above
     BURNSIDE_MAX_STEPS word steps.  The route reads neither cycle lengths
     nor ideal sizes: l and w only form P and name the translations, which
-    the walk checks like rule^P, so a wrong one fails a check.  The walk
-    reads the word permutation, so the word budget holds even where no
-    full count is made.  perm is that permutation (built after the word
-    budget and the step estimate by default) and ell is l (found here by
-    default, with w by order_and_least_cycle, which checks a given w).
-    The witness M is lcm(k, l, w) = k*P/g.
+    the walk checks like rule^P.  The walk reads the word permutation,
+    so the word budget is checked first, before the order scan, and holds
+    even where no full count is made.  (w, l) is the rule's order_and_ell,
+    or for a given w order_and_least_cycle's, which checks w.  The
+    witness M is lcm(k, l, w) = k*P/g.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     rules.check_word_budget(rule.b ** rule.n)
-    if omega is None or ell is None:
-        omega, found = order_and_least_cycle(rule.char_poly(), rule.c, omega)
-        ell = ell or found
+    omega, ell = (rule.order_and_ell if omega is None
+                  else order_and_least_cycle(rule.char_poly(), rule.c, omega))
     period = lcm(ell, omega)
     g = gcd(k, period)
     top = period // g
-    counts = fixed_point_counts(rule, g, period, perm, omega)
+    counts = fixed_point_counts(rule, g, period, omega)
     total = sum([phi * counts[top // d] for d, phi in divisor_phis(top).items()])
     value, rem = divmod(total, top)
     if rem:
@@ -120,7 +114,6 @@ def count_burnside_direct(rule: AffineRule, k: int,
 
 
 def fixed_point_counts(rule: AffineRule, k: int, m: int,
-                       perm: list[int] | None = None,
                        omega: int | None = None) -> dict[int, int]:
     """|Fix(rule^(k*e))| for every divisor e of top = m/k, where m, a
     multiple of k, must be a period of the rule (ValueError otherwise,
@@ -159,8 +152,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
     The estimate is summed before any work, in word steps: b^n per
     composition and per full count, words times steps for the walk of T,
     and b^j per periodic table.  Above BURNSIDE_MAX_STEPS the count is
-    refused.  perm is the rule's word permutation (built after the
-    estimate by default).
+    refused before the rule's word permutation is read.
     """
     b, n = rule.b, rule.n
     n_words = b ** n
@@ -197,10 +189,8 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
         raise BudgetExceeded(
             f"Burnside needs about {steps} steps (M={m}, {n_words} words), "
             f"over budget {BURNSIDE_MAX_STEPS}")
-    if perm is None:
-        perm = rules.word_permutation(rule)
     basis = [0] + [b ** i for i in range(n)]  # the zero word and the n unit words
-    lists, counts = {0: perm}, {}
+    lists, counts = {0: rule.permutation}, {}
     for e in rows:
         d, hops = up[e]
         power = lists.pop(d) if last[d] == e else lists[d]
@@ -230,8 +220,7 @@ def fixed_point_counts(rule: AffineRule, k: int, m: int,
 
 
 def count_theorem2(rule: AffineRule, k: int,
-                   omega: int | None = None,
-                   ell: int | None = None) -> CountReport:
+                   omega: int | None = None) -> CountReport:
     """The general affine-rule count:
 
         (k * g) / (s * w) * sum over d | w, g | d of phi(w/d) * Q(d)
@@ -239,23 +228,18 @@ def count_theorem2(rule: AffineRule, k: int,
     with lam the rule's polynomial, w = `omega` any multiple of the order
     of X mod lam, s = lcm(k, ell), the least multiple of k with c*U_s in
     (lam, X^s - 1), g = gcd(s, w), and Q(d) the size of
-    Z/bZ[X] / (lam, X^d - 1).  By default w and ell come from
-    order_and_least_cycle, which also checks a w given without ell.  A
-    given ell must be the rule's least word-cycle length; with both
-    given, quotient_sizes checks w by X^w = 1, the last power of its
-    divisor walk.  Either way X^w is raised once."""
+    Z/bZ[X] / (lam, X^d - 1).  (w, ell) is the rule's order_and_ell, or
+    for a given w order_and_least_cycle's, which checks w by X^w = 1; X^w
+    is raised at most that once."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lam = rule.char_poly()
-    checked = omega is None or ell is None
-    if checked:
-        omega, found = order_and_least_cycle(lam, rule.c, omega)
-        ell = ell or found
+    omega, ell = (rule.order_and_ell if omega is None
+                  else order_and_least_cycle(rule.char_poly(), rule.c, omega))
     s = lcm(k, ell)
     g = gcd(s, omega)
     phis = divisor_phis(omega)
     terms = [(d, phis[omega // d], q)
-             for d, q in quotient_sizes(lam, omega, g, checked).items()]
+             for d, q in quotient_sizes(rule.char_poly(), omega, g).items()]
     total = sum([phi * q for d, phi, q in terms])
     value, rem = divmod(k * g * total, s * omega)
     if rem or value < 1:

@@ -184,23 +184,19 @@ def ideal_quotient_size(lam: ModPoly, d: int) -> int:
     return _quotient_size(tail, _power(tail, d, lam.modulus), lam.modulus)
 
 
-def quotient_sizes(lam: ModPoly, omega: int, g: int,
-                   checked: bool = False) -> dict[int, int]:
+def quotient_sizes(lam: ModPoly, omega: int, g: int) -> dict[int, int]:
     """|Z/bZ[X] / (lam, X^d - 1)| for every d | omega that is a multiple
     of g (g | omega), ascending.  X^d comes from the divisor tree of
-    omega/g, X^(e*p) = (X^e)^p from X^g; the top, X^omega, must be 1,
-    and its size is then b^deg(lam).  The top is raised to check that
-    (ValueError otherwise) unless checked says the caller has."""
+    omega/g, X^(e*p) = (X^e)^p from X^g.  X^omega must be 1, as
+    order_and_least_cycle proves of the omega it returns, so the top is
+    not raised: its size is b^deg(lam)."""
     tail, b = _tail(lam), lam.modulus
-    skip = omega if checked else None  # X^omega = 1 is known: not raised
-    powers = {g: None if g == skip else _power(tail, g, b)}
+    powers = {g: None if g == omega else _power(tail, g, b)}
     for p, a in reversed(factorize(omega // g)):  # few raises by large p
         for d, x in list(powers.items()):
             for _ in range(a):
                 d *= p
-                powers[d] = x = None if d == skip else _power(tail, p, b, x)
-    if not checked and powers[omega] != [int(i == 0) for i in range(len(tail))]:
-        raise ValueError(f"omega={omega} is not a multiple of the order of X")
+                powers[d] = x = None if d == omega else _power(tail, p, b, x)
     return {d: b ** len(tail) if d == omega else _quotient_size(tail, x, b)
             for d, x in sorted(powers.items())}
 

@@ -8,12 +8,14 @@ to be units mod b.  The rule acts on G(n, k) by advancing the phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import eq
 
 from .algebra import ModPoly, is_unit
 from .errors import BudgetExceeded, NotInvertible
 from .graph import Factor, GraphParams, word_sums
+from .ideals import order_and_least_cycle
 
 # the vertex budget of every route that builds the vertices of G(n, k),
 # and the word budget of every route that walks the rule's b^n words
@@ -25,7 +27,9 @@ class AffineRule:
     """Rule a_0..a_{n-1} -> a_1..a_n with c = sum(lambdas[i] * a_i).
 
     lambdas has length n + 1; lambdas[0] and lambdas[n] must be units
-    mod b (single-valued forward and backward).
+    mod b (single-valued forward and backward).  The values derived from
+    the rule, its word permutation and (omega, ell), are found on first
+    use and kept on the rule object until it is dropped.
     """
 
     lambdas: tuple[int, ...]
@@ -52,6 +56,19 @@ class AffineRule:
     def char_poly(self) -> ModPoly:
         """sum(lambdas[i] * X^(n-i)) over Z/bZ."""
         return ModPoly.from_coeffs(list(reversed(self.lambdas)), self.b)
+
+    @cached_property
+    def permutation(self) -> list[int]:
+        """word_permutation(self), built after the word budget; every
+        reader gets the same list, which none may change."""
+        check_word_budget(self.b ** self.n)
+        return word_permutation(self)
+
+    @cached_property
+    def order_and_ell(self) -> tuple[int, int]:
+        """(omega, ell): the order of X modulo the rule's polynomial and the
+        least word-cycle length, by ideals.order_and_least_cycle."""
+        return order_and_least_cycle(self.char_poly(), self.c)
 
     def spec(self) -> str:
         """Mini-grammar form understood by parse_rule_spec."""
@@ -261,17 +278,14 @@ def periodic_fixed_points(rule: AffineRule, j: int) -> int:
     return fixed.bit_count()
 
 
-def fix_count_bruteforce(rule: AffineRule, i: int,
-                         perm: list[int] | None = None) -> int:
-    """|{words s : rule^i(s) = s}|, counted on the i-th power of perm, the
-    rule's word permutation (built here by default, after the word budget;
-    callers counting several powers of one rule pass it once)."""
+def fix_count_bruteforce(rule: AffineRule, i: int) -> int:
+    """|{words s : rule^i(s) = s}|, counted on the i-th power of the rule's
+    word permutation, so the counts of several powers of one rule share
+    it; the word budget is checked on every call."""
     if i < 0:
         raise ValueError("i must be >= 0")
     total = rule.b ** rule.n
     check_word_budget(total)
     if i == 0:
         return total
-    if perm is None:
-        perm = word_permutation(rule)
-    return fixed_points(perm_power(perm, i))
+    return fixed_points(perm_power(rule.permutation, i))

@@ -74,7 +74,7 @@ def test_xor_requires_binary(capsys):
 
 def test_degenerate_sizes_rejected(capsys):
     code, _, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "0")
-    assert code == 2 and "n must be >= 1" in err
+    assert code == 2 and "n and k must be >= 1" in err
     code, _, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "3",
                        "--k", "0")
     assert code == 2
@@ -217,14 +217,13 @@ def test_count_burnside_word_budget_before_order(capsys):
     assert "2147483648 words exceeds budget" in err
 
 
-def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
+def test_count_all_word_budget_before_word_permutation(capsys, monkeypatch):
     # 2^23 words: enumeration and Burnside are skipped by the word budget
     # before any b^n-sized list, and Theorem 2 and the closed form
     # cross-check
     def refuse(rule):
         raise AssertionError("word permutation built over the word budget")
 
-    monkeypatch.setattr(cli, "word_permutation", refuse)
     monkeypatch.setattr(astute.rules, "word_permutation", refuse)
     code, out, err = run(capsys, "count", "--rule", "pcr", "--b", "2", "--n", "23",
                          "--method", "all")
@@ -235,7 +234,7 @@ def test_count_all_vertex_budget_before_word_permutation(capsys, monkeypatch):
                    "skipped burnside_direct: 8388608 words exceeds budget 4194304\n")
 
 
-def test_count_all_past_vertex_budget_skips_enumeration(capsys):
+def test_count_all_past_vertex_budget_runs_every_route(capsys):
     # 2^16 * 999 vertices but 2^16 words: the enumeration walks the words,
     # so all four routes cross-check; a custom rule past the word budget
     # has only Theorem 2 left
@@ -583,14 +582,18 @@ def test_symmetric_gcd_rows_decide_every_unordered_pair(monkeypatch, row, degree
          for m in range(1, 13)})
 
 
+def counted(monkeypatch, module, name) -> list:
+    """The first arguments of every call of module.name from now on."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg, *rest: calls.append(arg) or fn(arg, *rest))
+    return calls
+
+
 def test_fix_count_row_builds_one_permutation_per_rule(monkeypatch):
-    # fix_count_bruteforce must not build its own: it is handed the one
-    # the row built
-    built, build = [], astute.rules.word_permutation
-    monkeypatch.setattr(cli, "word_permutation", lambda rule: built.append(rule) or build(rule))
-    monkeypatch.setattr(astute.rules, "word_permutation", None)
+    # the 24 powers of a rule are counted on its one permutation
+    built = counted(monkeypatch, astute.rules, "word_permutation")
     assert cli.check_fix_count_ideal()["pass"]
-    assert built == list(cli.LEMMA_RULES)
+    assert built == cli.lemma_rules()
     # and builds none past the word budget
     built.clear()
     monkeypatch.setattr(astute.rules, "MAX_VERTICES", 8)
@@ -663,6 +666,57 @@ def test_verify_csv_instance_refused_before_checks(capsys, monkeypatch, tmp_path
     assert (code, out) == (2, "")
     assert err == f"invalid arguments: {message}\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--b", "1", "alphabet size b must be >= 2"),
+    ("--n", "0", "n and k must be >= 1"),
+    ("--k", "0", "n and k must be >= 1"),
+])
+@pytest.mark.parametrize("command", [["count", "--rule", "pcr"],
+                                     ["count", "--rule", "affine:0;1"],
+                                     ["factor", "--rule", "pcr"], ["extremal"]],
+                         ids=["count-pcr", "count-affine", "factor", "extremal"])
+def test_bad_instance_flag_reads_alike(capsys, command, flag, value, message):
+    # the instance flags are checked before any rule is built, so a bad
+    # one reads the same under every subcommand
+    flags = {"--b": "2", "--n": "1", "--k": "1", flag: value}
+    code, out, err = run(capsys, *command, *[x for pair in flags.items() for x in pair])
+    assert (code, out, err) == (2, "", f"invalid arguments: {message}\n")
+
+
+def test_no_derived_value_outlives_one_command(capsys, monkeypatch):
+    # a rule keeps its permutation only while it lives, and each verify
+    # builds its own lemma rules: the second run builds every permutation
+    # the first did, one per rule for the fix-count row and one per k for
+    # each factor of the cycle-sum row (n >= 2)
+    built = counted(monkeypatch, astute.rules, "word_permutation")
+    want = Counter()
+    for rule in cli.lemma_rules():
+        want[rule] += 1 + 4 * (rule.n >= 2)
+    for _ in range(2):
+        built.clear()
+        assert main(["verify", "--suite", "lemmas"]) == 0
+        assert Counter(built) == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--rule", "icr", "--b", "2", "--n", "10", "--k", "3"], 0),
+    (["--rule", "affine:1;1,1,3,1", "--b", "6", "--n", "3", "--k", "5"], 0),
+    # the order scan refuses this primitive trinomial, so Burnside and
+    # Theorem 2 are skipped: one scan, not one per route
+    (["--rule", "affine:0;1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,1",
+      "--b", "2", "--n", "20"], 3),
+], ids=["icr", "composite-b", "refused-order-scan"])
+def test_count_all_builds_one_permutation_and_one_order_scan(capsys, monkeypatch,
+                                                             argv, code):
+    built = counted(monkeypatch, astute.rules, "word_permutation")
+    scans = counted(monkeypatch, astute.ideals, "order_of_x")
+    with within(20):
+        assert main(["count", *argv, "--method", "all"]) == code
+    assert (len(built), len(scans)) == (1, 1)
+    capsys.readouterr()
 
 
 def test_count_accepts_unrenderable_alphabet(capsys):

@@ -11,7 +11,7 @@ from astute.cli import main
 from astute.counting import (CountReport, base_divisor, closed_form_for,
                              closed_form_icr, closed_form_pcr, closed_form_xor,
                              count_burnside_direct, count_enumeration,
-                             count_theorem2)
+                             count_theorem2, fixed_point_counts)
 from astute.errors import BudgetExceeded, NonIntegerResult
 from astute.graph import cycle_lengths
 from astute.ideals import order_and_least_cycle, order_of_x
@@ -197,14 +197,14 @@ def test_burnside_step_budget(monkeypatch):
 
 
 def period_check_walks(monkeypatch, rule, omega, ell):
-    # the (words, steps) of every advance call of a Burnside count whose
-    # period check must fail
+    # the (words, steps) of every advance call of the Burnside counts at
+    # k = 1 with this omega and ell, whose period check must fail
     calls = []
     advance = astute.rules.advance
     monkeypatch.setattr(astute.rules, "advance", lambda perm, words, steps:
                         calls.append((len(words), steps)) or advance(perm, words, steps))
     with pytest.raises(ValueError) as refusal:
-        count_burnside_direct(rule, 1, omega=omega, ell=ell)
+        fixed_point_counts(rule, 1, lcm(ell, omega), omega=omega)
     return str(refusal.value), calls
 
 
@@ -249,10 +249,13 @@ def test_wrong_omega_refused():
 
 
 def test_theorem2_refuses_non_integer_count():
-    # a wrong s = 3 for pcr(3, 2) (its s is 1) gives 8/3, not a count
+    # a wrong ell = 3 for pcr(3, 2) (its ell is 1) makes s = 3, which gives
+    # 8/3, not a count
+    rule = pcr(3, 2)
+    vars(rule)["order_and_ell"] = (3, 3)
     with pytest.raises(NonIntegerResult,
                        match="^ideal-formula count 8/3 is not a positive integer$"):
-        count_theorem2(pcr(3, 2), 1, ell=3)
+        count_theorem2(rule, 1)
 
 
 def test_closed_form_refuses_non_integer_count():
@@ -361,10 +364,10 @@ def test_burnside_work_does_not_grow_with_k(monkeypatch):
 def test_burnside_refuses_a_wrong_ell_at_p():
     # icr(2, 2) is one 4-cycle with omega = 2.  A wrong ell = 1 at k = 4
     # gives M = 4, a true period, but P = lcm(1, 2) = 2 is none: the
-    # period is checked at P, which the message names
+    # period is checked at P = 2 with k = gcd(4, P), which the message names
     with pytest.raises(ValueError,
                        match="^M=2 is not a period of the rule: rule\\^2 moves word 00$"):
-        count_burnside_direct(icr(2, 2), 4, omega=2, ell=1)
+        fixed_point_counts(icr(2, 2), 2, 2, omega=2)
 
 
 def test_burnside_refuses_a_wrong_omega_below_p():
@@ -373,7 +376,7 @@ def test_burnside_refuses_a_wrong_omega_below_p():
     # zero and unit words show that rule^1 is none
     with pytest.raises(ValueError, match="^omega=1 is not a multiple of the order of X: "
                                          "rule\\^1 is no translation$"):
-        count_burnside_direct(icr(2, 2), 1, omega=1, ell=4)
+        fixed_point_counts(icr(2, 2), 1, 4, omega=1)
 
 
 def lemma_rules(max_words: int, stride: int = 0):
@@ -450,16 +453,17 @@ def test_order_of_x_once_per_route(monkeypatch):
 
     # the routes and the CLI reach the scan only through astute.ideals
     monkeypatch.setattr(astute.ideals, "order_of_x", counted)
-    rule = icr(4, 2)  # c != 0, so the cycle-length scan runs too
+    # icr(4, 2) has c != 0, so the cycle-length scan runs too; each call
+    # takes a fresh rule, which has found no order yet
     for route in (count_theorem2, count_burnside_direct):
         calls.clear()
-        route(rule, 2)
+        route(icr(4, 2), 2)
         assert len(calls) == 1, route.__name__
     # a given omega is not checked by a second scan, by both routes
     # and by the CLI
     calls.clear()
     for route in (count_theorem2, count_burnside_direct):
-        route(rule, 2, omega=order_of_x(rule.char_poly()))
+        route(icr(4, 2), 2, omega=order_of_x(icr(4, 2).char_poly()))
     assert calls == []
     assert main(["count", "--rule", "icr", "--b", "2", "--n", "4", "--k", "2",
                  "--method", "all"]) == 0

@@ -86,3 +86,53 @@ def test_detects_unreferenced_public_name():
 def test_no_test_only_public_api():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_public_names(sources) == []
+
+
+# The process-wide caches: module-level functions memoized by lru_cache or
+# cache, each with the reason it is kept.  Their entries outlive one
+# command, so a cache added here must be one whose entries stay right for
+# any later call and whose reuse the benchmark can clear or does not
+# mind.  A value derived from one object (a cached_property) dies with
+# the object and is not listed.
+CACHES = {
+    "cli._parsers": "the argument parsers depend on no input and hold no "
+                    "functions, so one build serves every call",
+    "ideals.ideal_quotient_size": "verify's fix-count row asks one quotient size "
+                                  "for many exponents; the benchmark clears it",
+    "spectral.cyclotomic": "each cyclotomic polynomial is built from the lower "
+                           "ones; the benchmark clears it",
+    "spectral._roots": "a transform reads the n-th roots of unity once per "
+                       "word, and they depend on n alone",
+}
+
+
+def module_caches(sources: dict[str, str]) -> list[str]:
+    """'module.name' of every function in `sources` (module name -> source)
+    decorated with lru_cache or cache, called or not, bare or as an
+    attribute of functools."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_detects_module_cache():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n\n"
+              "@lru_cache(maxsize=4)\ndef a(x):\n    pass\n\n"
+              "@functools.cache\ndef b(x):\n    pass\n\n"
+              "@cache\ndef c(x):\n    pass\n\n"
+              "class C:\n    @cached_property\n    def d(self):\n        pass\n")
+    assert module_caches({"m": source}) == ["m.a", "m.b", "m.c"]
+
+
+def test_process_wide_caches_are_pinned():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert module_caches(sources) == sorted(CACHES)

@@ -240,26 +240,29 @@ def test_cycle_length_work_does_not_depend_on_k(monkeypatch):
     in_image = astute.ideals._in_image
     monkeypatch.setattr(astute.ideals, "_in_image", lambda tail, power, target, b: (
         tests.append((power, target)) or in_image(tail, power, target, b)))
-    for rule, ell in ((icr(16, 2), 32), (parse_rule_spec("affine:1;1,1,3,1", 3, 6), 12)):
+    # each count takes a fresh rule, which has found no (omega, ell) yet
+    for make, ell in ((lambda: icr(16, 2), 32),
+                      (lambda: parse_rule_spec("affine:1;1,1,3,1", 3, 6), 12)):
         made = []
         for k in (1, 999):
             tests.clear()
+            rule = make()
             assert count_theorem2(rule, k).witnesses["s"] == lcm(k, ell)
             made.append(list(tests))
         assert made[0] == made[1] and made[0], rule.spec()
 
 
 def test_theorem2_given_s_checks_omega():
-    # the divisor walk's last power, X^omega, refuses omega = 2 for an
-    # order-4 lam even when ell is given
+    # X^omega = 1 refuses omega = 2 for an order-4 lam before ell, and so
+    # s, is found
     with pytest.raises(ValueError, match="omega=2 is not a multiple of the order of X"):
-        count_theorem2(AffineRule((1, 1, 1, 1), 1, 2), 2, omega=2, ell=4)
+        count_theorem2(AffineRule((1, 1, 1, 1), 1, 2), 2, omega=2)
 
 
 def test_theorem2_raises_x_omega_once(monkeypatch):
-    # X^omega = 1 is checked once: by order_and_least_cycle for an omega
-    # given without ell, by the divisor walk's top when ell is given too,
-    # and not at all when the order scan found omega
+    # X^omega = 1 is checked once, by order_and_least_cycle, for a given
+    # omega, and not at all when the order scan found omega: the divisor
+    # walk never raises its top
     lam = x_pow_minus_one(12, 2)  # order 12, so only X^12 is 1
     rule = AffineRule(tuple(reversed(lam.coeffs)), 1, 2)
     one = [1] + [0] * 11
@@ -267,11 +270,11 @@ def test_theorem2_raises_x_omega_once(monkeypatch):
     monkeypatch.setattr(astute.ideals, "_power",
                         lambda *a, **kw: results.append(power(*a, **kw)) or results[-1])
     counts = []
-    for kwargs, raised in (({"omega": 12}, 1), ({"omega": 12, "ell": 8}, 1), ({}, 0)):
+    for kwargs, raised in (({"omega": 12}, 1), ({}, 0)):
         results.clear()
         counts.append(count_theorem2(rule, 2, **kwargs).value)
         assert results.count(one) == raised, kwargs
-    assert counts == [counts[0]] * 3
+    assert counts == [counts[0]] * 2
 
 
 def refuse_order_scan(lam):
